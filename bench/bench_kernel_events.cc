@@ -12,8 +12,8 @@
  *  - "burst": periodic fan-out of same-timestamp events (models request
  *    arrival bursts fanning into parallel chains).
  *  - "chain": chain execution through the AccelFlow engine, interpreted
- *    vs compiled+batched (DESIGN.md §15), measured at three levels whose
- *    geomean is the gated compiled_speedup_geomean: a standard full-model
+ *    vs compiled (DESIGN.md §15), measured at three levels whose geomean
+ *    is reported as compiled_speedup_geomean: a standard full-model
  *    shape (every completion staggered by the DMA serializer, so
  *    orchestration is a minor share and the ratio sits near 1.0 — kept
  *    as the honest dilution bound), a zero-overhead shape (OrchKind::
@@ -215,8 +215,7 @@ std::uint64_t run_burst(std::uint64_t bursts) {
 }
 
 /** Constant-cost chain environment: every chain sees identical values, so
- *  same-accelerator completions align in time and the batched drain path
- *  runs at its real widths. */
+ *  same-accelerator completions align in time. */
 class ConstEnv final : public core::ChainEnv {
  public:
   sim::TimePs op_cpu_cost(core::ChainContext&, accel::AccelType,
@@ -245,9 +244,8 @@ struct ChainBenchResult {
  * wave launches when the previous one fully completes, the arrival-burst
  * shape run_burst isolates at the kernel level) through the AccelFlow
  * engine and times the event loop. Waves keep same-accelerator
- * completions aligned so the batched drain path runs at its real widths;
- * identical work in both modes — only the backend differs — so
- * wall-time ratios are true speedups.
+ * completions aligned; identical work in both modes — only the backend
+ * differs — so wall-time ratios are true speedups.
  */
 ChainBenchResult run_chain_bench(bool compiled, bool zero,
                                  std::uint64_t target) {
@@ -472,7 +470,7 @@ int main() {
   t.add_row({"geomean", "", "", stats::Table::fmt(geo, 2) + "x"});
   t.print(std::cout);
 
-  // Chain orchestration: interpreted vs compiled+batched backend on the
+  // Chain orchestration: interpreted vs compiled backend on the
   // same chain population. The config flag selects the backend, so pin
   // the env toggle out of the way.
   unsetenv("AF_COMPILE");
@@ -503,7 +501,7 @@ int main() {
     micro_compiled = std::min(micro_compiled, bench::compiled_hop_ns(kHops));
   }
 
-  stats::Table ct("Chain execution (interpreted vs compiled+batched)");
+  stats::Table ct("Chain execution (interpreted vs compiled)");
   ct.set_header(
       {"Workload", "interp ev/s", "compiled ev/s", "events", "speedup"});
   double compiled_geo = 1.0;

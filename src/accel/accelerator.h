@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_ACCEL_ACCELERATOR_H_
 #define ACCELFLOW_ACCEL_ACCELERATOR_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "mem/tlb.h"
 #include "noc/interconnect.h"
 #include "obs/tracer.h"
-#include "sim/drain_ring.h"
 #include "sim/fault_hooks.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
@@ -93,18 +91,6 @@ struct AccelStats {
   std::uint64_t injected_rejections = 0;
   /** Total injected PE stall latency (subset of pe_busy_time). */
   sim::TimePs injected_stall_time = 0;
-  /** Vectorized drain events executed in batched-completion mode
-   *  (DESIGN.md §15). Heap events saved = drain_actions - drain_batches. */
-  std::uint64_t drain_batches = 0;
-  /** Deferred completions executed across all drains. */
-  std::uint64_t drain_actions = 0;
-  /** Widest single drain (actions retired by one heap event). */
-  std::uint64_t max_drain_width = 0;
-  /** Total drain-ring residency: sum over drained actions of drain time
-   *  minus push time. Pure telemetry — parked actions still fire at their
-   *  reserved (time, seq) key, so residency is batching slack, not added
-   *  latency. */
-  sim::TimePs drain_wait_time = 0;
   stats::LatencyRecorder input_queue_delay;
   /** Payload sizes consumed / produced (Figure 5). */
   stats::Histogram input_bytes;
@@ -202,32 +188,15 @@ class Accelerator {
 
   QueueEntry& output_entry(SlotId slot) { return output_.at(slot); }
 
-  // --- Batched completions (DESIGN.md §15) ------------------------------
+  /** Schedules deliver_data(slot) as a calendar event at `when`. */
+  void schedule_deliver(sim::TimePs when, SlotId slot) {
+    sim_.schedule_at(when, [this, slot] { deliver_data(slot); });
+  }
 
-  /**
-   * Switches completion scheduling between one-heap-event-per-completion
-   * (off, the default) and the per-accelerator pending-completion rings
-   * (on): PE done-times, data deliveries and output releases park in one
-   * DrainRing per class and drain through a single armed calendar event
-   * per ring, preserving the exact unbatched order via reserved insertion
-   * stamps. The classes live on different time scales (exec-end vs DMA
-   * arrival vs dispatcher horizon), so each gets its own channel — in a
-   * shared ring every cross-class push became a new minimum and churned
-   * the armed event. Only legal while no completion is pending in either
-   * representation (set at construction/config time).
-   */
-  void set_batched_completions(bool on);
-
-  bool batched_completions() const { return batched_; }
-
-  /** Schedules delivery of one producer's data for an input slot at
-   *  `when`: a plain calendar event, or a parked ring action in batched
-   *  mode (same order either way — see DESIGN.md §15). */
-  void schedule_deliver(sim::TimePs when, SlotId slot);
-
-  /** Schedules release of an output slot at `when`; batched like
-   *  schedule_deliver. */
-  void schedule_release(sim::TimePs when, SlotId slot);
+  /** Schedules release_output(slot) as a calendar event at `when`. */
+  void schedule_release(sim::TimePs when, SlotId slot) {
+    sim_.schedule_at(when, [this, slot] { release_output(slot); });
+  }
 
   // --- Introspection ----------------------------------------------------
 
@@ -318,15 +287,6 @@ class Accelerator {
   };
 
  public:
-  /** One batched-completion channel's state (ring + armed drain). */
-  struct ChannelCheckpoint {
-    sim::DrainRing::Checkpoint ring;     ///< Pending deferred actions.
-    sim::EventId event = sim::kInvalidEventId;  ///< Armed drain.
-    sim::TimePs armed_time = 0;          ///< Armed drain's ordering key.
-    std::uint64_t armed_seq = 0;
-    sim::TimePs last_time = 0;           ///< Cluster-detection anchor.
-  };
-
   /** Deep copy of all mutable accelerator state (DESIGN.md §13). */
   struct Checkpoint {
     mem::Tlb::Checkpoint tlb;            ///< Translation cache.
@@ -340,36 +300,21 @@ class Accelerator {
     std::uint64_t last_dispatched_seq = 0;  ///< Reorder detection stamp.
     AccelStats stats;                    ///< Counters + recorders.
     AccelParams params;                  ///< Divergable knobs (PEs, speedup).
-    std::array<ChannelCheckpoint, 3> channels;  ///< Batched completions.
   };
 
-  /** Captures all mutable state (handler/tracer wiring excluded). Armed
-   *  drain EventIds are captured by value: the kernel snapshot restores
-   *  their slots and generations in place, so the ids stay valid across a
-   *  paired Machine restore (DESIGN.md §13). */
+  /** Captures all mutable state (handler/tracer wiring excluded). */
   Checkpoint checkpoint() const {
-    Checkpoint c{tlb_.checkpoint(),
-                 input_.checkpoint(),
-                 output_.checkpoint(),
-                 pes_,
-                 blocked_,
-                 overflow_,
-                 dispatcher_busy_until_,
-                 dispatcher_busy_accum_,
-                 last_dispatched_seq_,
-                 stats_,
-                 params_,
-                 {}};
-    for (int i = 0; i < kNumDrainChannels; ++i) {
-      const DrainChannel& ch = channels_[static_cast<std::size_t>(i)];
-      ChannelCheckpoint& out = c.channels[static_cast<std::size_t>(i)];
-      ch.ring.checkpoint(out.ring);
-      out.event = ch.event;
-      out.armed_time = ch.armed_time;
-      out.armed_seq = ch.armed_seq;
-      out.last_time = ch.last_time;
-    }
-    return c;
+    return Checkpoint{tlb_.checkpoint(),
+                      input_.checkpoint(),
+                      output_.checkpoint(),
+                      pes_,
+                      blocked_,
+                      overflow_,
+                      dispatcher_busy_until_,
+                      dispatcher_busy_accum_,
+                      last_dispatched_seq_,
+                      stats_,
+                      params_};
   }
 
   /** Restores state captured by checkpoint(). */
@@ -387,16 +332,6 @@ class Accelerator {
     last_dispatched_seq_ = c.last_dispatched_seq;
     stats_ = c.stats;
     params_ = c.params;
-    for (int i = 0; i < kNumDrainChannels; ++i) {
-      DrainChannel& ch = channels_[static_cast<std::size_t>(i)];
-      const ChannelCheckpoint& in = c.channels[static_cast<std::size_t>(i)];
-      ch.ring.restore(in.ring);
-      ch.event = in.event;
-      ch.armed_time = in.armed_time;
-      ch.armed_seq = in.armed_seq;
-      ch.last_time = in.last_time;
-      ch.draining = false;
-    }
     rebuild_ready_index();
   }
 
@@ -419,53 +354,6 @@ class Accelerator {
 
   /** Moves overflow entries into freed input slots. */
   void drain_overflow();
-
-  /** Deferred-completion classes; each owns one drain channel. */
-  enum ActionKind : std::uint8_t {
-    kActPeDone = 0,   ///< arg = PE index.
-    kActDeliver = 1,  ///< arg = input slot.
-    kActRelease = 2,  ///< arg = output slot.
-  };
-  static constexpr int kNumDrainChannels = 3;
-
-  /** One batched-completion channel: a pending ring plus its single armed
-   *  calendar event at the ring minimum. */
-  struct DrainChannel {
-    sim::DrainRing ring;
-    sim::EventId event = sim::kInvalidEventId;  ///< Armed drain.
-    sim::TimePs armed_time = 0;  ///< Key the drain event is armed at.
-    std::uint64_t armed_seq = 0;
-    /** Fire time of the channel's most recent action (parked or plain);
-     *  a repeat of it signals a same-timestamp cluster forming. */
-    sim::TimePs last_time = sim::kTimeNever;
-    bool draining = false;  ///< Inside run_drain (suppress re-arm).
-  };
-
-  /** Executes one deferred action (shared by the drain loop and the
-   *  plain-event bypass). */
-  void apply_action(ActionKind kind, std::uint32_t arg);
-
-  /**
-   * Defers an action on its class's channel. The action parks in the ring
-   * (with a stamp from reserve_seq(), so it keeps the (time, seq) key its
-   * dedicated heap event would have had) only when the ring is already
-   * non-empty or its fire time repeats the channel's previous action time
-   * — the signature of a same-timestamp completion cluster. A lone action
-   * takes a plain schedule_at() instead: parking it would cost a ring
-   * push, an armed event and usually a cancel + re-arm (out-of-order
-   * width-1 streams made every push a new minimum), all to batch nothing.
-   * Both paths consume exactly one stamp at this program point, so the
-   * global event order is bit-identical either way. Precondition:
-   * batched_ (callers branch to plain schedule_at otherwise).
-   */
-  void defer_action(ActionKind kind, sim::TimePs when, std::uint32_t arg);
-
-  /** Arms (or re-arms) a channel's drain event at its ring minimum. */
-  void arm_drain(ActionKind kind);
-
-  /** The vectorized drain: retires every ring action not preceded by a
-   *  foreign calendar event, then re-arms at the first survivor. */
-  void run_drain(ActionKind kind);
 
   sim::Simulator& sim_;
   AccelParams params_;
@@ -498,10 +386,6 @@ class Accelerator {
   std::uint32_t tid_base_ = 0;  ///< First trace track of this accelerator.
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.
   int fault_unit_ = 0;  ///< This accelerator's unit id at the injector.
-
-  // Batched-completion state (DESIGN.md §15).
-  bool batched_ = false;  ///< Ring mode on (set by the engine).
-  std::array<DrainChannel, kNumDrainChannels> channels_;
 };
 
 }  // namespace accelflow::accel

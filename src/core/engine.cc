@@ -39,11 +39,8 @@ AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
   machine_.load_traces(lib_);
   machine_.install_output_handler(this);
   if (config_.compile || af_compile_enabled()) {
-    // Compiled backend (DESIGN.md §15): flatten every trace once, and
-    // drain same-accelerator completions through batched rings instead of
-    // one heap event each.
+    // Compiled backend (DESIGN.md §15): flatten every trace once.
     program_ = std::make_unique<ChainProgram>(lib_);
-    machine_.set_batched_completions(true);
   }
 }
 

@@ -78,8 +78,7 @@ struct EngineConfig {
 
   /**
    * Compiled chain-program backend (DESIGN.md §15): dispatcher hops
-   * execute pre-flattened ChainProgram blocks and completions drain
-   * through per-accelerator batched rings. Bit-identical to the
+   * execute pre-flattened ChainProgram blocks. Bit-identical to the
    * interpreter, which stays available as the differential oracle (a hop
    * the compiler could not flatten falls back per hop). Also enabled by
    * the AF_COMPILE=1 environment toggle.

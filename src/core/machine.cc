@@ -8,6 +8,20 @@ namespace accelflow::core {
 
 using accel::AccelType;
 
+namespace {
+
+/** Rejects a PE or queue count below 1: such a machine would complete no
+ *  request at all instead of failing. */
+template <typename Count>
+void require_positive(Count value, const char* field) {
+  if (!(value > 0)) {
+    throw std::invalid_argument(std::string(field) + " must be > 0, got " +
+                                std::to_string(value));
+  }
+}
+
+}  // namespace
+
 std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
     int num_chiplets) {
   // Index order: TCP, Encr, Decr, RPC, Ser, Dser, Cmp, Dcmp, LdB.
@@ -30,6 +44,8 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
 }
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
+  require_positive(config_.pes_per_accel, "pes_per_accel");
+  require_positive(config_.accel_queue_entries, "accel_queue_entries");
   mem_ = std::make_unique<mem::MemorySystem>(sim_, config_.mem,
                                              config_.seed ^ 0x11);
   iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, config_.walk,
@@ -216,6 +232,7 @@ void Machine::restore(const Checkpoint& c) {
 }
 
 void Machine::set_pes_per_accel(int pes) {
+  require_positive(pes, "pes_per_accel");
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->set_num_pes(pes);
   }
@@ -223,10 +240,12 @@ void Machine::set_pes_per_accel(int pes) {
 }
 
 void Machine::set_pes_for(accel::AccelType type, int pes) {
+  require_positive(pes, "pes");
   accels_[accel::index_of(type)]->set_num_pes(pes);
 }
 
 void Machine::set_accel_queue_entries(std::size_t entries) {
+  require_positive(entries, "accel_queue_entries");
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->set_queue_capacity(entries);
   }
@@ -244,12 +263,6 @@ void Machine::set_speedup_scale(double scale) {
                                              scale);
   }
   config_.speedup_scale = scale;
-}
-
-void Machine::set_batched_completions(bool on) {
-  for (const AccelType t : accel::kAllAccelTypes) {
-    accels_[accel::index_of(t)]->set_batched_completions(on);
-  }
 }
 
 void Machine::set_generation(Generation g) {

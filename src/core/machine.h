@@ -129,6 +129,9 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
 /** The composed server. */
 class Machine {
  public:
+  /** Throws std::invalid_argument naming the field unless
+   *  config.pes_per_accel and config.accel_queue_entries are > 0, or
+   *  when config.num_chiplets names no supported organization. */
   explicit Machine(const MachineConfig& config);
 
   sim::Simulator& sim() { return sim_; }
@@ -248,13 +251,15 @@ class Machine {
 
   /**
    * Re-sizes every accelerator's PE array (Fig. 19 sweeps). Requires all
-   * accelerators idle — call only at a quiescent fork point.
+   * accelerators idle — call only at a quiescent fork point. Throws
+   * std::invalid_argument unless `pes` > 0.
    */
   void set_pes_per_accel(int pes);
 
   /**
    * Re-sizes one accelerator class's PE array (the auto-tuner's
-   * per-class PE knob). Same idleness requirement as set_pes_per_accel.
+   * per-class PE knob). Same idleness requirement and `pes` > 0 check as
+   * set_pes_per_accel.
    * Leaves MachineConfig::pes_per_accel untouched (it describes the
    * uniform baseline); a restore() undoes the divergence because PE
    * arrays are part of each accelerator's captured state.
@@ -264,7 +269,8 @@ class Machine {
   /**
    * Re-sizes every accelerator's input/output SRAM queues (queue-depth
    * sweeps, the auto-tuner's queue knob). Requires all queues and
-   * overflow areas empty — call only at a quiescent fork point.
+   * overflow areas empty — call only at a quiescent fork point. Throws
+   * std::invalid_argument unless `entries` > 0.
    */
   void set_accel_queue_entries(std::size_t entries);
 
@@ -279,14 +285,6 @@ class Machine {
 
   /** Applies a processor generation's core speed factors (Fig. 20). */
   void set_generation(Generation g);
-
-  /**
-   * Switches every accelerator between one-heap-event-per-completion and
-   * the batched pending-completion ring (DESIGN.md §15). The compiled
-   * engine backend turns this on at construction; only legal while no
-   * completion is pending.
-   */
-  void set_batched_completions(bool on);
 
  private:
   MachineConfig config_;

@@ -92,7 +92,7 @@ void Analyzer::observe(const obs::SpanEvent& ev) {
     case obs::Phase::kInstant: {
       if (ev.kind != obs::SpanKind::kChainDone &&
           ev.kind != obs::SpanKind::kTimeout) {
-        return;  // Telemetry instants (drains, faults, misses) carry no time.
+        return;  // Telemetry instants (faults, misses) carry no time.
       }
       const auto it = open_.find(ev.flow);
       if (it == open_.end() || !it->second.open) {

@@ -93,7 +93,7 @@ constexpr int priority_of(Category c) {
 /**
  * Maps a span kind to the category its duration is attributed to.
  * Returns false for kinds that carry no attributable duration (instants,
- * flow markers, drain telemetry).
+ * flow markers).
  */
 constexpr bool category_of(obs::SpanKind kind, Category* out) {
   switch (kind) {

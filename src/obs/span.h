@@ -71,12 +71,11 @@ enum class SpanKind : std::uint8_t {
   kOverflow,        ///< Entry routed via the in-memory overflow area.
   kTimeout,         ///< TCP wait-slot timeout (instant).
   kHopRetry,        ///< Lost hop re-issued by the watchdog (instant, §14).
-  kBatchDrain,      ///< Vectorized completion drain (instant, arg=width).
   kNetHop,          ///< One rack-network hop between machine shards.
 };
 
 /** Number of SpanKind values (array sizing). */
-inline constexpr std::size_t kNumSpanKinds = 21;
+inline constexpr std::size_t kNumSpanKinds = 20;
 
 /** Stable snake_case name of a span kind (the Chrome-trace event name). */
 constexpr std::string_view name_of(SpanKind k) {
@@ -85,8 +84,7 @@ constexpr std::string_view name_of(SpanKind k) {
       "dispatcher_fsm", "dma_transfer", "noc_transfer", "noc_link",
       "tlb_miss",       "iommu_walk",   "page_fault",  "interrupt",
       "manager_event",  "notify",       "chain_done",  "cpu_fallback",
-      "overflow",       "timeout",      "hop_retry",   "batch_drain",
-      "net_hop"};
+      "overflow",       "timeout",      "hop_retry",   "net_hop"};
   return kNames[static_cast<std::size_t>(k)];
 }
 

@@ -42,17 +42,6 @@ std::uint32_t Simulator::alloc_slot() {
 }
 
 EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  return schedule_with_seq(t, next_seq_++, std::move(cb));
-}
-
-EventId Simulator::schedule_at_seq(TimePs t, std::uint64_t seq,
-                                   Callback cb) {
-  assert(seq < next_seq_ && "stamp must come from reserve_seq()");
-  return schedule_with_seq(t, seq, std::move(cb));
-}
-
-EventId Simulator::schedule_with_seq(TimePs t, std::uint64_t seq,
-                                     Callback cb) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) {
     // Release-build policy: clamp to now() — the event runs after the
@@ -65,7 +54,7 @@ EventId Simulator::schedule_with_seq(TimePs t, std::uint64_t seq,
   Event& ev = pool_[slot];
   ev.cb = std::move(cb);
   ev.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, seq, slot});
+  heap_.push_back(HeapEntry{t, next_seq_++, slot});
   sift_up(heap_.size() - 1);
 
   ++kstats_.scheduled;

@@ -125,38 +125,6 @@ class Simulator {
   }
 
   /**
-   * Consumes and returns the next insertion stamp without scheduling
-   * anything. Pairs with schedule_at_seq(): a model can reserve the exact
-   * tie-break position an event *would* have received from schedule_at()
-   * here, defer the actual calendar insertion (e.g. into a batching ring),
-   * and later materialise one representative calendar event at the
-   * reserved stamp — the run replays in the order the plain
-   * one-event-per-action schedule would have produced (see
-   * sim/drain_ring.h).
-   */
-  std::uint64_t reserve_seq() { return next_seq_++; }
-
-  /**
-   * Schedules `cb` at absolute time `t` with an explicit insertion stamp
-   * previously obtained from reserve_seq(). Does not advance the stamp
-   * counter. Same past-time policy as schedule_at(). The caller must not
-   * reuse a stamp for two simultaneously pending events (ordering between
-   * them would be unspecified).
-   */
-  EventId schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb);
-
-  /**
-   * True when some pending calendar entry fires strictly before the key
-   * (t, seq) — i.e. a plain event scheduled with that stamp would *not* be
-   * the next to run. Lets a batch drain detect foreign events interleaved
-   * between its deferred actions and yield to them (see sim/drain_ring.h).
-   * This is the drain loop's hot probe: it reads the heap root.
-   */
-  bool has_event_before(TimePs t, std::uint64_t seq) const {
-    return !heap_.empty() && earlier(heap_[0], HeapEntry{t, seq, 0});
-  }
-
-  /**
    * Cancels a pending event (O(log n) heap eviction).
    *
    * @return true if the event was pending and is now cancelled; false if it
@@ -266,9 +234,6 @@ class Simulator {
 
   /** Allocates a pool slot (free list first, then slab growth). */
   std::uint32_t alloc_slot();
-
-  /** Shared scheduling tail of schedule_at() and schedule_at_seq(). */
-  EventId schedule_with_seq(TimePs t, std::uint64_t seq, Callback cb);
 
   /** Pops and runs the earliest event. Returns false if none runnable. */
   bool step();

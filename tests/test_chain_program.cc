@@ -1,10 +1,9 @@
-// Tests for the compiled chain backend (DESIGN.md §15): the DrainRing
-// ordering contract, the ChainProgram compilation pass, and the load-
-// bearing property of the whole subsystem — compiled execution is
-// bit-identical to the interpreter, including completion timestamps, for
-// every template trace under every flag combination and for a thousand
-// fuzzer-generated programs, with the invariant checker attached to both
-// runs.
+// Tests for the compiled chain backend (DESIGN.md §15): the ChainProgram
+// compilation pass, and the load-bearing property of the whole subsystem —
+// compiled execution is bit-identical to the interpreter, including
+// completion timestamps, for every template trace under every flag
+// combination and for a thousand fuzzer-generated programs, with the
+// invariant checker attached to both runs.
 
 #include <cstdlib>
 #include <memory>
@@ -23,8 +22,6 @@
 #include "core/trace_library.h"
 #include "core/trace_templates.h"
 #include "obs/span.h"
-#include "obs/tracer.h"
-#include "sim/drain_ring.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -33,83 +30,6 @@ namespace {
 
 using accel::AccelType;
 using core::RemoteKind;
-
-// --- DrainRing ----------------------------------------------------------
-
-TEST(DrainRing, PopsInTimeThenSeqOrder) {
-  sim::DrainRing ring;
-  ring.push(30, 5, 0, 1, /*pushed_at=*/7);
-  ring.push(10, 9, 1, 2, /*pushed_at=*/7);
-  ring.push(10, 2, 2, 3, /*pushed_at=*/8);
-  ring.push(20, 1, 0, 4, /*pushed_at=*/9);
-  ASSERT_EQ(ring.size(), 4u);
-
-  EXPECT_EQ(ring.front().time, 10);
-  EXPECT_EQ(ring.front().seq, 2u);
-  ring.pop_front();
-  EXPECT_EQ(ring.front().time, 10);
-  EXPECT_EQ(ring.front().seq, 9u);
-  ring.pop_front();
-  EXPECT_EQ(ring.front().time, 20);
-  ring.pop_front();
-  EXPECT_EQ(ring.front().time, 30);
-  EXPECT_EQ(ring.front().kind, 0);
-  EXPECT_EQ(ring.front().arg, 1u);
-  EXPECT_EQ(ring.front().pushed_at, 7u);
-  ring.pop_front();
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(DrainRing, MostlyAppendWorkloadStaysSorted) {
-  sim::DrainRing ring;
-  // Monotone pushes (the common case) interleaved with a few earlier ones.
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    ring.push(static_cast<sim::TimePs>(100 + i), i, 0, 0, 0);
-    if (i % 50 == 49) {
-      ring.push(static_cast<sim::TimePs>(50 + i), 1000 + i, 0, 0, 0);
-    }
-  }
-  sim::TimePs prev_time = 0;
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  while (!ring.empty()) {
-    const sim::DrainAction a = ring.front();
-    if (!first) {
-      EXPECT_TRUE(a.time > prev_time ||
-                  (a.time == prev_time && a.seq > prev_seq));
-    }
-    first = false;
-    prev_time = a.time;
-    prev_seq = a.seq;
-    ring.pop_front();
-  }
-}
-
-TEST(DrainRing, CheckpointRestoreRoundTrips) {
-  sim::DrainRing ring;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    ring.push(static_cast<sim::TimePs>(i), i, static_cast<std::uint8_t>(i % 3),
-              static_cast<std::uint32_t>(i), static_cast<sim::TimePs>(i / 2));
-  }
-  for (int i = 0; i < 70; ++i) ring.pop_front();  // Exercise compaction.
-
-  sim::DrainRing::Checkpoint c;
-  ring.checkpoint(c);
-  sim::DrainRing other;
-  other.push(999, 999, 0, 0, 999);  // Restore must discard this.
-  other.restore(c);
-  ASSERT_EQ(other.size(), ring.size());
-  while (!ring.empty()) {
-    EXPECT_EQ(other.front().time, ring.front().time);
-    EXPECT_EQ(other.front().seq, ring.front().seq);
-    EXPECT_EQ(other.front().kind, ring.front().kind);
-    EXPECT_EQ(other.front().arg, ring.front().arg);
-    EXPECT_EQ(other.front().pushed_at, ring.front().pushed_at);
-    ring.pop_front();
-    other.pop_front();
-  }
-  EXPECT_TRUE(other.empty());
-}
 
 // --- ChainProgram compilation -------------------------------------------
 
@@ -439,76 +359,6 @@ TEST(CompiledDifferential, EnvToggleMatchesConfigToggle) {
     EXPECT_EQ(via_config.flows[i].result.completed_at,
               via_env.flows[i].result.completed_at);
   }
-}
-
-// --- Batched-drain observability ----------------------------------------
-
-// Every vectorized drain emits one kBatchDrain instant whose arg packs
-// (ring_wait_ps << 16) | width; the unpacked widths must reconcile
-// exactly with the per-accel drain counters. The zero-overhead shape
-// (kIdeal) launches identical chains at t=0, so completions cluster and
-// widths > 1 actually occur.
-TEST(BatchDrain, TracerInstantsReconcileWithAccelStats) {
-  ScopedNoAfCompile no_env;
-  core::TraceLibrary lib;
-  const core::TraceTemplates t = core::register_templates(lib);
-
-  core::MachineConfig mc;
-  core::Machine machine(mc);
-  machine.load_traces(lib);
-  obs::Tracer tracer;
-  machine.set_tracer(&tracer);
-
-  core::EngineConfig ec;
-  ec.compile = true;
-  auto orch = core::make_orchestrator(core::OrchKind::kIdeal, machine, lib, ec);
-
-  DiffEnv env;
-  std::vector<std::unique_ptr<core::ChainContext>> ctxs;
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < 64; ++i) {
-    auto ctx = std::make_unique<core::ChainContext>();
-    ctx->request = static_cast<accel::RequestId>(i + 1);
-    ctx->chain = 0;
-    ctx->tenant = 0;
-    ctx->core = static_cast<int>(i % 8);
-    ctx->initial_bytes = 1024;  // Uniform cost, so completions coincide.
-    ctx->initial_format = accel::DataFormat::kProtoWire;
-    ctx->buffer_va = static_cast<mem::VirtAddr>(i + 1) << 20;
-    ctx->env = &env;
-    ctx->rng.reseed(0x5EED0000 + i);
-    ctx->on_done = [&done](const core::ChainResult&) { ++done; };
-    core::ChainContext* raw = ctx.get();
-    core::Orchestrator* o = orch.get();
-    machine.sim().schedule_at(0, [o, raw, start = t.t1] {
-      o->run_chain(raw, start);
-    });
-    ctxs.push_back(std::move(ctx));
-  }
-  machine.sim().run();
-  ASSERT_EQ(done, 64u);
-
-  std::uint64_t batches = 0, actions = 0, max_width = 0;
-  for (const accel::AccelType type : accel::kAllAccelTypes) {
-    const accel::AccelStats& s = machine.accel(type).stats();
-    batches += s.drain_batches;
-    actions += s.drain_actions;
-    max_width = std::max(max_width, s.max_drain_width);
-  }
-  ASSERT_GT(batches, 0u);
-  EXPECT_GT(max_width, 1u);  // Clusters really formed.
-
-  std::uint64_t instants = 0, width_sum = 0, max_arg_width = 0;
-  tracer.for_each([&](const obs::SpanEvent& e) {
-    if (e.kind != obs::SpanKind::kBatchDrain) return;
-    ++instants;
-    width_sum += e.arg & 0xFFFF;
-    max_arg_width = std::max(max_arg_width, e.arg & 0xFFFF);
-  });
-  ASSERT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(instants, batches);
-  EXPECT_EQ(width_sum, actions);
-  EXPECT_EQ(max_arg_width, max_width);
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ TEST(Category, MappingCoversDurationCarryingKinds) {
   // Instants and flow markers carry no duration to attribute.
   EXPECT_FALSE(category_of(SpanKind::kChainDone, &c));
   EXPECT_FALSE(category_of(SpanKind::kTlbMiss, &c));
-  EXPECT_FALSE(category_of(SpanKind::kBatchDrain, &c));
 }
 
 TEST(Category, PriorityPutsMostSpecificResourceOnTop) {

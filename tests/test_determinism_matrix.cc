@@ -9,8 +9,8 @@
  *
  * A third axis covers the compiled chain backend (DESIGN.md §15): whether
  * traces execute through the interpreter or through compiled chain
- * programs with batched completion drains (EngineConfig::compile or
- * AF_COMPILE=1) must not change a single bit of any result.
+ * programs (EngineConfig::compile or AF_COMPILE=1) must not change a
+ * single bit of any result.
  *
  * A fourth axis covers cluster-scale sharded serving (DESIGN.md §17):
  * shard count x worker-thread count x checker attachment. The

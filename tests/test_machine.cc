@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/cpu_executor.h"
 #include "core/machine.h"
 #include "core/trace_templates.h"
@@ -77,6 +80,50 @@ TEST(Machine, CoreLocationsAreDistinct) {
     EXPECT_EQ(loc.chiplet, 0);
     EXPECT_TRUE(seen.insert({loc.coord.x, loc.coord.y}).second) << c;
   }
+}
+
+/** Runs `f` and returns the std::invalid_argument message it throws. */
+template <typename F>
+std::string invalid_argument_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(Machine, RejectsNonPositivePeAndQueueCounts) {
+  // A machine without PEs or queue slots would complete zero requests
+  // silently; the constructor and the sweep setters name the bad field.
+  for (const int pes : {0, -3}) {
+    MachineConfig cfg;
+    cfg.pes_per_accel = pes;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(cfg); })
+                  .find("pes_per_accel"),
+              std::string::npos)
+        << pes;
+  }
+  MachineConfig cfg;
+  cfg.accel_queue_entries = 0;
+  EXPECT_NE(invalid_argument_of([&] { Machine m(cfg); })
+                .find("accel_queue_entries"),
+            std::string::npos);
+
+  Machine m{MachineConfig{}};
+  EXPECT_NE(invalid_argument_of([&] { m.set_pes_per_accel(0); })
+                .find("pes_per_accel"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_of([&] { m.set_pes_for(AccelType::kTcp, 0); })
+                .find("pes"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_of([&] { m.set_accel_queue_entries(0); })
+                .find("accel_queue_entries"),
+            std::string::npos);
+  // A rejected setter leaves the machine as it was.
+  EXPECT_EQ(m.config().pes_per_accel, MachineConfig{}.pes_per_accel);
+  EXPECT_EQ(m.config().accel_queue_entries,
+            MachineConfig{}.accel_queue_entries);
 }
 
 TEST(Machine, GenerationScalingIsMonotone) {

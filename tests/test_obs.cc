@@ -19,7 +19,6 @@
 #include "mem/iommu.h"
 #include "mem/memory_system.h"
 #include "noc/interconnect.h"
-#include "obs/drain_pack.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/tracer.h"
@@ -365,41 +364,6 @@ TEST(Determinism, ExperimentTraceCoversFiveSubsystems) {
   EXPECT_TRUE(seen[static_cast<std::size_t>(Subsys::kNoc)]);
   EXPECT_TRUE(seen[static_cast<std::size_t>(Subsys::kMem)]);
   EXPECT_GT(flows, 0u);
-}
-
-TEST(DrainPack, RoundTripsWithinTheFields) {
-  EXPECT_EQ(pack_drain_arg(0, 0), 0u);
-  const std::uint64_t arg = pack_drain_arg(123456789, 17);
-  EXPECT_EQ(drain_arg_wait_ps(arg), 123456789u);
-  EXPECT_EQ(drain_arg_width(arg), 17u);
-  // The exact field boundaries round-trip unchanged.
-  const std::uint64_t edge =
-      pack_drain_arg(kDrainWaitMax, kDrainWidthMax);
-  EXPECT_EQ(drain_arg_wait_ps(edge), kDrainWaitMax);
-  EXPECT_EQ(drain_arg_width(edge), kDrainWidthMax);
-  EXPECT_EQ(edge, ~std::uint64_t{0});
-  const std::uint64_t near =
-      pack_drain_arg(kDrainWaitMax - 1, kDrainWidthMax - 1);
-  EXPECT_EQ(drain_arg_wait_ps(near), kDrainWaitMax - 1);
-  EXPECT_EQ(drain_arg_width(near), kDrainWidthMax - 1);
-}
-
-TEST(DrainPack, SaturatesInsteadOfWrappingBeyondTheFields) {
-  // Regression: ring residencies beyond 2^48 ps (~4.7 simulated minutes)
-  // used to wrap into the width field, corrupting both numbers for
-  // offline consumers (tools/trace_summary). They must pin to the field
-  // maxima instead.
-  const std::uint64_t big_wait =
-      pack_drain_arg(kDrainWaitMax + 12345, 9);
-  EXPECT_EQ(drain_arg_wait_ps(big_wait), kDrainWaitMax);
-  EXPECT_EQ(drain_arg_width(big_wait), 9u);
-  const std::uint64_t big_width = pack_drain_arg(1000, 70000);
-  EXPECT_EQ(drain_arg_wait_ps(big_width), 1000u);
-  EXPECT_EQ(drain_arg_width(big_width), kDrainWidthMax);
-  const std::uint64_t both =
-      pack_drain_arg(~std::uint64_t{0}, ~std::uint64_t{0} >> 1);
-  EXPECT_EQ(drain_arg_wait_ps(both), kDrainWaitMax);
-  EXPECT_EQ(drain_arg_width(both), kDrainWidthMax);
 }
 
 }  // namespace

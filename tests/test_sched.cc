@@ -5,7 +5,7 @@
  * deliberately naive reference that keeps pending events in a std::map
  * keyed by (time, seq) — same firing order, same query answers, same
  * counters — on fuzzer-generated schedules, cancel-heavy churn,
- * far-future events, schedule_at_seq impersonation and idle-gap horizons.
+ * far-future events and idle-gap horizons.
  * A checkpoint taken mid-wave must replay the identical tail.
  */
 
@@ -43,19 +43,13 @@ class RefCalendar {
   using Callback = std::function<void()>;
 
   TimePs now() const { return now_; }
-  std::uint64_t reserve_seq() { return next_seq_++; }
 
   EventId schedule_at(TimePs t, Callback cb) {
-    return schedule_at_seq(t, next_seq_++, std::move(cb));
-  }
-  EventId schedule_after(TimePs delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-  EventId schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb) {
     if (t < now_) {
       ++stats_.clamped_past;
       t = now_;
     }
+    const std::uint64_t seq = next_seq_++;
     const EventId id = next_id_++;
     pending_.emplace(Key{t, seq}, Entry{id, std::move(cb)});
     keys_.emplace(id, Key{t, seq});
@@ -63,6 +57,9 @@ class RefCalendar {
     stats_.pending_high_water =
         std::max(stats_.pending_high_water, pending_.size());
     return id;
+  }
+  EventId schedule_after(TimePs delay, Callback cb) {
+    return schedule_at(now_ + delay, std::move(cb));
   }
 
   bool cancel(EventId id) {
@@ -74,9 +71,6 @@ class RefCalendar {
     return true;
   }
 
-  bool has_event_before(TimePs t, std::uint64_t seq) const {
-    return !pending_.empty() && pending_.begin()->first < Key{t, seq};
-  }
   TimePs next_event_time() const {
     return pending_.empty() ? Simulator::kNoEvent
                             : pending_.begin()->first.first;
@@ -150,8 +144,6 @@ struct FuzzCtx {
       log.emplace_back(sim.now(), tag);
       if ((tag & 7) == 0) {
         log.emplace_back(sim.next_event_time(), sim.pending_events());
-        log.emplace_back(sim.has_event_before(sim.now() + 5000, 1u << 20),
-                         ~std::uint64_t{0});
       }
       if (budget > 0) {
         --budget;
@@ -269,43 +261,6 @@ TEST(SchedDifferential, FarFutureOverflowPromotion) {
   sim.run();
   EXPECT_EQ(fired, 2u);
   EXPECT_EQ(sim.now(), kFar * 5);
-}
-
-/** The DrainRing contract: stamps reserved at the defer point, events
- *  materialised later (and out of order) at those stamps, must fire in
- *  reserved-stamp order — with plain schedules interleaving exactly where
- *  their own stamps fall. */
-template <typename Cal>
-Log impersonate() {
-  Cal sim;
-  Log log;
-  const auto fire = [&log, &sim](std::uint64_t tag) {
-    return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
-  };
-  std::vector<std::uint64_t> seqs;
-  for (std::uint64_t i = 0; i < 8; ++i) seqs.push_back(sim.reserve_seq());
-  const std::uint64_t plain_probe = sim.reserve_seq();
-  // A plain event stamped *after* every reservation…
-  sim.schedule_at_seq(100, plain_probe, fire(50));
-  // …then the reserved stamps materialised in reverse.
-  for (std::size_t i = seqs.size(); i-- > 0;) {
-    sim.schedule_at_seq(100, seqs[i], fire(i));
-    // The earliest materialised stamp must now precede the probe key.
-    EXPECT_TRUE(sim.has_event_before(100, plain_probe));
-    EXPECT_FALSE(sim.has_event_before(100, seqs[i]));
-  }
-  sim.schedule_at(100, fire(60));  // Fresh stamp: fires last.
-  sim.run();
-  return log;
-}
-
-TEST(SchedDifferential, ScheduleAtSeqImpersonation) {
-  Log want;
-  for (std::uint64_t i = 0; i < 8; ++i) want.emplace_back(100, i);
-  want.emplace_back(100, 50);
-  want.emplace_back(100, 60);
-  EXPECT_EQ(impersonate<Simulator>(), want);
-  EXPECT_EQ(impersonate<RefCalendar>(), want);
 }
 
 /** Restore-mid-wave harness: callbacks capture only (ctx pointer, ints),

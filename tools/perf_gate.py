@@ -9,8 +9,8 @@ a >20% drop fails) times the baseline value. Non-throughput keys (counts,
 geomeans, high-water marks) are informational and not gated, unless an
 absolute floor is requested for one with ``--speedup-floor KEY=VALUE``
 (repeatable): the *measured* value of KEY must then be >= VALUE. That is
-how CI holds the compiled-chain backend to its >= 1.5x geomean
-(``--speedup-floor compiled_speedup_geomean=1.5``).
+how CI holds cluster weak scaling to >= 3x at four shards
+(``--speedup-floor cluster_scaling_speedup=3.0``).
 
 Usage:
     tools/perf_gate.py BASELINE.json MEASURED.json [--min-ratio 0.8]

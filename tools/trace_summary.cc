@@ -11,14 +11,6 @@
  * file covers. Useful for a quick per-stage latency breakdown without
  * opening Perfetto; the numbers feed EXPERIMENTS.md's breakdown table.
  *
- * Runs with the batched completion path on (AF_COMPILE=1) also get a
- * per-accelerator drain table from the "batch_drain" instants: how many
- * vectorized drains ran, how many completion actions they carried, the
- * heap events saved (actions - drains), the widest single drain, and the
- * total time completions sat in the drain ring before being drained
- * (batching slack, packed into the instant's arg — see
- * Accelerator::run_drain).
- *
  * With --critpath the file is additionally re-ingested through the
  * critical-path profiler (critpath::analyze_chrome_json): a per-service
  * table attributing end-to-end chain latency to queue / PE-service / DMA
@@ -38,10 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "accel/accelerator.h"  // kTidStride: accel track width.
-#include "accel/types.h"
 #include "critpath/critpath.h"
-#include "obs/drain_pack.h"
 #include "sim/time.h"
 #include "stats/table.h"
 
@@ -72,47 +61,11 @@ double find_number(const std::string& line, const std::string& key,
   }
 }
 
-/**
- * Exact unsigned value of `"key":number` in `line`, or `fallback` when
- * absent. Packed args (batch_drain) must not round-trip through a double:
- * stod keeps only 53 bits, so a wide ring-wait in the upper 48 bits would
- * silently corrupt the width field below it.
- */
-std::uint64_t find_u64(const std::string& line, const std::string& key,
-                       std::uint64_t fallback = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return fallback;
-  try {
-    return std::stoull(line.substr(pos + needle.size()));
-  } catch (...) {
-    return fallback;
-  }
-}
-
 struct KindStats {
   std::uint64_t count = 0;
   double total_us = 0;
   double max_us = 0;
 };
-
-/** Per-accelerator batched completion drains ("batch_drain" instants). */
-struct DrainStats {
-  std::uint64_t drains = 0;   ///< Vectorized drain events.
-  std::uint64_t actions = 0;  ///< Completion actions they carried.
-  std::uint64_t max_width = 0;
-  std::uint64_t wait_ps = 0;  ///< Ring residency summed over actions.
-};
-
-/** Accelerator track label for tid (tracks are tid/kTidStride wide). */
-std::string accel_of_tid(std::uint32_t tid) {
-  const std::uint32_t idx = tid / accelflow::accel::Accelerator::kTidStride;
-  if (idx < accelflow::accel::kNumAccelTypes) {
-    return std::string(accelflow::accel::name_of(
-        static_cast<accelflow::accel::AccelType>(idx)));
-  }
-  return "tid" + std::to_string(tid);
-}
 
 }  // namespace
 
@@ -143,7 +96,6 @@ int main(int argc, char** argv) {
   // instants; distinct flow ids; overall covered time range.
   std::map<std::pair<std::string, std::string>, KindStats> spans;
   std::map<std::pair<std::string, std::string>, std::uint64_t> instants;
-  std::map<std::string, DrainStats> drains;
   std::set<std::uint64_t> flows;
   std::uint64_t flow_begins = 0, flow_ends = 0;
   double first_ts = -1, last_ts = 0;
@@ -166,21 +118,7 @@ int main(int argc, char** argv) {
       k.max_us = std::max(k.max_us, dur);
     } else if (ph == "i") {
       last_ts = std::max(last_ts, ts);
-      const std::string name = find_string(line, "name");
-      ++instants[{find_string(line, "cat"), name}];
-      if (name == "batch_drain") {
-        const auto tid = static_cast<std::uint32_t>(find_number(line, "tid"));
-        // The arg packs the drain's summed ring-residency above its width
-        // (obs/drain_pack.h): arg = (wait_ps << 16) | width, both fields
-        // saturating at their limits. Parsed exactly — never via double.
-        const std::uint64_t arg = find_u64(line, "arg");
-        const std::uint64_t width = accelflow::obs::drain_arg_width(arg);
-        DrainStats& d = drains[accel_of_tid(tid)];
-        ++d.drains;
-        d.actions += width;
-        d.max_width = std::max(d.max_width, width);
-        d.wait_ps += accelflow::obs::drain_arg_wait_ps(arg);
-      }
+      ++instants[{find_string(line, "cat"), find_string(line, "name")}];
     } else if (ph == "s" || ph == "t" || ph == "f") {
       last_ts = std::max(last_ts, ts);
       flows.insert(static_cast<std::uint64_t>(find_number(line, "id")));
@@ -225,33 +163,6 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
   }
-  if (!drains.empty()) {
-    std::uint64_t total_saved = 0;
-    Table t("Batched completion drains per accelerator");
-    t.set_header({"Accel", "Drains", "Actions", "Events saved", "Mean width",
-                  "Max width", "Wait us", "Wait/act us"});
-    for (const auto& [name, d] : drains) {
-      const std::uint64_t saved = d.actions - d.drains;
-      total_saved += saved;
-      const double wait_us =
-          accelflow::sim::to_microseconds(accelflow::sim::TimePs{d.wait_ps});
-      t.add_row({name, std::to_string(d.drains), std::to_string(d.actions),
-                 std::to_string(saved),
-                 Table::fmt(static_cast<double>(d.actions) /
-                            static_cast<double>(d.drains)),
-                 std::to_string(d.max_width), Table::fmt(wait_us),
-                 Table::fmt(d.actions > 0
-                                ? wait_us / static_cast<double>(d.actions)
-                                : 0.0,
-                            3)});
-    }
-    t.print(std::cout);
-    std::cout << "  heap events saved by batching: " << total_saved << "\n"
-              << "  (Wait = completion-action residency in the drain ring: "
-                 "batching slack,\n   absorbed by the coalescing window, "
-                 "not added end-to-end latency.)\n";
-  }
-
   // --- Critical-path attribution (--critpath) ----------------------------
   if (critpath) {
     namespace cp = accelflow::critpath;
