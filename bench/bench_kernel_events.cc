@@ -11,15 +11,12 @@
  *    response-timeout arming, the only cancel() user in the model).
  *  - "burst": periodic fan-out of same-timestamp events (models request
  *    arrival bursts fanning into parallel chains).
- *  - "chain": chain execution through the AccelFlow engine, interpreted
- *    vs compiled (DESIGN.md §15), measured at three levels whose geomean
- *    is reported as compiled_speedup_geomean: a standard full-model
- *    shape (every completion staggered by the DMA serializer, so
- *    orchestration is a minor share and the ratio sits near 1.0 — kept
- *    as the honest dilution bound), a zero-overhead shape (OrchKind::
- *    kIdeal strips hardware latencies, isolating the dispatcher FSM and
- *    event kernel the compiled backend attacks), and a per-hop dispatch
- *    micro pair (nibble decode vs pre-resolved block walk).
+ *  - "chain": chain execution through the AccelFlow engine's dispatcher
+ *    FSM at three levels: a standard full-model shape (every completion
+ *    staggered by the DMA serializer, so orchestration is a minor share),
+ *    a zero-overhead shape (OrchKind::kIdeal strips hardware latencies,
+ *    isolating the dispatcher FSM and event kernel), and a per-hop
+ *    nibble-decode micro timing.
  *
  * The seed kernel (std::function callbacks + std::priority_queue + lazy-
  * cancel unordered_set) is embedded below as LegacySimulator and run on
@@ -44,7 +41,6 @@
 #include <vector>
 
 #include "core/chain.h"
-#include "core/chain_program.h"
 #include "core/machine.h"
 #include "core/orchestrator.h"
 #include "core/trace_encoding.h"
@@ -244,11 +240,9 @@ struct ChainBenchResult {
  * wave launches when the previous one fully completes, the arrival-burst
  * shape run_burst isolates at the kernel level) through the AccelFlow
  * engine and times the event loop. Waves keep same-accelerator
- * completions aligned; identical work in both modes — only the backend
- * differs — so wall-time ratios are true speedups.
+ * completions aligned.
  */
-ChainBenchResult run_chain_bench(bool compiled, bool zero,
-                                 std::uint64_t target) {
+ChainBenchResult run_chain_bench(bool zero, std::uint64_t target) {
   core::MachineConfig mc;
   mc.accel_queue_entries = 4096;
   mc.overflow_capacity = 4096;
@@ -259,7 +253,6 @@ ChainBenchResult run_chain_bench(bool compiled, bool zero,
   const core::TraceTemplates tt = core::register_templates(lib);
 
   core::EngineConfig ec;
-  ec.compile = compiled;
   // The zero-overhead shape must go through kIdeal: make_orchestrator pins
   // zero_overhead=false for kAccelFlow (it is what the Ideal baseline
   // models, not an AccelFlow mode).
@@ -313,13 +306,8 @@ ChainBenchResult run_chain_bench(bool compiled, bool zero,
               .count()};
 }
 
-/**
- * Per-hop dispatch cost, micro level (the bench_micro_trace --compiled
- * pair, inlined here so BENCH_kernel.json carries it): interpreted =
- * decode every nibble of the t1 word hop after hop; compiled = follow
- * the pre-resolved succ_entry block indices the way the executor does
- * (hash lookup only at chain start). Returns ns per hop.
- */
+/** Per-hop dispatch cost, micro level: decode every nibble of the t1
+ *  word hop after hop. Returns ns per hop. */
 double interp_hop_ns(std::uint64_t iters) {
   core::TraceLibrary lib;
   const core::TraceTemplates tt = core::register_templates(lib);
@@ -341,54 +329,12 @@ double interp_hop_ns(std::uint64_t iters) {
          1e9 / static_cast<double>(iters);
 }
 
-double compiled_hop_ns(std::uint64_t iters) {
-  core::TraceLibrary lib;
-  const core::TraceTemplates tt = core::register_templates(lib);
-  const core::ChainProgram prog(lib);
-  const std::uint64_t word = lib.get(tt.t1).word;
-  const core::TraceOp first = core::decode_op(word, 0);
-  const accel::PayloadFlags flags;
-  const core::ChainProgram::Block* b =
-      prog.lookup(word, first.next_pm, flags);
-  std::uint64_t sink = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink += static_cast<std::uint64_t>(b->terminal);
-    const bool forwards =
-        (b->terminal == core::ChainProgram::Terminal::kInvoke ||
-         b->terminal == core::ChainProgram::Terminal::kTailArmed) &&
-        b->succ_entry >= 0;
-    b = forwards ? prog.block_for(b->succ_entry, flags)
-                 : prog.lookup(word, first.next_pm, flags);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  volatile std::uint64_t keep = sink;
-  (void)keep;
-  return std::chrono::duration_cast<std::chrono::duration<double>>(end -
-                                                                   start)
-             .count() *
-         1e9 / static_cast<double>(iters);
-}
-
-/** Best-of-3 wall times for one chain shape, interpreted and compiled
- *  reps interleaved so transient machine load degrades both backends
- *  alike instead of skewing the ratio. */
-struct ChainPair {
-  ChainBenchResult interp;    ///< Interpreted chains.
-  ChainBenchResult compiled;  ///< Compiled chains.
-};
-
-ChainPair best_chain_pair(bool zero, std::uint64_t target) {
-  ChainPair best;
+/** Best-of-3 wall time for one chain shape. */
+ChainBenchResult best_chain(bool zero, std::uint64_t target) {
+  ChainBenchResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    const ChainBenchResult i =
-        run_chain_bench(/*compiled=*/false, zero, target);
-    const ChainBenchResult c =
-        run_chain_bench(/*compiled=*/true, zero, target);
-    if (best.interp.secs == 0 || i.secs < best.interp.secs) best.interp = i;
-    if (best.compiled.secs == 0 || c.secs < best.compiled.secs) {
-      best.compiled = c;
-    }
+    const ChainBenchResult r = run_chain_bench(zero, target);
+    if (best.secs == 0 || r.secs < best.secs) best = r;
   }
   return best;
 }
@@ -470,68 +416,41 @@ int main() {
   t.add_row({"geomean", "", "", stats::Table::fmt(geo, 2) + "x"});
   t.print(std::cout);
 
-  // Chain orchestration: interpreted vs compiled backend on the
-  // same chain population. The config flag selects the backend, so pin
-  // the env toggle out of the way.
-  unsetenv("AF_COMPILE");
+  // Chain orchestration through the dispatcher FSM.
   const std::uint64_t kChains = fast ? 50'000 : 100'000;
   struct ChainRow {
     const char* name;
     bool zero;
-    bench::ChainPair result;
+    bench::ChainBenchResult result;
   };
   std::vector<ChainRow> chain_rows = {
       {"chain std (2048-chain waves)", false, {}},
       {"chain zero-overhead (2048-chain waves)", true, {}},
   };
-  for (ChainRow& r : chain_rows) {
-    r.result = bench::best_chain_pair(r.zero, kChains);
-  }
+  for (ChainRow& r : chain_rows) r.result = bench::best_chain(r.zero, kChains);
 
-  // Per-hop dispatch micro pair (best of 3 each): the undiluted cost the
-  // compiled walk replaces. The std macro row runs the full hardware
-  // model, where every completion is staggered by the DMA serializer —
-  // orchestration is a minor share of its wall time, so its ratio sits
-  // near 1.0 by construction; the zero-overhead row and this micro pair
-  // are the shapes that isolate chain execution itself.
+  // Per-hop dispatch micro timing (best of 3): the undiluted cost of the
+  // nibble walk. The std macro row runs the full hardware model, where
+  // orchestration is a minor share of its wall time; the zero-overhead
+  // row and this micro timing isolate chain execution itself.
   const std::uint64_t kHops = fast ? 20'000'000 : 50'000'000;
-  double micro_interp = 1e9, micro_compiled = 1e9;
+  double micro_interp = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     micro_interp = std::min(micro_interp, bench::interp_hop_ns(kHops));
-    micro_compiled = std::min(micro_compiled, bench::compiled_hop_ns(kHops));
   }
 
-  stats::Table ct("Chain execution (interpreted vs compiled)");
-  ct.set_header(
-      {"Workload", "interp ev/s", "compiled ev/s", "events", "speedup"});
-  double compiled_geo = 1.0;
+  stats::Table ct("Chain execution (dispatcher FSM)");
+  ct.set_header({"Workload", "ev/s", "events"});
   for (const ChainRow& r : chain_rows) {
-    const double speedup = r.result.interp.secs / r.result.compiled.secs;
-    compiled_geo *= speedup;
-    ct.add_row(
-        {r.name,
-         stats::Table::fmt(static_cast<double>(r.result.interp.events) /
-                               r.result.interp.secs / 1e6,
-                           2) +
-             "M",
-         stats::Table::fmt(static_cast<double>(r.result.compiled.events) /
-                               r.result.compiled.secs / 1e6,
-                           2) +
-             "M",
-         std::to_string(r.result.interp.events) + " -> " +
-             std::to_string(r.result.compiled.events),
-         stats::Table::fmt(speedup, 2) + "x"});
+    ct.add_row({r.name,
+                stats::Table::fmt(static_cast<double>(r.result.events) /
+                                      r.result.secs / 1e6,
+                                  2) +
+                    "M",
+                std::to_string(r.result.events)});
   }
-  const double micro_speedup = micro_interp / micro_compiled;
-  compiled_geo *= micro_speedup;
   ct.add_row({"hop dispatch (micro, ns/hop)",
-              stats::Table::fmt(micro_interp, 2),
-              stats::Table::fmt(micro_compiled, 2), "",
-              stats::Table::fmt(micro_speedup, 2) + "x"});
-  compiled_geo = std::pow(
-      compiled_geo, 1.0 / static_cast<double>(chain_rows.size() + 1));
-  ct.add_row(
-      {"geomean", "", "", "", stats::Table::fmt(compiled_geo, 2) + "x"});
+              stats::Table::fmt(micro_interp, 2), ""});
   ct.print(std::cout);
 
   // Kernel counters from a representative run (exact pending/cancel
@@ -562,20 +481,12 @@ int main() {
     // its name so perf-trajectory tooling sees one continuous series.
     out.set("heap_high_water", static_cast<double>(ks.pending_high_water));
     out.set("chain_std_interp_events_per_sec",
-            static_cast<double>(chain_rows[0].result.interp.events) /
-                chain_rows[0].result.interp.secs);
-    out.set("chain_std_compiled_events_per_sec",
-            static_cast<double>(chain_rows[0].result.compiled.events) /
-                chain_rows[0].result.compiled.secs);
+            static_cast<double>(chain_rows[0].result.events) /
+                chain_rows[0].result.secs);
     out.set("chain_zero_interp_events_per_sec",
-            static_cast<double>(chain_rows[1].result.interp.events) /
-                chain_rows[1].result.interp.secs);
-    out.set("chain_zero_compiled_events_per_sec",
-            static_cast<double>(chain_rows[1].result.compiled.events) /
-                chain_rows[1].result.compiled.secs);
+            static_cast<double>(chain_rows[1].result.events) /
+                chain_rows[1].result.secs);
     out.set("micro_interp_hop_ns", micro_interp);
-    out.set("micro_compiled_hop_ns", micro_compiled);
-    out.set("compiled_speedup_geomean", compiled_geo);
 
     const char* path = std::getenv("AF_BENCH_KERNEL_JSON");
     const std::string file = path != nullptr ? path : "BENCH_kernel.json";

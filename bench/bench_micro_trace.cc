@@ -1,23 +1,14 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the hot orchestration primitives:
- * trace nibble encode/decode, branch evaluation, chain walking, the
- * compiled chain-program backend (DESIGN.md §15), the simulator event
- * loop, and RNG throughput. These bound the simulator's own overhead,
- * not the modeled hardware.
- *
- * `--compiled` restricts the run to the compiled-backend benchmarks
- * (ChainProgram compilation and hop-walk vs their interpreted
- * analogues), the micro-level view of the BENCH_kernel.json chain
- * speedup.
+ * trace nibble encode/decode (the dispatcher FSM's per-hop step), branch
+ * evaluation, chain walking, the simulator event loop, and RNG
+ * throughput. These bound the simulator's own overhead, not the modeled
+ * hardware.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <string_view>
-#include <vector>
-
-#include "core/chain_program.h"
 #include "core/trace_analysis.h"
 #include "core/trace_builder.h"
 #include "core/trace_templates.h"
@@ -93,60 +84,6 @@ void BM_TraceValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceValidate);
 
-void BM_ChainProgramCompile(benchmark::State& state) {
-  // One-time cost the compiled backend pays at engine construction:
-  // flattening the whole template library (every entry point × 32 flag
-  // combos). Amortized over a run, this must be noise.
-  core::TraceLibrary lib;
-  (void)core::register_templates(lib);
-  for (auto _ : state) {
-    core::ChainProgram prog(lib);
-    benchmark::DoNotOptimize(prog.num_blocks());
-  }
-}
-BENCHMARK(BM_ChainProgramCompile);
-
-void BM_InterpretedHopWalk(benchmark::State& state) {
-  // Per-hop cost of the interpreted dispatcher: decode every nibble of
-  // the t1 template word, hop after hop (the steady-state analogue of
-  // BM_TraceDecodeStep, kept symmetric with BM_CompiledHopWalk below).
-  core::TraceLibrary lib;
-  const auto tt = core::register_templates(lib);
-  const std::uint64_t word = lib.get(tt.t1).word;
-  std::uint8_t pm = 0;
-  for (auto _ : state) {
-    const auto op = core::decode_op(word, pm);
-    benchmark::DoNotOptimize(op);
-    pm = op.kind == core::TraceOp::Kind::kEndNotify ? 0 : op.next_pm;
-  }
-}
-BENCHMARK(BM_InterpretedHopWalk);
-
-void BM_CompiledHopWalk(benchmark::State& state) {
-  // Per-hop cost of the compiled backend: follow t1 block-to-block
-  // through the pre-resolved succ_entry indices, re-entering through the
-  // hash lookup only at chain start — exactly the executor's access
-  // pattern (QueueEntry::compiled_entry carries the hint between hops).
-  core::TraceLibrary lib;
-  const auto tt = core::register_templates(lib);
-  core::ChainProgram prog(lib);
-  const std::uint64_t word = lib.get(tt.t1).word;
-  const auto first = core::decode_op(word, 0);
-  const accel::PayloadFlags flags;
-  const core::ChainProgram::Block* b =
-      prog.lookup(word, first.next_pm, flags);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b);
-    const bool forwards =
-        (b->terminal == core::ChainProgram::Terminal::kInvoke ||
-         b->terminal == core::ChainProgram::Terminal::kTailArmed) &&
-        b->succ_entry >= 0;
-    b = forwards ? prog.block_for(b->succ_entry, flags)
-                 : prog.lookup(word, first.next_pm, flags);
-  }
-}
-BENCHMARK(BM_CompiledHopWalk);
-
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;
@@ -168,27 +105,4 @@ BENCHMARK(BM_RngLognormal);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): `--compiled` narrows the run
-// to the compiled-backend benchmarks and their interpreted counterparts
-// (it rewrites itself into the equivalent --benchmark_filter).
-int main(int argc, char** argv) {
-  std::vector<char*> args;
-  bool compiled = false;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--compiled") {
-      compiled = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  char filter[] =
-      "--benchmark_filter=ChainProgramCompile|CompiledHopWalk|"
-      "InterpretedHopWalk";
-  if (compiled) args.push_back(filter);
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

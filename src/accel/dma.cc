@@ -11,46 +11,17 @@ DmaPool::DmaPool(sim::Simulator& sim, noc::Interconnect& net,
       params_(p),
       latency_(sim::nanoseconds(p.latency_ns)),
       bytes_per_ps_(p.bandwidth_gbps * 1e9 / 1e12),
-      engine_free_at_(static_cast<std::size_t>(p.num_engines), 0) {
-  rebuild_engine_order();
-}
-
-void DmaPool::rebuild_engine_order() {
-  engine_order_.resize(engine_free_at_.size());
-  for (std::size_t i = 0; i < engine_order_.size(); ++i) {
-    engine_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  for (std::size_t i = engine_order_.size() / 2; i-- > 0;) {
-    sift_engine_down(i);
-  }
-}
-
-void DmaPool::sift_engine_down(std::size_t pos) {
-  const std::size_t n = engine_order_.size();
-  const std::uint32_t moving = engine_order_[pos];
-  for (;;) {
-    const std::size_t left = pos * 2 + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    if (left + 1 < n && engine_before(engine_order_[left + 1],
-                                      engine_order_[left])) {
-      best = left + 1;
-    }
-    if (!engine_before(engine_order_[best], moving)) break;
-    engine_order_[pos] = engine_order_[best];
-    pos = best;
-  }
-  engine_order_[pos] = moving;
-}
+      engine_free_at_(static_cast<std::size_t>(p.num_engines), 0) {}
 
 sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
                               std::uint64_t bytes, sim::TimePs ready_at) {
   ++stats_.transfers;
   stats_.bytes += bytes;
 
-  // The heap root is the engine a left-to-right min scan would pick
-  // (engine_before() ties break on index), found in O(1).
-  const std::uint32_t engine = engine_order_.front();
+  // The earliest-free engine; ties go to the lowest index.
+  const auto engine = static_cast<std::uint32_t>(
+      std::min_element(engine_free_at_.begin(), engine_free_at_.end()) -
+      engine_free_at_.begin());
   const sim::TimePs ready = std::max(sim_.now(), ready_at);
   const sim::TimePs start = std::max(ready, engine_free_at_[engine]);
   stats_.engine_wait += start - ready;
@@ -70,7 +41,6 @@ sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
   }
   const sim::TimePs engine_done = start + occupied;
   engine_free_at_[engine] = engine_done;
-  sift_engine_down(0);  // Only the root's key ever grows.
   stats_.busy_time += occupied;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kDma, obs::SpanKind::kDmaTransfer, engine,

@@ -39,9 +39,10 @@ struct DmaStats {
 /**
  * Pool of identical A-DMA engines.
  *
- * A transfer occupies the earliest-free engine for its programming latency
- * plus serialization time, and moves the data across the package
- * interconnect (which adds its own latency and link contention).
+ * A transfer occupies the earliest-free engine (the lowest index on a tie)
+ * for its programming latency plus serialization time, and moves the data
+ * across the package interconnect (which adds its own latency and link
+ * contention).
  */
 class DmaPool {
  public:
@@ -75,7 +76,6 @@ class DmaPool {
     assert(n > 0);
     engine_free_at_.assign(static_cast<std::size_t>(n), 0);
     params_.num_engines = n;
-    rebuild_engine_order();
   }
 
   /**
@@ -104,46 +104,20 @@ class DmaPool {
   /** Captures engine occupancy and counters. */
   Checkpoint checkpoint() const { return Checkpoint{engine_free_at_, stats_}; }
 
-  /** Restores state captured by checkpoint(). The checkpoint format is
-   *  the plain per-engine occupancy vector; the selection heap is derived
-   *  state and is rebuilt here. */
+  /** Restores state captured by checkpoint(). */
   void restore(const Checkpoint& c) {
     engine_free_at_ = c.engine_free_at;
     stats_ = c.stats;
-    rebuild_engine_order();
   }
 
  private:
-  /** True when engine `a` is picked before engine `b`: earlier free time,
-   *  index as the tie-break — exactly the first minimum a left-to-right
-   *  std::min_element scan of engine_free_at_ would return, so traces
-   *  stay byte-identical to the scanning implementation. */
-  bool engine_before(std::uint32_t a, std::uint32_t b) const {
-    if (engine_free_at_[a] != engine_free_at_[b]) {
-      return engine_free_at_[a] < engine_free_at_[b];
-    }
-    return a < b;
-  }
-
-  /** Re-heapifies engine_order_ from engine_free_at_ (construction,
-   *  resize, restore). */
-  void rebuild_engine_order();
-
-  /** Restores the heap property after the root engine's free time grew
-   *  (the only mutation transfer() ever makes). */
-  void sift_engine_down(std::size_t pos);
-
   sim::Simulator& sim_;
   noc::Interconnect& net_;
   DmaParams params_;
   sim::TimePs latency_;
   double bytes_per_ps_;
+  /** Per-engine next-free time; transfer() takes the first minimum. */
   std::vector<sim::TimePs> engine_free_at_;
-  /** Binary min-heap of engine indices keyed by (free time, index): the
-   *  root is always the engine a full scan would pick, and a transfer
-   *  only ever changes the root's key — O(log n) per transfer instead of
-   *  the O(n) std::min_element scan. */
-  std::vector<std::uint32_t> engine_order_;
   DmaStats stats_;
   obs::Tracer* tracer_ = nullptr;
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.

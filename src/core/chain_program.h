@@ -1,187 +1,10 @@
 #ifndef ACCELFLOW_CORE_CHAIN_PROGRAM_H_
 #define ACCELFLOW_CORE_CHAIN_PROGRAM_H_
 
-#include <array>
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
-#include "accel/types.h"
-#include "core/trace_encoding.h"
-#include "core/trace_library.h"
-
-/**
- * @file
- * The chain-program compiler (DESIGN.md §15): flattens each encoded trace
- * word into pre-resolved straight-line blocks, once, at trace-library
- * registration. The interpreted output-dispatcher FSM (engine.cc's
- * run_dispatcher_fsm) re-decodes nibbles and re-evaluates branch
- * conditions on every hop of every chain; a compiled block has already
- * resolved every branch for one payload-flag combination, so executing a
- * hop is a linear replay of micro-ops ending in one of three terminals.
- *
- * The compilation is an over-approximation of the reachable entry points:
- * every (word, post-invoke position mark) pair decodable from a library
- * word is compiled, including garbage decodes of positions no real chain
- * reaches. That is safe — lookup() is exact-key, so a dead entry is never
- * consulted — and it guarantees coverage of every runtime entry path
- * (chain start, dispatcher re-entry, CPU re-entry, armed-tail receive,
- * hop retry), which all enter the FSM at a post-invoke mark of a library
- * word.
- *
- * What a block preserves bit-for-bit versus the interpreter:
- *  - Micro-ops replay in the original trace-op order, performing the
- *    identical sequence of floating-point accumulations into the glue
- *    instruction count (summing at compile time would re-associate the
- *    additions and change the low bits).
- *  - Branch and transform presence flags let the engine bail out to the
- *    interpreter under the Fig. 13 ablation configs whose manager round
- *    trips are stateful (FifoServer occupancy) and cannot be pre-resolved.
- *  - Inline TAILs (remote_of == kNone) fuse into the block — the glue
- *    fusion the paper's Fig. 13 accounting still sees, via the has_eot
- *    flag feeding EngineStats::glue_eot_ops.
- * Anything not provably replayable (unstored ATM address, an armed TAIL
- * whose receive trace does not start with an invoke, or a walk past
- * kMaxCompileSteps) compiles to a kInterpret terminal with no micro-ops,
- * so fallback is decided before any side effect.
- */
-
 namespace accelflow::core {
 
-/** True when the AF_COMPILE environment toggle enables the compiled chain
- *  backend (same parsing as AF_CHECK: set and nonzero). */
-bool af_compile_enabled();
-
-/**
- * Compiled form of a trace library: flattened per-entry, per-flag-combo
- * blocks. Config-independent — one program serves every EngineConfig; the
- * engine applies its ablation flags at execution time via the block's
- * has_branch/has_transform bits.
- */
-class ChainProgram {
- public:
-  /** Replayed FSM side effects between an entry point and its terminal.
-   *  Each kind mirrors one interpreter case of run_dispatcher_fsm. */
-  struct MicroOp {
-    enum class Kind : std::uint8_t {
-      kBranch = 0,      ///< Resolved branch: counter + branch_instrs.
-      kBranchAtmLoad,   ///< Branch whose false edge fetched ATM `atm`.
-      kTransform,       ///< DTE transform to format `to`.
-      kNotify,          ///< Mid-chain notification of the initiating core.
-      kTailFetch,       ///< Inline/armed TAIL: eot_atm_instrs + ATM fetch.
-    };
-    Kind kind = Kind::kBranch;
-    AtmAddr atm = 0;                      ///< kBranchAtmLoad / kTailFetch.
-    accel::DataFormat to = accel::DataFormat::kString;  ///< kTransform.
-  };
-
-  /** How a block hands the chain off. */
-  enum class Terminal : std::uint8_t {
-    kInvoke = 0,   ///< Forward to `accel` at (out_word, out_pm).
-    kTailArmed,    ///< Park the receive trace and await `wait_kind`.
-    kEndNotify,    ///< End of chain: DMA + notify the CPU.
-    kInterpret,    ///< Not compiled: run the interpreter (ops is empty).
-  };
-
-  /** One straight-line compiled step: micro-ops, then a terminal. */
-  struct Block {
-    std::vector<MicroOp> ops;
-    Terminal terminal = Terminal::kInterpret;
-    accel::AccelType accel = accel::AccelType::kTcp;  ///< Invoke target.
-    std::uint64_t out_word = 0;  ///< Trace word forwarded with the entry.
-    std::uint8_t out_pm = 0;     ///< Position mark forwarded with it.
-    RemoteKind wait_kind = RemoteKind::kNone;  ///< kTailArmed only.
-    bool has_branch = false;     ///< Fig. 13 "Direct" must interpret.
-    bool has_transform = false;  ///< Fig. 13 "CntrFlow" must interpret.
-    bool has_eot = false;        ///< Block fused an end-of-trace op.
-    /** Entry index of (out_word, out_pm) — the next hop's entry point —
-     *  resolved once at compile time so the executor follows hops by
-     *  array index instead of re-hashing the trace word (entry indices
-     *  are flag-independent; the flag combo is applied per hop). -1 when
-     *  the successor is not a compiled entry. kInvoke/kTailArmed only. */
-    std::int32_t succ_entry = -1;
-  };
-
-  /** Walk-length cap: a longer walk compiles to kInterpret. Generous — the
-   *  16-nibble words bound real chains far below this; the cap only stops
-   *  pathological inline-TAIL cycles. */
-  static constexpr int kMaxCompileSteps = 64;
-
-  /** Compiles every entry point of every trace in `lib`. */
-  explicit ChainProgram(const TraceLibrary& lib);
-
-  /** Dense index of a flag combination (32 combos). */
-  static std::size_t flag_index(const accel::PayloadFlags& f) {
-    return static_cast<std::size_t>(f.compressed) |
-           static_cast<std::size_t>(f.hit) << 1 |
-           static_cast<std::size_t>(f.found) << 2 |
-           static_cast<std::size_t>(f.exception) << 3 |
-           static_cast<std::size_t>(f.c_compressed) << 4;
-  }
-
-  /** The flag combination a dense index denotes (compile-time walk). */
-  static accel::PayloadFlags flags_of(std::size_t idx) {
-    accel::PayloadFlags f;
-    f.compressed = (idx & 1) != 0;
-    f.hit = (idx & 2) != 0;
-    f.found = (idx & 4) != 0;
-    f.exception = (idx & 8) != 0;
-    f.c_compressed = (idx & 16) != 0;
-    return f;
-  }
-
-  /**
-   * The compiled block for entry (word, pm) under `flags`, or nullptr for
-   * a word/mark the compiler never saw (the engine then interprets).
-   */
-  const Block* lookup(std::uint64_t word, std::uint8_t pm,
-                      const accel::PayloadFlags& flags) const {
-    const auto it = index_.find(word);
-    if (it == index_.end()) return nullptr;
-    // Marks past the word's 16 nibbles all decode as END_NOTIFY — one
-    // equivalence class, bucketed at position 16.
-    const std::int32_t entry = it->second[pm_bucket(pm)];
-    if (entry < 0) return nullptr;
-    return &blocks_[static_cast<std::size_t>(
-        entries_[static_cast<std::size_t>(entry)][flag_index(flags)])];
-  }
-
-  /**
-   * The compiled block a Block::succ_entry hint denotes under `flags`.
-   * Precondition: `entry` came from a Block of this program (>= 0).
-   */
-  const Block* block_for(std::int32_t entry,
-                         const accel::PayloadFlags& flags) const {
-    return &blocks_[static_cast<std::size_t>(
-        entries_[static_cast<std::size_t>(entry)][flag_index(flags)])];
-  }
-
-  /** Number of compiled (word, pm) entry points. */
-  std::size_t num_entries() const { return entries_.size(); }
-
-  /** Number of compiled blocks (32 per entry). */
-  std::size_t num_blocks() const { return blocks_.size(); }
-
-  /** Blocks that compiled to a kInterpret terminal (fallback share). */
-  std::size_t num_interpret_blocks() const { return interpret_blocks_; }
-
- private:
-  /** Position-mark bucket: 0..15 map to themselves, >=16 collapse to 16. */
-  static std::size_t pm_bucket(std::uint8_t pm) {
-    return pm < 16 ? pm : 16;
-  }
-
-  /** Compiles the block for (word, pm) under one flag combo. */
-  std::int32_t compile_block(const TraceLibrary& lib, std::uint64_t word,
-                             std::uint8_t pm, accel::PayloadFlags flags);
-
-  /** word -> per-position-mark-bucket entry index (-1: no entry point). */
-  std::unordered_map<std::uint64_t, std::array<std::int32_t, 17>> index_;
-  /** Entry -> per-flag-combo block index. */
-  std::vector<std::array<std::int32_t, 32>> entries_;
-  std::vector<Block> blocks_;
-  std::size_t interpret_blocks_ = 0;
-};
+/** Always false: this header remains only so perfbench/ builds. */
+constexpr bool af_compile_enabled() { return false; }
 
 }  // namespace accelflow::core
 

@@ -1,8 +1,10 @@
 #include "core/machine.h"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace accelflow::core {
 
@@ -10,12 +12,18 @@ using accel::AccelType;
 
 namespace {
 
-/** Rejects a PE or queue count below 1: such a machine would complete no
- *  request at all instead of failing. */
-template <typename Count>
-void require_positive(Count value, const char* field) {
-  if (!(value > 0)) {
-    throw std::invalid_argument(std::string(field) + " must be > 0, got " +
+/** Rejects a count or rate that is not > 0, or a rate that is not
+ *  finite: such a machine would complete no request at all, or cast an
+ *  infinite time into picoseconds, instead of failing. */
+template <typename Value>
+void require_positive(Value value, const char* field) {
+  bool ok = value > 0;
+  if constexpr (std::is_floating_point_v<Value>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    throw std::invalid_argument(std::string(field) +
+                                " must be finite and > 0, got " +
                                 std::to_string(value));
   }
 }
@@ -46,6 +54,8 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
 Machine::Machine(const MachineConfig& config) : config_(config) {
   require_positive(config_.pes_per_accel, "pes_per_accel");
   require_positive(config_.accel_queue_entries, "accel_queue_entries");
+  require_positive(config_.speedup_scale, "speedup_scale");
+  require_positive(config_.inter_chiplet_gbps, "inter_chiplet_gbps");
   mem_ = std::make_unique<mem::MemorySystem>(sim_, config_.mem,
                                              config_.seed ^ 0x11);
   iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, config_.walk,
@@ -258,6 +268,7 @@ void Machine::set_dma_engines(int engines) {
 }
 
 void Machine::set_speedup_scale(double scale) {
+  require_positive(scale, "speedup_scale");
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->set_speedup(accel::default_speedup(t) *
                                              scale);

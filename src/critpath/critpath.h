@@ -275,7 +275,7 @@ class Analyzer {
    * total attribution in microseconds, shares, bottleneck histograms and
    * per-accelerator queue/PE decompositions. Byte-stable for identical
    * inputs (fixed float formatting, index-ordered services) — the golden
-   * test and the AF_COMPILE=0/1 identity test compare these bytes.
+   * test compares these bytes.
    */
   void write_json(std::ostream& os) const;
 

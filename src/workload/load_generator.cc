@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace accelflow::workload {
 
@@ -29,10 +31,18 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, RequestEngine& engine,
       engine_(engine),
       service_(service),
       model_(model),
-      rps_(rps),
+      rps_(checked_rps(rps)),
       until_(until),
       rng_(seed) {
   schedule_next();
+}
+
+double LoadGenerator::checked_rps(double rps) {
+  if (!(std::isfinite(rps) && rps > 0)) {
+    throw std::invalid_argument("rps must be finite and > 0, got " +
+                                std::to_string(rps));
+  }
+  return rps;
 }
 
 double LoadGenerator::current_rate() {

@@ -67,7 +67,8 @@ class LoadGenerator {
   /**
    * Starts generating invocations of `service` into `engine`.
    *
-   * @param rps mean arrival rate.
+   * @param rps mean arrival rate; std::invalid_argument unless finite
+   *            and > 0.
    * @param until stop issuing at this simulated time.
    */
   LoadGenerator(sim::Simulator& sim, RequestEngine& engine,
@@ -152,14 +153,18 @@ class LoadGenerator {
    * rate and cutoff, then schedules the next arrival. Used by the fork
    * engine to re-arm warmup generators at each sweep point's target rate.
    * Only call when no arrival event for this generator is pending.
+   * Throws std::invalid_argument unless `rps` is finite and > 0.
    */
   void resume(double rps, sim::TimePs until) {
-    rps_ = rps;
+    rps_ = checked_rps(rps);
     until_ = until;
     schedule_next();
   }
 
  private:
+  /** `rps` if finite and > 0; throws std::invalid_argument otherwise (a
+   *  NaN or infinite rate would never stop scheduling arrivals). */
+  static double checked_rps(double rps);
   void schedule_next();
   double current_rate();
 

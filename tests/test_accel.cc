@@ -489,12 +489,12 @@ TEST(DmaPool, ReadyAtDefersTransfer) {
 }
 
 TEST(DmaPool, EngineSelectionMatchesFirstMinimumScan) {
-  // Pins the incremental earliest-free heap to its contract: every
-  // transfer must occupy exactly the engine a left-to-right
-  // std::min_element scan of the occupancy vector would return — ties on
-  // free time break toward the lowest index. The shadow below replays
-  // transfer()'s occupancy arithmetic against that scan; the per-engine
-  // vectors must stay byte-identical through tie-heavy and random phases.
+  // Pins engine selection to its contract: every transfer must occupy
+  // exactly the engine a left-to-right std::min_element scan of the
+  // occupancy vector would return — ties on free time break toward the
+  // lowest index. The shadow below replays transfer()'s occupancy
+  // arithmetic against that scan; the per-engine vectors must stay
+  // byte-identical through tie-heavy and random phases.
   sim::Simulator sim;
   noc::InterconnectParams np;
   noc::MeshParams mp;
@@ -535,8 +535,8 @@ TEST(DmaPool, EngineSelectionMatchesFirstMinimumScan) {
     shadow_transfer(bytes, ready);
     ASSERT_EQ(dma.checkpoint().engine_free_at, shadow) << "rand step " << i;
   }
-  // The pool-resize and restore paths rebuild the heap; both must keep
-  // honouring the scan contract afterwards.
+  // The pool-resize and restore paths replace the occupancy vector; both
+  // must keep honouring the scan contract afterwards.
   const DmaPool::Checkpoint snap = dma.checkpoint();
   dma.set_num_engines(3);
   EXPECT_EQ(dma.checkpoint().engine_free_at,

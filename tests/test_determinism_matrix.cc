@@ -7,22 +7,16 @@
  * "results independent of thread count" and the checker's "observing
  * never perturbs".
  *
- * A third axis covers the compiled chain backend (DESIGN.md §15): whether
- * traces execute through the interpreter or through compiled chain
- * programs (EngineConfig::compile or AF_COMPILE=1) must not change a
- * single bit of any result.
- *
- * A fourth axis covers cluster-scale sharded serving (DESIGN.md §17):
+ * A third axis covers cluster-scale sharded serving (DESIGN.md §17):
  * shard count x worker-thread count x checker attachment. The
  * conservative-lookahead window engine must replay the identical cluster
  * timeline no matter how many threads advance the shards, and observing
  * it must not perturb a bit.
  *
- * A fifth axis covers the multi-tenant QoS layer (DESIGN.md §19): a run
+ * A fourth axis covers the multi-tenant QoS layer (DESIGN.md §19): a run
  * carrying a QoS policy and a power budget (ExperimentConfig::qos/power
- * or AF_QOS=1) must stay bit-identical across worker-thread counts and
- * across the chain backends, and the AF_QOS env toggle must match the
- * equivalent config toggle.
+ * or AF_QOS=1) must stay bit-identical across worker-thread counts, and
+ * the AF_QOS env toggle must match the equivalent config toggle.
  */
 
 #include <gtest/gtest.h>
@@ -106,76 +100,6 @@ TEST(DeterminismMatrix, IdenticalAcrossThreadCounts) {
                        "threads=" + std::to_string(threads) + " config " +
                            std::to_string(i));
     }
-  }
-}
-
-/** Drops AF_COMPILE from the environment for the scope (the sanitize CI
- *  job exports it, which would silently compile the "interpreted" runs). */
-class ScopedNoAfCompile {
- public:
-  ScopedNoAfCompile() {
-    const char* v = std::getenv("AF_COMPILE");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_COMPILE");
-  }
-  ~ScopedNoAfCompile() {
-    if (had_) {
-      setenv("AF_COMPILE", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_COMPILE");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-TEST(DeterminismMatrix, CompiledMatchesInterpreted) {
-  ScopedNoAfCompile no_env;
-  const std::vector<ExperimentConfig> configs = matrix_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    ExperimentConfig compiled = configs[i];
-    compiled.engine.compile = true;
-    const ExperimentResult c = run_experiment(compiled);
-    const ExperimentResult interp = run_experiment(configs[i]);
-    expect_identical(c, interp, "compile axis, config " + std::to_string(i));
-  }
-}
-
-TEST(DeterminismMatrix, CompiledEnvToggleMatchesConfigToggle) {
-  ScopedNoAfCompile no_env;
-  const ExperimentConfig cfg = matrix_configs()[0];
-  ExperimentConfig compiled = cfg;
-  compiled.engine.compile = true;
-  const ExperimentResult via_config = run_experiment(compiled);
-  setenv("AF_COMPILE", "1", 1);
-  const ExperimentResult via_env = run_experiment(cfg);
-  unsetenv("AF_COMPILE");
-  expect_identical(via_config, via_env, "AF_COMPILE env toggle");
-}
-
-TEST(DeterminismMatrix, CompiledRunsCleanUnderChecker) {
-  // The invariant checker audits the compiled backend exactly as it does
-  // the interpreter — and still does not perturb the timeline.
-  ScopedNoAfCompile no_env;
-  const std::vector<ExperimentConfig> configs = matrix_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    ExperimentConfig with = configs[i];
-    with.engine.compile = true;
-    check::InvariantChecker checker;
-    with.checker = &checker;
-    const ExperimentResult checked = run_experiment(with);
-    ExperimentConfig plain_cfg = configs[i];
-    plain_cfg.engine.compile = true;
-    const ExperimentResult plain = run_experiment(plain_cfg);
-    expect_identical(checked, plain,
-                     "compiled+checker, config " + std::to_string(i));
-    EXPECT_TRUE(checker.ok()) << checker.report();
-    EXPECT_GT(checker.stats().chains_started, 0u);
   }
 }
 
@@ -273,19 +197,6 @@ TEST(DeterminismMatrix, QosEnvToggleMatchesConfigToggle) {
   unsetenv("AF_QOS");
   expect_identical(via_config, via_env, "AF_QOS env toggle");
   EXPECT_GT(via_env.qos_tenants.size(), 0u);
-}
-
-TEST(DeterminismMatrix, QosCrossesSchedAndCompileAxes) {
-  // The QoS bundle crossed with the chain backends: a policy-carrying,
-  // power-capped run replays the same timeline interpreted and compiled
-  // (the calendar axis has one value, the heap).
-  ScopedNoAfQos no_qos;
-  ScopedNoAfCompile no_compile;
-  ExperimentConfig compiled = qos_matrix_config();
-  compiled.engine.compile = true;
-  const ExperimentResult interp = run_experiment(qos_matrix_config());
-  EXPECT_GT(interp.power.epochs, 0u);
-  expect_identical(interp, run_experiment(compiled), "qos x compile");
 }
 
 /** Cluster results that must match bit for bit across the axes. */

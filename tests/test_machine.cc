@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -93,9 +95,10 @@ std::string invalid_argument_of(F f) {
   return "(no exception)";
 }
 
-TEST(Machine, RejectsNonPositivePeAndQueueCounts) {
+TEST(Machine, RejectsInvalidCountsAndRates) {
   // A machine without PEs or queue slots would complete zero requests
-  // silently; the constructor and the sweep setters name the bad field.
+  // silently, and a zero or non-finite rate casts an infinite time into
+  // picoseconds; the constructor and the sweep setters name the bad field.
   for (const int pes : {0, -3}) {
     MachineConfig cfg;
     cfg.pes_per_accel = pes;
@@ -109,6 +112,22 @@ TEST(Machine, RejectsNonPositivePeAndQueueCounts) {
   EXPECT_NE(invalid_argument_of([&] { Machine m(cfg); })
                 .find("accel_queue_entries"),
             std::string::npos);
+  const double bad_rates[] = {0.0, -1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()};
+  for (const double rate : bad_rates) {
+    MachineConfig speed;
+    speed.speedup_scale = rate;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(speed); })
+                  .find("speedup_scale"),
+              std::string::npos)
+        << rate;
+    MachineConfig link;
+    link.inter_chiplet_gbps = rate;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(link); })
+                  .find("inter_chiplet_gbps"),
+              std::string::npos)
+        << rate;
+  }
 
   Machine m{MachineConfig{}};
   EXPECT_NE(invalid_argument_of([&] { m.set_pes_per_accel(0); })
@@ -120,10 +139,17 @@ TEST(Machine, RejectsNonPositivePeAndQueueCounts) {
   EXPECT_NE(invalid_argument_of([&] { m.set_accel_queue_entries(0); })
                 .find("accel_queue_entries"),
             std::string::npos);
+  for (const double rate : bad_rates) {
+    EXPECT_NE(invalid_argument_of([&] { m.set_speedup_scale(rate); })
+                  .find("speedup_scale"),
+              std::string::npos)
+        << rate;
+  }
   // A rejected setter leaves the machine as it was.
   EXPECT_EQ(m.config().pes_per_accel, MachineConfig{}.pes_per_accel);
   EXPECT_EQ(m.config().accel_queue_entries,
             MachineConfig{}.accel_queue_entries);
+  EXPECT_EQ(m.config().speedup_scale, MachineConfig{}.speedup_scale);
 }
 
 TEST(Machine, GenerationScalingIsMonotone) {

@@ -3,14 +3,26 @@
  * Validates the reconstructed T1..T12 templates against everything the
  * paper states about them: per-trace accelerator counts (consistent with
  * Table IV), branch placement (Figures 2/4/7), connectivity (Table I), and
- * the error subtraces being four-accelerator sequences of their own.
+ * the error subtraces being four-accelerator sequences of their own. Then
+ * runs every template chain through the engine under all 32 payload-flag
+ * combinations with the invariant checker attached.
  */
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/invariant_checker.h"
+#include "core/chain.h"
+#include "core/machine.h"
+#include "core/orchestrator.h"
 #include "core/trace_analysis.h"
+#include "core/trace_encoding.h"
 #include "core/trace_library.h"
 #include "core/trace_templates.h"
+#include "sim/time.h"
 
 namespace accelflow::core {
 namespace {
@@ -223,6 +235,133 @@ TEST_F(TraceTemplatesTest, EveryTemplateFitsInEightBytes) {
   // observe long traces requiring splitting").
   for (const AtmAddr addr : lib_.addresses()) {
     EXPECT_EQ(lib_.name_of_addr(addr).find('#'), std::string::npos);
+  }
+}
+
+// --- Template chains through the engine ----------------------------------
+
+/** Pure-function cost environment (modeled on check/differential.cc's). */
+class DiffEnv final : public ChainEnv {
+ public:
+  sim::TimePs op_cpu_cost(ChainContext&, AccelType type,
+                          std::uint64_t payload_bytes) override {
+    const auto idx = static_cast<std::uint64_t>(accel::index_of(type));
+    return sim::nanoseconds(
+        static_cast<double>(300 + 90 * idx + payload_bytes / 8));
+  }
+
+  std::uint64_t transformed_size(AccelType type,
+                                 std::uint64_t bytes) override {
+    std::uint64_t out = bytes;
+    switch (type) {
+      case AccelType::kSer:
+        out = bytes * 9 / 8 + 8;
+        break;
+      case AccelType::kDser:
+        out = bytes * 7 / 8;
+        break;
+      case AccelType::kCmp:
+        out = bytes * 3 / 8 + 4;
+        break;
+      case AccelType::kDcmp:
+        out = bytes * 5 / 2;
+        break;
+      case AccelType::kLdb:
+        out = bytes / 2 + 32;
+        break;
+      default:
+        break;
+    }
+    if (out < 16) out = 16;
+    if (out > (1u << 22)) out = 1u << 22;
+    return out;
+  }
+
+  sim::TimePs remote_latency(ChainContext&, RemoteKind kind) override {
+    return sim::microseconds(
+        5.0 + 3.0 * static_cast<double>(static_cast<int>(kind)));
+  }
+
+  std::uint64_t response_size(ChainContext&, RemoteKind kind) override {
+    return 512 + 256 * static_cast<std::uint64_t>(static_cast<int>(kind));
+  }
+};
+
+/** The payload-flag combination a 5-bit index denotes. */
+PayloadFlags flags_of(std::size_t idx) {
+  PayloadFlags f;
+  f.compressed = (idx & 1) != 0;
+  f.hit = (idx & 2) != 0;
+  f.found = (idx & 4) != 0;
+  f.exception = (idx & 8) != 0;
+  f.c_compressed = (idx & 16) != 0;
+  return f;
+}
+
+struct TemplateRun {
+  std::vector<bool> done;  ///< Per chain: on_done fired.
+  bool checker_ok = false;
+  std::string checker_report;
+};
+
+/** Runs 32 chains from `start`, one per flag combination, on a fresh
+ *  machine with the invariant checker attached. */
+TemplateRun run_once(const TraceLibrary& lib, AtmAddr start) {
+  constexpr std::size_t kCombos = 32;
+  TemplateRun out;
+  out.done.assign(kCombos, false);
+
+  Machine machine(MachineConfig{});
+  machine.load_traces(lib);
+  check::InvariantChecker checker;
+  checker.attach(machine, lib);
+  auto orch =
+      make_orchestrator(OrchKind::kAccelFlow, machine, lib, EngineConfig{});
+
+  DiffEnv env;
+  std::vector<std::unique_ptr<ChainContext>> ctxs;
+  for (std::size_t f = 0; f < kCombos; ++f) {
+    auto ctx = std::make_unique<ChainContext>();
+    ctx->request = static_cast<accel::RequestId>(f + 1);
+    ctx->tenant = static_cast<accel::TenantId>(f % 4);
+    ctx->core = static_cast<int>(f % 8);
+    ctx->flags = flags_of(f);
+    ctx->initial_bytes = 64ull << (f % 6);
+    ctx->initial_format = accel::DataFormat::kProtoWire;
+    ctx->buffer_va = static_cast<mem::VirtAddr>(f + 1) << 20;
+    ctx->env = &env;
+    ctx->rng.reseed(0x5EED0000 + f);
+    ctx->on_done = [&out, f](const ChainResult&) { out.done[f] = true; };
+    ChainContext* raw = ctx.get();
+    Orchestrator* o = orch.get();
+    machine.sim().schedule_at(
+        sim::microseconds(2.0 * static_cast<double>(f)),
+        [o, raw, start] { o->run_chain(raw, start); });
+    ctxs.push_back(std::move(ctx));
+  }
+  machine.sim().run();
+
+  checker.final_audit();
+  out.checker_ok = checker.ok();
+  out.checker_report = checker.report();
+  checker.detach();
+  return out;
+}
+
+TEST(TemplateChains, EveryTemplateTraceAllFlagCombosRunsClean) {
+  TraceLibrary lib;
+  register_templates(lib);
+  // Every library trace that can start a chain (leading invoke).
+  for (const AtmAddr addr : lib.addresses()) {
+    if (decode_op(lib.get(addr).word, 0).kind != TraceOp::Kind::kInvoke) {
+      continue;
+    }
+    const std::string name = lib.name_of_addr(addr);
+    const TemplateRun run = run_once(lib, addr);
+    EXPECT_TRUE(run.checker_ok) << name << ": " << run.checker_report;
+    for (std::size_t f = 0; f < run.done.size(); ++f) {
+      EXPECT_TRUE(run.done[f]) << name << ", flags " << f;
+    }
   }
 }
 

@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "core/machine.h"
 #include "core/orchestrator.h"
 #include "core/trace_templates.h"
+#include "workload/experiment.h"
 #include "workload/load_generator.h"
 #include "workload/request_engine.h"
 #include "workload/suites.h"
@@ -267,6 +272,35 @@ TEST_F(WorkloadTest, ReliefSuiteServicesRun) {
   for (std::size_t s = 0; s < ptrs.size(); ++s) engine.inject(s);
   machine.sim().run();
   EXPECT_EQ(engine.total_completed(), ptrs.size());
+}
+
+TEST(Experiment, RejectsNonFiniteRate) {
+  // A NaN or infinite rate passes a `rps <= 0` filter; the generator must
+  // reject it by name instead of scheduling arrivals forever.
+  const auto what_of = [](const ExperimentConfig& cfg) -> std::string {
+    try {
+      run_experiment(cfg);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no exception)";
+  };
+  for (const double rate : {std::nan(""),
+                            std::numeric_limits<double>::infinity()}) {
+    ExperimentConfig uniform;
+    uniform.specs = social_network_specs();
+    uniform.rps_per_service = rate;
+    uniform.warmup = sim::milliseconds(1);
+    uniform.measure = sim::milliseconds(1);
+    uniform.drain = sim::milliseconds(1);
+    EXPECT_NE(what_of(uniform).find("rps"), std::string::npos) << rate;
+
+    ExperimentConfig per_service = uniform;
+    per_service.rps_per_service = 1000.0;
+    per_service.per_service_rps.assign(per_service.specs.size(), 1000.0);
+    per_service.per_service_rps.back() = rate;
+    EXPECT_NE(what_of(per_service).find("rps"), std::string::npos) << rate;
+  }
 }
 
 }  // namespace
