@@ -42,6 +42,7 @@ void Accelerator::set_num_pes(int num_pes) {
 
 void Accelerator::set_queue_capacity(std::size_t entries) {
   assert(overflow_.empty() && "set_queue_capacity requires an idle overflow");
+  reclaim_released();
   input_.set_capacity(entries);   // Asserts the queue is empty.
   output_.set_capacity(entries);  // Likewise.
   params_.input_queue_entries = entries;
@@ -150,6 +151,7 @@ bool Accelerator::holds_chain(const core::ChainContext* ctx) const {
   for (const BlockedDeposit& b : blocked_) {
     if (b.entry.ctx == ctx) return true;
   }
+  reclaim_released();
   output_.for_each_occupied([&](SlotId, const QueueEntry& e) {
     if (e.ctx == ctx) held = true;
   });
@@ -366,15 +368,18 @@ void Accelerator::on_pe_done(int pe) {
     try_dispatch();
     return;
   }
+  reclaim_released();
   if (output_.full()) {
     // PE is non-preemptible and has nowhere to put its result: it blocks
-    // until the output dispatcher frees a slot.
+    // until the output dispatcher frees a slot. Only now can a release
+    // wake anything, so the deferred ones become calendar events.
     blocked_.push_back(BlockedDeposit{pe, std::move(p.inflight), sim_.now()});
+    post_pending_releases();
     return;
   }
   deposit_output(std::move(p.inflight));
   p.busy = false;
-    ++free_pes_;
+  ++free_pes_;
   try_dispatch();
 }
 
@@ -400,7 +405,40 @@ sim::TimePs Accelerator::occupy_dispatcher(sim::TimePs duration) {
   return dispatcher_busy_until_;
 }
 
+void Accelerator::release_output_at(sim::TimePs when, SlotId slot) {
+  assert(when >= sim_.now() && "cannot release in the past");
+  const PendingRelease r{when, sim_.reserve_seq(), slot};
+  if (!blocked_.empty()) {
+    post_release(r);
+    return;
+  }
+  released_.push_back(r);
+  std::push_heap(released_.begin(), released_.end(), fires_after);
+}
+
+void Accelerator::post_pending_releases() {
+  for (const PendingRelease& r : released_) post_release(r);
+  released_.clear();
+}
+
+void Accelerator::post_release(const PendingRelease& r) {
+  const SlotId slot = r.slot;
+  sim_.schedule_at_seq(r.at, r.seq, [this, slot] { release_output(slot); });
+}
+
+void Accelerator::reclaim_released() const {
+  while (!released_.empty() &&
+         sim_.fired(released_.front().at, released_.front().seq)) {
+    output_.release(released_.front().slot);
+    std::pop_heap(released_.begin(), released_.end(), fires_after);
+    released_.pop_back();
+  }
+}
+
 void Accelerator::release_output(SlotId slot) {
+  // Deferred releases stamped before this one free first, as their
+  // events would have.
+  reclaim_released();
   output_.release(slot);
   if (!blocked_.empty()) {
     BlockedDeposit b = std::move(blocked_.front());

@@ -102,9 +102,11 @@ struct AccelStats {
  *
  * When a PE deposits an entry in the output queue, the accelerator invokes
  * handle_output(). The handler occupies the dispatcher FSM via
- * Accelerator::occupy_dispatcher() for its instruction time and must
- * eventually call Accelerator::release_output(slot) so the slot frees and
- * any blocked PE resumes.
+ * Accelerator::occupy_dispatcher() for its instruction time and must free
+ * the slot once the entry has moved on: Accelerator::release_output_at(
+ * when, slot) when that time is known while the handler runs (the
+ * AccelFlow FSM), or Accelerator::release_output(slot) from a later event.
+ * Either way the slot frees at that time and a blocked PE resumes.
  */
 class OutputHandler {
  public:
@@ -183,8 +185,26 @@ class Accelerator {
    */
   sim::TimePs occupy_dispatcher(sim::TimePs duration);
 
-  /** Frees an output slot; resumes a PE blocked on output-queue space. */
+  /** Frees an output slot now; resumes a PE blocked on output-queue
+   *  space. */
   void release_output(SlotId slot);
+
+  /**
+   * Frees an output slot at `when` (>= now), exactly as if
+   * release_output(slot) were scheduled as a calendar event now
+   * (DESIGN.md §10). The release reserves that event's (time, seq) stamp
+   * and is reclaimed, in stamp order, at the first read of the output
+   * queue after the stamp. A calendar event is posted only while a PE is
+   * blocked on output space: the one case where a release wakes anything.
+   */
+  void release_output_at(sim::TimePs when, SlotId slot);
+
+  /**
+   * Posts every deferred release as a calendar event at its reserved
+   * stamp. For exits that may end the run before a release's time: a
+   * drained calendar must still reach it, as an eager release event would.
+   */
+  void post_pending_releases();
 
   QueueEntry& output_entry(SlotId slot) { return output_.at(slot); }
 
@@ -193,17 +213,18 @@ class Accelerator {
     sim_.schedule_at(when, [this, slot] { deliver_data(slot); });
   }
 
-  /** Schedules release_output(slot) as a calendar event at `when`. */
-  void schedule_release(sim::TimePs when, SlotId slot) {
-    sim_.schedule_at(when, [this, slot] { release_output(slot); });
-  }
-
   // --- Introspection ----------------------------------------------------
 
   const AccelStats& stats() const { return stats_; }
   const QueueStats& input_stats() const { return input_.stats(); }
-  const QueueStats& output_stats() const { return output_.stats(); }
-  std::size_t output_occupancy() const { return output_.occupancy(); }
+  const QueueStats& output_stats() const {
+    reclaim_released();
+    return output_.stats();
+  }
+  std::size_t output_occupancy() const {
+    reclaim_released();
+    return output_.occupancy();
+  }
   const mem::TlbStats& tlb_stats() const { return tlb_.stats(); }
   double pe_utilization() const;
   sim::TimePs dispatcher_busy_time() const { return dispatcher_busy_accum_; }
@@ -285,6 +306,16 @@ class Accelerator {
     QueueEntry entry;
     sim::TimePs blocked_since = 0;
   };
+  /** A deferred output-slot release at its reserved calendar stamp. */
+  struct PendingRelease {
+    sim::TimePs at = 0;
+    std::uint64_t seq = 0;
+    SlotId slot = kInvalidSlot;
+  };
+  /** Heap order for released_: true when `a` fires after `b`. */
+  static bool fires_after(const PendingRelease& a, const PendingRelease& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
 
  public:
   /** Deep copy of all mutable accelerator state (DESIGN.md §13). */
@@ -295,6 +326,7 @@ class Accelerator {
     std::vector<Pe> pes;                 ///< PE occupancy + inflight entries.
     std::deque<BlockedDeposit> blocked;  ///< PEs stalled on output space.
     std::deque<QueueEntry> overflow;     ///< In-memory overflow area.
+    std::vector<PendingRelease> released;  ///< Deferred output releases.
     sim::TimePs dispatcher_busy_until = 0;  ///< Output FSM horizon.
     sim::TimePs dispatcher_busy_accum = 0;  ///< Output FSM busy total.
     std::uint64_t last_dispatched_seq = 0;  ///< Reorder detection stamp.
@@ -304,12 +336,14 @@ class Accelerator {
 
   /** Captures all mutable state (handler/tracer wiring excluded). */
   Checkpoint checkpoint() const {
+    reclaim_released();
     return Checkpoint{tlb_.checkpoint(),
                       input_.checkpoint(),
                       output_.checkpoint(),
                       pes_,
                       blocked_,
                       overflow_,
+                      released_,
                       dispatcher_busy_until_,
                       dispatcher_busy_accum_,
                       last_dispatched_seq_,
@@ -327,6 +361,7 @@ class Accelerator {
     for (const Pe& p : pes_) free_pes_ += !p.busy;
     blocked_ = c.blocked;
     overflow_ = c.overflow;
+    released_ = c.released;
     dispatcher_busy_until_ = c.dispatcher_busy_until;
     dispatcher_busy_accum_ = c.dispatcher_busy_accum;
     last_dispatched_seq_ = c.last_dispatched_seq;
@@ -355,6 +390,15 @@ class Accelerator {
   /** Moves overflow entries into freed input slots. */
   void drain_overflow();
 
+  /** Frees every deferred release whose stamp has fired, in stamp order,
+   *  so the output queue reads exactly as under eager release events.
+   *  Const because it changes no observable state: every reader calls it
+   *  first. */
+  void reclaim_released() const;
+
+  /** Posts one deferred release as a calendar event at its stamp. */
+  void post_release(const PendingRelease& r);
+
   sim::Simulator& sim_;
   AccelParams params_;
   mem::MemorySystem& mem_;
@@ -365,7 +409,11 @@ class Accelerator {
   OutputHandler* handler_ = nullptr;
 
   SramQueue input_;
-  SramQueue output_;
+  /** Mutable with released_: reclaim_released() runs in const readers. */
+  mutable SramQueue output_;
+  /** Deferred output releases: a min-heap on (at, seq). Empty whenever a
+   *  PE is blocked (their releases are posted as calendar events). */
+  mutable std::vector<PendingRelease> released_;
   /** Lazy min-(seq, slot) heap over ready input entries, maintained only
    *  under the FIFO policy: the dispatcher's pick is O(log ready) instead
    *  of a walk over every occupied slot. Stale tops (the slot was released

@@ -7,6 +7,7 @@
 #include "accel/types.h"
 #include "core/trace_library.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 
 /**
@@ -78,6 +79,37 @@ struct ChainResult {
   sim::TimePs completed_at = 0;
 };
 
+/**
+ * One chain's hop watchdog (DESIGN.md §14), owned by the AccelFlow engine
+ * and active only in fault-injected runs. It holds enough of the pending
+ * hand-off to re-issue it if the accelerator loses it, the deadline of the
+ * eager watchdog event, and the chain's single watchdog timer. Re-arming
+ * writes the deadline; the timer moves only when it would fire late.
+ */
+struct HopWatch {
+  bool armed = false;              ///< A hop is owed (arm .. disarm).
+  accel::AccelType target = accel::AccelType::kTcp;  ///< Owes the output.
+  std::uint8_t pm = 0;             ///< Position mark at hand-off.
+  accel::DataFormat fmt = accel::DataFormat::kProtoWire;  ///< Payload format.
+  int retries = 0;                 ///< Re-issues of this hop so far.
+  std::uint64_t word = 0;          ///< Trace word at hand-off.
+  std::uint64_t bytes = 0;         ///< Payload size at hand-off.
+  sim::TimePs timeout = 0;         ///< Current watchdog delay.
+  /** Known future delivery (DMA arrival, remote response): the chain
+   *  cannot be lost before this time; kTimeNever for unbounded nested
+   *  waits, 0 once the entry is queued (holds_chain() covers it). */
+  sim::TimePs in_flight_until = 0;
+  /** The watchdog's (time, seq) stamp: where the eager per-arm event
+   *  would fire. deadline == kTimeNever while no watchdog is due. */
+  sim::TimePs deadline = sim::kTimeNever;
+  std::uint64_t deadline_seq = 0;  ///< Reserved seq of the deadline.
+  /** The one pending watchdog event, at timer_at; it may be stale (an
+   *  earlier deadline) and then re-posts itself at the current one. */
+  sim::EventId timer = sim::kInvalidEventId;
+  sim::TimePs timer_at = 0;        ///< Fire time of `timer`.
+  sim::EventId backoff = sim::kInvalidEventId;  ///< Pending re-issue.
+};
+
 /** Mutable per-chain execution state. */
 struct ChainContext {
   accel::RequestId request = 0;
@@ -113,6 +145,9 @@ struct ChainContext {
    *  accelerator); copied into ChainResult::faulted on completion. */
   bool faulted = false;
   bool done = false;
+
+  /** The engine's hop watchdog for this chain (fault-injected runs). */
+  HopWatch hop;
 
   /** Convenience: finishes the chain exactly once. */
   void finish(const ChainResult& r) {

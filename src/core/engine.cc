@@ -211,7 +211,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     stats_.glue_eot_ops += saw_eot;
   };
   auto release_at = [&acc, slot](sim::TimePs when) {
-    acc.schedule_release(when, slot);
+    acc.release_output_at(when, slot);
   };
   auto atm_fetch = [&](AtmAddr addr) {
     ++stats_.atm_loads;
@@ -359,6 +359,10 @@ void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
     ++stats_.health_fallbacks;
     ++stats_.fallbacks_by_type[accel::index_of(target)];
     ctx->faulted = true;
+    // The only FSM exit that may finish the chain before the dispatcher's
+    // launch time: if it is the run's last chain, a drained calendar must
+    // still reach the output-slot release, so make it a real event.
+    from.post_pending_releases();
     cpu_fallback_from_entry(e, target);
     return;
   }
@@ -806,6 +810,12 @@ void AccelFlowEngine::snapshot_metrics(obs::MetricsRegistry& reg) const {
 void AccelFlowEngine::complete_chain(ChainContext* ctx,
                                      const ChainResult& result) {
   disarm_hop(ctx);
+  // The context may be freed and recycled once finished: no timer may
+  // outlive it.
+  if (ctx->hop.timer != sim::kInvalidEventId) {
+    machine_.sim().cancel(ctx->hop.timer);
+    ctx->hop.timer = sim::kInvalidEventId;
+  }
   ChainResult res = result;
   if (ctx->faulted) {
     res.faulted = true;
@@ -855,57 +865,91 @@ void AccelFlowEngine::arm_hop(ChainContext* ctx, AccelType target,
                               std::uint64_t bytes, accel::DataFormat fmt,
                               sim::TimePs in_flight_until) {
   if (!resilience_active()) return;
-  HopState& h = hops_[ctx];
-  if (h.timer != sim::kInvalidEventId) machine_.sim().cancel(h.timer);
-  // A re-issue of the same hop keeps its retry budget; any other arm is
-  // forward progress and starts fresh (timeout == 0 marks a new record).
-  const bool same_hop =
-      h.timeout != 0 && h.target == target && h.word == word && h.pm == pm;
-  if (!same_hop) {
-    h.retries = 0;
-    h.timeout = sim::microseconds(config_.resilience.hop_timeout_us);
+  HopWatch& w = ctx->hop;
+  if (w.backoff != sim::kInvalidEventId) {
+    machine_.sim().cancel(w.backoff);
+    w.backoff = sim::kInvalidEventId;
   }
-  h.target = target;
-  h.word = word;
-  h.pm = pm;
-  h.bytes = bytes;
-  h.fmt = fmt;
-  h.in_flight_until = in_flight_until;
-  h.timer = machine_.sim().schedule_after(
-      h.timeout, [this, ctx] { on_hop_timeout(ctx); });
+  // A re-issue of the same hop keeps its retry budget; any other arm is
+  // forward progress and starts fresh.
+  const bool same_hop =
+      w.armed && w.target == target && w.word == word && w.pm == pm;
+  if (!same_hop) {
+    w.retries = 0;
+    w.timeout = sim::microseconds(config_.resilience.hop_timeout_us);
+  }
+  w.armed = true;
+  w.target = target;
+  w.word = word;
+  w.pm = pm;
+  w.bytes = bytes;
+  w.fmt = fmt;
+  w.in_flight_until = in_flight_until;
+  set_watchdog(ctx, w.timeout);
 }
 
 void AccelFlowEngine::disarm_hop(ChainContext* ctx) {
-  if (hops_.empty()) return;
-  auto it = hops_.find(ctx);
-  if (it == hops_.end()) return;
-  if (it->second.timer != sim::kInvalidEventId) {
-    machine_.sim().cancel(it->second.timer);
+  HopWatch& w = ctx->hop;
+  if (!w.armed) return;
+  w.armed = false;
+  w.deadline = sim::kTimeNever;
+  if (w.backoff != sim::kInvalidEventId) {
+    machine_.sim().cancel(w.backoff);
+    w.backoff = sim::kInvalidEventId;
   }
-  hops_.erase(it);
+}
+
+void AccelFlowEngine::set_watchdog(ChainContext* ctx, sim::TimePs delay) {
+  HopWatch& w = ctx->hop;
+  sim::Simulator& sim = machine_.sim();
+  // The stamp the eager watchdog event would take (DESIGN.md §14).
+  w.deadline = sim.now() + delay;
+  w.deadline_seq = sim.reserve_seq();
+  if (w.timer != sim::kInvalidEventId) {
+    // A timer at or before the deadline fires first and re-posts itself;
+    // only a later one (a doubled timeout reset by progress) must move.
+    if (w.timer_at <= w.deadline) return;
+    sim.cancel(w.timer);
+  }
+  post_watchdog(ctx);
+}
+
+void AccelFlowEngine::post_watchdog(ChainContext* ctx) {
+  HopWatch& w = ctx->hop;
+  const std::uint64_t seq = w.deadline_seq;
+  w.timer_at = w.deadline;
+  w.timer = machine_.sim().schedule_at_seq(
+      w.deadline, seq, [this, ctx, seq] { on_watchdog(ctx, seq); });
+}
+
+void AccelFlowEngine::on_watchdog(ChainContext* ctx, std::uint64_t seq) {
+  HopWatch& w = ctx->hop;
+  w.timer = sim::kInvalidEventId;
+  if (w.deadline == sim::kTimeNever) return;  // Disarmed: drop.
+  if (seq != w.deadline_seq) {
+    post_watchdog(ctx);  // Stale: the deadline moved later.
+    return;
+  }
+  w.deadline = sim::kTimeNever;
+  on_hop_timeout(ctx);
 }
 
 void AccelFlowEngine::note_hop_wait(ChainContext* ctx, sim::TimePs until) {
-  auto it = hops_.find(ctx);
-  if (it != hops_.end()) it->second.in_flight_until = until;
+  if (ctx->hop.armed) ctx->hop.in_flight_until = until;
 }
 
 void AccelFlowEngine::on_hop_timeout(ChainContext* ctx) {
-  auto it = hops_.find(ctx);
-  if (it == hops_.end()) return;
-  HopState& h = it->second;
-  h.timer = sim::kInvalidEventId;
+  HopWatch& w = ctx->hop;
   const sim::TimePs now = machine_.sim().now();
   auto rearm = [&](sim::TimePs delay) {
     ++stats_.hop_probes;
-    h.timer = machine_.sim().schedule_after(
-        delay, [this, ctx] { on_hop_timeout(ctx); });
+    set_watchdog(ctx, delay);
   };
   // A known future delivery (remote response, DMA arrival) means the hop
   // cannot be lost yet: look again once it should have landed.
-  if (h.in_flight_until == sim::kTimeNever ||
-      (h.in_flight_until != 0 && now < h.in_flight_until)) {
-    rearm(h.timeout);
+  if (w.in_flight_until == sim::kTimeNever ||
+      (w.in_flight_until != 0 && now < w.in_flight_until)) {
+    rearm(w.timeout);
     return;
   }
   // Probe: a slow-but-alive entry (queued, executing, overflowed or
@@ -913,63 +957,56 @@ void AccelFlowEngine::on_hop_timeout(ChainContext* ctx) {
   // patiently instead. Only a vanished entry was lost to a hard failure.
   for (const AccelType t : accel::kAllAccelTypes) {
     if (machine_.accel(t).holds_chain(ctx)) {
-      h.timeout *= 2;
-      rearm(h.timeout);
+      w.timeout *= 2;
+      rearm(w.timeout);
       return;
     }
   }
   // Lost: a hard-failed PE consumed the entry without producing output.
   ++stats_.hop_timeouts;
   ctx->faulted = true;
-  record_hop_failure(h.target);
-  if (h.retries >= config_.resilience.hop_retries) {
+  record_hop_failure(w.target);
+  if (w.retries >= config_.resilience.hop_retries) {
     // Retry budget spent: the CPU finishes the chain — it always can.
     ++stats_.retry_exhausted_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(h.target)];
-    const AccelType target = h.target;
-    const std::uint64_t word = h.word;
-    const std::uint8_t pm = h.pm;
-    const std::uint64_t bytes = h.bytes;
-    continue_chain_on_cpu(ctx, word, pm, bytes, target);  // Disarms.
+    ++stats_.fallbacks_by_type[accel::index_of(w.target)];
+    continue_chain_on_cpu(ctx, w.word, w.pm, w.bytes, w.target);  // Disarms.
     return;
   }
-  ++h.retries;
+  ++w.retries;
   ++stats_.hop_retries;
   if (obs::Tracer* t = trc()) {
     t->instant(obs::Subsys::kEngine, obs::SpanKind::kHopRetry,
                static_cast<std::uint32_t>(ctx->core), now,
-               static_cast<std::uint64_t>(h.retries),
+               static_cast<std::uint64_t>(w.retries),
                obs::flow_id(ctx->request, ctx->chain));
   }
-  // Exponential backoff before the re-issue; the timer slot holds the
-  // backoff event, so disarm_hop() cancels a pending retry too.
+  // Exponential backoff before the re-issue; disarm_hop() cancels it.
   const double backoff_us =
       config_.resilience.backoff_base_us *
-      std::pow(config_.resilience.backoff_factor, h.retries - 1);
-  h.timer = machine_.sim().schedule_after(
+      std::pow(config_.resilience.backoff_factor, w.retries - 1);
+  w.backoff = machine_.sim().schedule_after(
       sim::microseconds(backoff_us), [this, ctx] { retry_hop(ctx); });
 }
 
 void AccelFlowEngine::retry_hop(ChainContext* ctx) {
-  auto it = hops_.find(ctx);
-  if (it == hops_.end()) return;
-  HopState& h = it->second;
-  h.timer = sim::kInvalidEventId;
+  HopWatch& w = ctx->hop;
+  w.backoff = sim::kInvalidEventId;
   obs::FlowScope flow_scope(trc(), obs::flow_id(ctx->request, ctx->chain));
   // Rebuild the lost entry from the hand-off record (the payload still
   // lives in its memory buffer; the re-issued DMA is modeled by the
   // normal enqueue path) and hand it back to the same accelerator.
   QueueEntry e;
-  e.trace_word = h.word;
-  e.position_mark = h.pm;
+  e.trace_word = w.word;
+  e.position_mark = w.pm;
   e.tenant = ctx->tenant;
   e.request = ctx->request;
   e.chain = ctx->chain;
-  e.payload.size_bytes = h.bytes;
-  e.payload.format = h.fmt;
+  e.payload.size_bytes = w.bytes;
+  e.payload.format = w.fmt;
   e.payload.flags = ctx->flags;
   e.payload.va = ctx->buffer_va;
-  e.cpu_cost = ctx->env->op_cpu_cost(*ctx, h.target, h.bytes);
+  e.cpu_cost = ctx->env->op_cpu_cost(*ctx, w.target, w.bytes);
   e.priority = ctx->priority;
   if (config_.stamp_deadlines &&
       ctx->step_deadline_budget != sim::kTimeNever) {
@@ -979,7 +1016,7 @@ void AccelFlowEngine::retry_hop(ChainContext* ctx) {
   e.ctx = ctx;
   e.ready = false;
   e.pending_inputs = 1;
-  forward_into_queue(machine_.accel(h.target), std::move(e));
+  forward_into_queue(machine_.accel(w.target), std::move(e));
 }
 
 void AccelFlowEngine::record_hop_failure(AccelType t) {

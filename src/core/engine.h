@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -260,37 +259,28 @@ class AccelFlowEngine : public accel::OutputHandler {
 
   // --- Fault resilience (DESIGN.md §14) ---------------------------------
 
-  /**
-   * One chain's hop watchdog: enough saved state to re-issue the pending
-   * operation if the accelerator loses it. `timer` is the armed watchdog
-   * event — or, between a loss and its re-issue, the backoff event.
-   */
-  struct HopState {
-    sim::EventId timer = sim::kInvalidEventId;
-    accel::AccelType target;        ///< Accelerator owing the output.
-    std::uint64_t word = 0;         ///< Trace word at hand-off.
-    std::uint8_t pm = 0;            ///< Position mark at hand-off.
-    std::uint64_t bytes = 0;        ///< Payload size at hand-off.
-    accel::DataFormat fmt = accel::DataFormat::kProtoWire;  ///< Payload format.
-    int retries = 0;                ///< Re-issues of this hop so far.
-    sim::TimePs timeout = 0;        ///< Current watchdog delay.
-    /** Known future delivery (DMA arrival, remote response): the chain
-     *  cannot be lost before this time; kTimeNever for unbounded nested
-     *  waits, 0 once the entry is queued (holds_chain() covers it). */
-    sim::TimePs in_flight_until = 0;
-  };
-
   /** Watchdogs (and the health machine) run only in fault-injected runs. */
   bool resilience_active() const {
     return config_.resilience.enabled && machine_.fault_hooks() != nullptr;
   }
-  /** (Re-)arms ctx's watchdog for a hand-off to `target`. A re-arm for
-   *  the same hop (equal target/word/pm) keeps its retry count. */
+  /** (Re-)arms ctx's watchdog (ChainContext::hop) for a hand-off to
+   *  `target`. A re-arm for the same hop (equal target/word/pm) keeps its
+   *  retry count. */
   void arm_hop(ChainContext* ctx, accel::AccelType target,
                std::uint64_t word, std::uint8_t pm, std::uint64_t bytes,
                accel::DataFormat fmt, sim::TimePs in_flight_until);
-  /** Cancels and forgets ctx's watchdog (hop progressed or chain done). */
+  /** Stands ctx's watchdog down (hop progressed or chain done) and
+   *  cancels a pending re-issue. A pending timer stays and drops itself
+   *  when it fires disarmed. */
   void disarm_hop(ChainContext* ctx);
+  /** Sets the watchdog deadline to now + `delay` at a reserved stamp,
+   *  moving the timer only if it would otherwise fire late. */
+  void set_watchdog(ChainContext* ctx, sim::TimePs delay);
+  /** Posts ctx's timer at its watchdog deadline stamp. */
+  void post_watchdog(ChainContext* ctx);
+  /** The timer posted at seq `seq` fired: time out at the deadline stamp,
+   *  re-post towards a later deadline, or drop when disarmed. */
+  void on_watchdog(ChainContext* ctx, std::uint64_t seq);
   /** Records a known future delivery time on ctx's armed watchdog. */
   void note_hop_wait(ChainContext* ctx, sim::TimePs until);
   /** Watchdog fired: probe liveness, then retry / fall back / re-arm. */
@@ -333,9 +323,6 @@ class AccelFlowEngine : public accel::OutputHandler {
    *  retries, deferred wait-arms): callbacks capture the 4-byte ticket,
    *  not the ~100-byte entry (see sim/callback.h's capture budget). */
   sim::TicketPool<accel::QueueEntry> parked_;
-  /** Armed hop watchdogs by chain; empty on fault-free runs and at every
-   *  quiescent point (all chains completed -> all disarmed). */
-  std::unordered_map<ChainContext*, HopState> hops_;
   /** Per-accelerator health (indexed by accel::index_of). */
   std::array<Health, accel::kNumAccelTypes> health_{};
 
@@ -369,9 +356,6 @@ class AccelFlowEngine : public accel::OutputHandler {
     mba_.restore(c.mba);
     parked_.restore(c.parked);
     health_ = c.health;
-    // Watchdog timers reference the pre-restore calendar; a checkpoint is
-    // only taken at quiescence, where every chain has disarmed anyway.
-    hops_.clear();
   }
 };
 

@@ -328,6 +328,10 @@ void Machine::snapshot_metrics(obs::MetricsRegistry& reg) const {
   reg.set("mem.iommu.walks", static_cast<double>(iommu_->stats().walks));
   reg.set("mem.iommu.faults", static_cast<double>(iommu_->stats().faults));
   reg.set("sim.events", static_cast<double>(sim_.executed_events()));
+  reg.set("sim.scheduled",
+          static_cast<double>(sim_.kernel_stats().scheduled));
+  reg.set("sim.cancelled",
+          static_cast<double>(sim_.kernel_stats().cancelled));
   reg.set("sim.now_ps", static_cast<double>(sim_.now()), Kind::kGauge);
   reg.set("sim.pending_high_water",
           static_cast<double>(sim_.kernel_stats().pending_high_water),

@@ -27,12 +27,16 @@ FaultInjector::FaultInjector(sim::Simulator& sim, FaultPlan plan)
     : sim_(sim), plan_(std::move(plan)) {}
 
 sim::Rng& FaultInjector::stream(FaultSite site, int unit) {
-  const std::uint64_t key = stream_key(site, unit);
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    it = streams_.emplace(key, sim::Rng(mix(plan_.seed, key))).first;
+  assert(unit >= 0);
+  std::vector<Stream>& row = streams_[static_cast<std::size_t>(site)];
+  const auto u = static_cast<std::size_t>(unit);
+  if (u >= row.size()) row.resize(u + 1);
+  Stream& s = row[u];
+  if (!s.touched) {
+    s.rng.reseed(mix(plan_.seed, stream_key(site, unit)));
+    s.touched = true;
   }
-  return it->second;
+  return s.rng;
 }
 
 bool FaultInjector::window_active(FaultSite site, int unit,
@@ -143,23 +147,33 @@ void FaultInjector::snapshot_metrics(obs::MetricsRegistry& reg) const {
 
 FaultInjector::Checkpoint FaultInjector::checkpoint() const {
   Checkpoint c;
-  c.streams.reserve(streams_.size());
-  for (const auto& [key, rng] : streams_) {
-    c.streams.emplace_back(key, rng.state());
+  // Site-major, unit-minor: ascending stream keys, so the checkpoint
+  // itself is comparable across runs.
+  for (std::size_t site = 0; site < kNumFaultSites; ++site) {
+    for (std::size_t u = 0; u < streams_[site].size(); ++u) {
+      const Stream& s = streams_[site][u];
+      if (!s.touched) continue;
+      c.streams.emplace_back(
+          stream_key(static_cast<FaultSite>(site), static_cast<int>(u)),
+          s.rng.state());
+    }
   }
-  // Stable order keeps the checkpoint itself comparable across runs.
-  std::sort(c.streams.begin(), c.streams.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   c.stats = stats_;
   return c;
 }
 
 void FaultInjector::restore(const Checkpoint& c) {
-  streams_.clear();
+  // Streams first touched after the checkpoint fall back to untouched:
+  // their next draw re-seeds them exactly as the first one did.
+  for (std::vector<Stream>& row : streams_) {
+    for (Stream& s : row) s.touched = false;
+  }
   for (const auto& [key, state] : c.streams) {
-    sim::Rng rng(0);
-    rng.set_state(state);
-    streams_.emplace(key, rng);
+    std::vector<Stream>& row = streams_[key >> 32];
+    const auto u = static_cast<std::size_t>(key & 0xFFFFFFFFu);
+    if (u >= row.size()) row.resize(u + 1);
+    row[u].rng.set_state(state);
+    row[u].touched = true;
   }
   stats_ = c.stats;
 }

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -91,8 +90,15 @@ class FaultInjector final : public sim::FaultHooks {
   void restore(const Checkpoint& c);
 
  private:
-  /** The lazily created random stream of one (site, unit) pair. */
+  /** The lazily seeded random stream of one (site, unit) pair. */
   sim::Rng& stream(FaultSite site, int unit);
+
+  /** One (site, unit) stream slot. Untouched slots are seeded on first
+   *  use, so a slot reset to untouched re-seeds identically. */
+  struct Stream {
+    sim::Rng rng;          ///< The stream (valid once touched).
+    bool touched = false;  ///< Seeded and drawn from since the last reset.
+  };
 
   /** True if a scheduled window for (site, unit) covers the current time;
    *  `param` receives the window magnitude. */
@@ -101,7 +107,10 @@ class FaultInjector final : public sim::FaultHooks {
   sim::Simulator& sim_;
   FaultPlan plan_;
   FaultStats stats_;
-  std::unordered_map<std::uint64_t, sim::Rng> streams_;
+  /** Dense stream table: one row per FaultSite, indexed by unit and
+   *  grown on first touch. Units are small: accelerator, DMA-engine and
+   *  chiplet indices. */
+  std::array<std::vector<Stream>, kNumFaultSites> streams_;
 };
 
 }  // namespace accelflow::fault

@@ -41,6 +41,22 @@ std::uint32_t Simulator::alloc_slot() {
   return slot;
 }
 
+inline EventId Simulator::push_event(TimePs t, std::uint64_t seq,
+                                     Callback&& cb) {
+  const std::uint32_t slot = alloc_slot();
+  Event& ev = pool_[slot];
+  ev.cb = std::move(cb);
+  ev.heap_pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(HeapEntry{t, seq, slot});
+  sift_up(heap_.size() - 1);
+
+  ++kstats_.scheduled;
+  if (heap_.size() > kstats_.pending_high_water) {
+    kstats_.pending_high_water = heap_.size();
+  }
+  return encode_id(slot, ev.gen);
+}
+
 EventId Simulator::schedule_at(TimePs t, Callback cb) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) {
@@ -50,18 +66,18 @@ EventId Simulator::schedule_at(TimePs t, Callback cb) {
     t = now_;
   }
 
-  const std::uint32_t slot = alloc_slot();
-  Event& ev = pool_[slot];
-  ev.cb = std::move(cb);
-  ev.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  return push_event(t, next_seq_++, std::move(cb));
+}
 
-  ++kstats_.scheduled;
-  if (heap_.size() > kstats_.pending_high_water) {
-    kstats_.pending_high_water = heap_.size();
+EventId Simulator::schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb) {
+  assert(seq < next_seq_ && "stamp was never reserved");
+  assert(!fired(t, seq) && "reserved stamp has already fired");
+  if (t < now_) {
+    // Release builds: the same clamp as schedule_at().
+    ++kstats_.clamped_past;
+    t = now_;
   }
-  return encode_id(slot, ev.gen);
+  return push_event(t, seq, std::move(cb));
 }
 
 bool Simulator::cancel(EventId id) {
@@ -147,6 +163,7 @@ bool Simulator::step() {
   Event& ev = pool_[slot];
   assert(heap_[0].time >= now_);
   now_ = heap_[0].time;
+  cur_seq_ = heap_[0].seq;
   if (probe_ != nullptr) probe_->on_event(now_);
   // Move the callback out and free the record *before* invoking, so the
   // callback can freely schedule (possibly reusing this very slot) or
@@ -156,6 +173,7 @@ bool Simulator::step() {
   recycle(slot);
   ++executed_;
   cb();
+  cur_seq_ = kIdleSeq;
   return true;
 }
 
@@ -229,6 +247,7 @@ void Simulator::restore(const Snapshot& snap) {
   next_seq_ = snap.next_seq;
   executed_ = snap.executed;
   free_head_ = snap.free_head;
+  cur_seq_ = kIdleSeq;
   stopped_ = false;
   kstats_.scheduled = snap.stats_scheduled;
   kstats_.cancelled = snap.stats_cancelled;

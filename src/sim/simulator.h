@@ -51,7 +51,8 @@ enum class SchedBackend : std::uint8_t {
 
 /** Kernel throughput counters (exported by bench_kernel_events). */
 struct KernelStats {
-  std::uint64_t scheduled = 0;       ///< Total schedule_at/after calls.
+  /** Events put on the calendar (schedule_at/after/at_seq calls). */
+  std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;       ///< Successful cancel() evictions.
   std::uint64_t clamped_past = 0;    ///< schedule_at with t < now (clamped).
   std::uint64_t pool_grown = 0;      ///< Event records ever allocated.
@@ -122,6 +123,35 @@ class Simulator {
   /** Schedules `cb` after `delay` from now. */
   EventId schedule_after(TimePs delay, Callback cb) {
     return schedule_at(now_ + delay, std::move(cb));
+  }
+
+  /**
+   * Consumes the next insertion stamp without scheduling anything.
+   *
+   * A model that defers an event (DESIGN.md §10) reserves the seq its
+   * eager schedule_at() would have taken. Every later stamp, and so every
+   * tie order, is unchanged; the deferred event keeps its exact place in
+   * the (time, seq) order, whether it is later posted with
+   * schedule_at_seq() or only tested with fired().
+   */
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /**
+   * Schedules `cb` at the reserved stamp (`t`, `seq`): it fires exactly
+   * where an event scheduled at `t` when `seq` was reserved would have.
+   * The stamp must come from reserve_seq() and must not have fired yet
+   * (asserted). Returns a cancel handle.
+   */
+  EventId schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb);
+
+  /**
+   * True when the stamp (`t`, `seq`) lies before the running event, i.e.
+   * an event posted at that stamp would already have run. Between events
+   * every stamp at or before now() counts as fired: run_until(t) runs all
+   * events at t, and run() drains the calendar.
+   */
+  bool fired(TimePs t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq < cur_seq_);
   }
 
   /**
@@ -238,8 +268,16 @@ class Simulator {
   /** Pops and runs the earliest event. Returns false if none runnable. */
   bool step();
 
+  /** Links a new event at (`t`, `seq`) into the calendar. Takes the
+   *  callback by reference: one move into the pool, none in between. */
+  EventId push_event(TimePs t, std::uint64_t seq, Callback&& cb);
+
+  /** No event is running: every stamp at or before now() has fired. */
+  static constexpr std::uint64_t kIdleSeq = ~std::uint64_t{0};
+
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cur_seq_ = kIdleSeq;  ///< Seq of the running event.
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::vector<Event> pool_;         ///< Slab of pooled event records.

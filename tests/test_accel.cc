@@ -226,6 +226,89 @@ TEST_F(AcceleratorTest, FullOutputQueueBlocksPe) {
   EXPECT_GT(acc->stats().pe_blocked_time, 0u);
 }
 
+/** Frees every output slot after a random dispatcher delay, either as a
+ *  calendar event of its own (the eager reference) or through
+ *  release_output_at. Logs each output's (time, slot): a slot popped in a
+ *  different free-list order or at a different time shows up. */
+class DelayedReleaseHandler : public OutputHandler {
+ public:
+  DelayedReleaseHandler(sim::Simulator& sim, bool lazy)
+      : sim_(sim), lazy_(lazy), rng_(0x5EED) {}
+  void handle_output(Accelerator& acc, SlotId slot) override {
+    log.emplace_back(sim_.now(), slot);
+    // A 1 ns grid, so releases tie with PE completions and each other.
+    const sim::TimePs when = sim_.now() + 1000 * rng_.next_below(40);
+    if (lazy_) {
+      acc.release_output_at(when, slot);
+    } else {
+      sim_.schedule_at(when, [&acc, slot] { acc.release_output(slot); });
+    }
+  }
+  std::vector<std::pair<sim::TimePs, SlotId>> log;
+
+ private:
+  sim::Simulator& sim_;
+  bool lazy_;
+  sim::Rng rng_;
+};
+
+/** Everything a lazy-vs-eager release run must agree on. */
+struct ReleaseRun {
+  std::vector<std::pair<sim::TimePs, SlotId>> log;
+  std::uint64_t releases = 0;
+  sim::TimePs blocked = 0;
+  sim::TimePs end = 0;
+};
+
+ReleaseRun run_delayed_releases(bool lazy) {
+  sim::Simulator sim;
+  mem::MemorySystem mem(sim, mem::MemParams{});
+  mem::Iommu iommu(sim, mem, mem::WalkParams{});
+  AccelParams p;
+  p.num_pes = 2;
+  p.input_queue_entries = 64;
+  p.output_queue_entries = 3;
+  p.speedup = 1.0;
+  Accelerator acc(sim, p, mem, iommu, noc::Location{0, {0, 0}});
+  DelayedReleaseHandler handler(sim, lazy);
+  acc.set_output_handler(&handler);
+  sim::Rng rng(0xACC);
+  for (int i = 0; i < 600; ++i) {
+    const sim::TimePs cost = 500 * (1 + rng.next_below(4));
+    sim.schedule_at(1000 * rng.next_below(4000), [&acc, cost] {
+      QueueEntry e;
+      e.cpu_cost = cost;
+      e.payload.size_bytes = 0;
+      e.tenant = 1;
+      e.pending_inputs = 1;
+      const SlotId s = acc.try_enqueue(std::move(e));
+      if (s != kInvalidSlot) acc.deliver_data(s);
+    });
+  }
+  // A deferred release does not move the clock by itself: the caller's
+  // own later event does (the engine always has one, DESIGN.md §10). This
+  // one stands in for it, past all the work.
+  sim.schedule_at(sim::microseconds(10), [] {});
+  sim.run();
+  return ReleaseRun{handler.log, acc.output_stats().releases,
+                    acc.stats().pe_blocked_time, sim.now()};
+}
+
+TEST(LazyOutputRelease, MatchesEagerReleaseEvents) {
+  // Three output slots, two PEs and release delays on a 1 ns grid: PEs
+  // block often, releases are posted and reclaimed in every interleaving,
+  // and the free list (a LIFO stack) must hand out the same slots at the
+  // same times as with one calendar event per release.
+  const ReleaseRun eager = run_delayed_releases(/*lazy=*/false);
+  const ReleaseRun lazy = run_delayed_releases(/*lazy=*/true);
+  ASSERT_GT(eager.blocked, 0u);
+  EXPECT_EQ(eager.log.size(), 600u);
+  EXPECT_EQ(lazy.log, eager.log);
+  EXPECT_EQ(lazy.releases, eager.releases);
+  EXPECT_EQ(lazy.blocked, eager.blocked);
+  EXPECT_EQ(lazy.end, eager.end);
+}
+
 TEST_F(AcceleratorTest, TenantWipeBetweenTenants) {
   auto acc = make(small_params(/*pes=*/1));
   CountingHandler handler;

@@ -4,8 +4,8 @@
  * 4-ary heap inside sim::Simulator must be bit-identical to RefCalendar, a
  * deliberately naive reference that keeps pending events in a std::map
  * keyed by (time, seq) — same firing order, same query answers, same
- * counters — on fuzzer-generated schedules, cancel-heavy churn,
- * far-future events and idle-gap horizons.
+ * counters — on fuzzer-generated schedules (reserved stamps included),
+ * cancel-heavy churn, far-future events and idle-gap horizons.
  * A checkpoint taken mid-wave must replay the identical tail.
  */
 
@@ -62,6 +62,20 @@ class RefCalendar {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  EventId schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb) {
+    const EventId id = next_id_++;
+    pending_.emplace(Key{t, seq}, Entry{id, std::move(cb)});
+    keys_.emplace(id, Key{t, seq});
+    ++stats_.scheduled;
+    stats_.pending_high_water =
+        std::max(stats_.pending_high_water, pending_.size());
+    return id;
+  }
+  bool fired(TimePs t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && (!running_ || seq < cur_seq_));
+  }
+
   bool cancel(EventId id) {
     const auto it = keys_.find(id);
     if (it == keys_.end()) return false;
@@ -103,15 +117,20 @@ class RefCalendar {
   void step() {
     const auto it = pending_.begin();
     now_ = it->first.first;
+    cur_seq_ = it->first.second;
+    running_ = true;
     Callback cb = std::move(it->second.cb);
     keys_.erase(it->second.id);
     pending_.erase(it);
     ++executed_;
     cb();
+    running_ = false;
   }
 
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cur_seq_ = 0;  ///< Seq of the running event...
+  bool running_ = false;       ///< ...while one runs.
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::map<Key, Entry> pending_;
@@ -121,29 +140,60 @@ class RefCalendar {
 
 /** A self-driving randomized schedule: events fire, log, respawn, and
  *  cancel random armed handles (often stale — exercising the generation
- *  checks). Both calendars consume the identical op stream: the rng draws
- *  happen inside callbacks, so they stay aligned exactly as long as the
- *  firing order does. */
+ *  checks). They also reserve stamps and later post them (or find them
+ *  already fired), the deferred-event pattern of DESIGN.md §10; a coarse
+ *  time grid makes those stamps tie with ordinary events. Both calendars
+ *  consume the identical op stream: the rng draws happen inside
+ *  callbacks, so they stay aligned exactly as long as the firing order
+ *  does. */
 template <typename Cal>
 struct FuzzCtx {
+  /** A reserved stamp not yet posted. */
+  struct Reserved {
+    TimePs at;
+    std::uint64_t seq;
+    std::uint64_t tag;
+  };
+
   Cal sim;
   Rng rng;
   std::vector<EventId> armed;
+  std::vector<Reserved> reserved;
   Log log;
   std::uint64_t budget;
 
   FuzzCtx(std::uint64_t seed, std::uint64_t spawns)
       : rng(seed), budget(spawns) {}
 
+  /** A delay on the 1 ns grid: lands on the same picosecond often. */
+  TimePs grid_delay() { return 1000 * rng.next_below(8); }
+
   void spawn(std::uint64_t tag) {
-    // Mostly near-future, a slice microseconds out.
-    const TimePs delay = rng.next_below(4) == 0
-                             ? microseconds(1) + rng.next_below(1 << 22)
-                             : 10 + rng.next_below(20000);
+    // Mostly near-future, a slice microseconds out, some on the grid.
+    const std::uint64_t kind = rng.next_below(8);
+    const TimePs delay = kind < 2   ? microseconds(1) + rng.next_below(1 << 22)
+                         : kind < 4 ? grid_delay()
+                                    : 10 + rng.next_below(20000);
     armed.push_back(sim.schedule_after(delay, [this, tag] {
       log.emplace_back(sim.now(), tag);
       if ((tag & 7) == 0) {
         log.emplace_back(sim.next_event_time(), sim.pending_events());
+      }
+      if (rng.next_below(4) == 0) {
+        reserved.push_back(
+            Reserved{sim.now() + grid_delay(), sim.reserve_seq(), tag + 1});
+      }
+      if (rng.next_below(3) == 0 && !reserved.empty()) {
+        const std::size_t idx = rng.next_below(reserved.size());
+        const Reserved r = reserved[idx];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(idx));
+        const bool done = sim.fired(r.at, r.seq);
+        log.emplace_back(r.seq, done);
+        if (!done) {
+          sim.schedule_at_seq(r.at, r.seq, [this, r] {
+            log.emplace_back(sim.now(), r.tag);
+          });
+        }
       }
       if (budget > 0) {
         --budget;
@@ -181,6 +231,39 @@ TEST(SchedDifferential, FuzzedSchedulesBitIdentical) {
     ref.run(/*initial=*/8);
     ASSERT_EQ(heap.log, ref.log) << "seed " << seed;
   }
+}
+
+/** A stamp reserved early and posted late, against same-time events
+ *  scheduled in between, plus a post at the running event's own time. */
+template <typename Cal>
+Log reserved_ties() {
+  Cal sim;
+  Log log;
+  const auto fire = [&log, &sim](std::uint64_t tag) {
+    return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
+  };
+  const std::uint64_t early = sim.reserve_seq();
+  for (std::uint64_t i = 0; i < 3; ++i) sim.schedule_at(1000, fire(10 + i));
+  std::uint64_t same_time = 0;
+  sim.schedule_at(500, [&] {
+    sim.schedule_at(1000, fire(20));
+    sim.schedule_at_seq(1000, early, fire(1));
+    same_time = sim.reserve_seq();
+    sim.schedule_at(500, fire(31));
+    log.emplace_back(sim.fired(500, same_time), sim.fired(1000, early));
+    sim.schedule_at_seq(500, same_time, fire(30));
+  });
+  sim.run();
+  log.emplace_back(sim.now(), sim.executed_events());
+  return log;
+}
+
+TEST(SchedDifferential, ReservedStampPostedLateFiresBeforeLaterTies) {
+  const Log heap_log = reserved_ties<Simulator>();
+  EXPECT_EQ(heap_log, reserved_ties<RefCalendar>());
+  const Log want = {{0, 0},    {500, 30}, {500, 31}, {1000, 1}, {1000, 10},
+                    {1000, 11}, {1000, 12}, {1000, 20}, {1000, 8}};
+  EXPECT_EQ(heap_log, want);
 }
 
 /** The response-timeout pattern: rounds arm 8 timeouts and cancel 7

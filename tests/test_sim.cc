@@ -15,6 +15,7 @@
 #include "sim/random.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
+#include "sim/snapshot.h"
 #include "sim/time.h"
 
 namespace accelflow::sim {
@@ -311,6 +312,82 @@ TEST(TicketPool, ParkTakeRoundTrip) {
   // Freed slots are recycled.
   const auto c = pool.park("again");
   EXPECT_EQ(pool.take(c), "again");
+}
+
+TEST(Simulator, FiredInsideAnEventSplitsSameTimeStampsAtTheRunningOne) {
+  Simulator sim;
+  const std::uint64_t early = sim.reserve_seq();
+  std::uint64_t late = 0;
+  int checks = 0;
+  sim.schedule_at(100, [&] {
+    // Same-time stamps reserved before the running event have fired;
+    // later ones (and the running event's own stamp) have not.
+    EXPECT_TRUE(sim.fired(100, early));
+    EXPECT_FALSE(sim.fired(100, late));
+    EXPECT_TRUE(sim.fired(99, late));
+    EXPECT_FALSE(sim.fired(101, early));
+    ++checks;
+  });
+  late = sim.reserve_seq();
+  sim.run();
+  EXPECT_EQ(checks, 1);
+}
+
+TEST(Simulator, FiredBetweenEventsCoversEveryStampUpToNow) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  const std::uint64_t at_100 = sim.reserve_seq();
+  sim.schedule_at(300, [] {});
+  EXPECT_FALSE(sim.fired(100, at_100));
+  sim.run_until(100);
+  // run_until(t) ran every event at t, so any stamp at t counts as fired.
+  EXPECT_TRUE(sim.fired(100, at_100));
+  EXPECT_TRUE(sim.fired(100, ~std::uint64_t{0} - 1));
+  EXPECT_FALSE(sim.fired(101, 0));
+  sim.run_until(200);  // Idle gap: now advances to the horizon.
+  EXPECT_TRUE(sim.fired(200, sim.reserve_seq()));
+  EXPECT_FALSE(sim.fired(300, 0));
+  sim.run();
+  EXPECT_TRUE(sim.fired(300, sim.reserve_seq()));
+}
+
+TEST(Simulator, FiredAfterRestoreTreatsNowAsIdle) {
+  Simulator sim;
+  sim.run_until(500);
+  Snapshot snap;
+  sim.checkpoint(snap);
+  int checks = 0;
+  std::uint64_t late = 0;
+  sim.schedule_at(500, [&] {
+    EXPECT_FALSE(sim.fired(500, late));
+    sim.restore(snap);
+    // Restored between events: no event is running any more.
+    EXPECT_TRUE(sim.fired(500, late));
+    EXPECT_FALSE(sim.fired(501, 0));
+    ++checks;
+  });
+  late = sim.reserve_seq();
+  sim.run();
+  EXPECT_EQ(checks, 1);
+  EXPECT_EQ(sim.now(), 500u);
+}
+
+TEST(Simulator, ReservedStampFiresWhereItsEagerEventWould) {
+  // An event posted later at a stamp reserved earlier keeps its place:
+  // ahead of every same-time event scheduled after the reservation.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t reserved = sim.reserve_seq();
+  sim.schedule_at(1000, [&] { order.push_back(2); });
+  sim.schedule_at(500, [&] {
+    sim.schedule_at(1000, [&] { order.push_back(3); });
+    sim.schedule_at_seq(1000, reserved, [&] { order.push_back(1); });
+  });
+  const std::uint64_t scheduled_before = sim.kernel_stats().scheduled;
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.kernel_stats().scheduled, scheduled_before + 2);
+  EXPECT_EQ(sim.now(), 1000u);
 }
 
 TEST(Simulator, CountsExecutedEvents) {
