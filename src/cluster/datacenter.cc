@@ -4,16 +4,17 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <exception>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "core/trace_templates.h"
-#include "critpath/critpath.h"
+#include "workload/deployment.h"
 #include "workload/parallel_runner.h"
 
 namespace accelflow::cluster {
@@ -46,23 +47,13 @@ struct Datacenter::Message {
   obs::FlowId flow = 0;       ///< Caller chain (hop-span attribution).
 };
 
-/** One machine shard plus its full run_experiment()-shaped harness. */
+/** One machine shard: its deployment plus the cluster-side RPC state. */
 struct Datacenter::Shard {
-  std::unique_ptr<core::Machine> machine;
-  core::TraceLibrary lib;
-  std::unique_ptr<check::InvariantChecker> env_checker;
-  check::InvariantChecker* checker = nullptr;
-  std::vector<std::unique_ptr<workload::Service>> services;
-  std::unique_ptr<core::Orchestrator> orch;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<workload::RequestEngine> engine;
-  std::vector<std::unique_ptr<workload::LoadGenerator>> gens;
-  std::vector<double> gen_rates;
-  /** Per-shard QoS boundary: each shard guards its own arrivals and caps
-   *  its own package power (DESIGN.md §19). Null when the run carries no
-   *  policy / power budget. */
-  std::unique_ptr<qos::AdmissionController> admission;
-  std::unique_ptr<qos::PowerGovernor> governor;
+  Shard(const workload::ExperimentConfig& config, sim::TimePs issue_until,
+        sim::TimePs govern_until, std::optional<std::uint64_t> engine_seed)
+      : dep(config, issue_until, govern_until, engine_seed) {}
+
+  workload::Deployment dep;
 
   /** Local vs remote decision stream for nested RPCs (shard-private, so
    *  draws happen race-free on the shard's own worker thread). */
@@ -74,30 +65,15 @@ struct Datacenter::Shard {
       pending;
   std::uint64_t next_rpc = 0;     ///< Outbound RPC id cursor.
   std::uint64_t remote_sent = 0;  ///< Nested calls that went remote (ever).
+  /** The RPC half of the fork checkpoint; `dep` holds the rest. */
+  std::array<std::uint64_t, 4> fork_remote_rng{};
+  std::uint64_t fork_next_rpc = 0;
 
   // Measurement baselines captured by reset_stats() so harvest() reports
   // the measured window only (generators have no reset of their own).
   std::uint64_t admitted_base = 0;
   std::uint64_t generated_base = 0;
   std::uint64_t remote_base = 0;
-};
-
-/** The whole-cluster fork checkpoint (ClusterSession). */
-struct Datacenter::ForkState {
-  struct PerShard {
-    core::Machine::Checkpoint machine;
-    std::unique_ptr<core::OrchCheckpoint> orch;
-    workload::RequestEngine::Checkpoint engine;
-    std::vector<workload::LoadGenerator::Checkpoint> gens;
-    check::InvariantChecker::Checkpoint checker;
-    fault::FaultInjector::Checkpoint injector;
-    qos::AdmissionController::Checkpoint admission;
-    qos::PowerGovernor::Checkpoint governor;
-    std::array<std::uint64_t, 4> remote_rng{};
-    std::uint64_t next_rpc = 0;
-  };
-  std::vector<PerShard> shards;
-  RackNetwork::Checkpoint rack;
 };
 
 /**
@@ -194,128 +170,77 @@ class Datacenter::ShardPool {
   std::vector<std::thread> workers_;
 };
 
+namespace {
+/** `config`, once its shard count and remote fraction are usable. */
+const ClusterConfig& checked(const ClusterConfig& config) {
+  if (config.shards == 0) {
+    throw std::invalid_argument("ClusterConfig::shards must be >= 1");
+  }
+  const double f = config.remote_rpc_fraction;
+  if (!(std::isfinite(f) && f >= 0.0 && f <= 1.0)) {
+    throw std::invalid_argument(
+        "ClusterConfig::remote_rpc_fraction must be finite and in [0, 1], "
+        "got " + std::to_string(f));
+  }
+  return config;
+}
+}  // namespace
+
 Datacenter::Datacenter(const ClusterConfig& config, bool fork_mode)
-    : config_(config), fork_mode_(fork_mode) {
-  assert(config_.shards > 0);
+    : config_(checked(config)), fork_mode_(fork_mode) {
   const workload::ExperimentConfig& e = config_.experiment;
 
   balancer_ = std::make_unique<Balancer>(config_.policy, config_.shards,
                                          mix(e.seed, 0xB417CE));
   rack_ = std::make_unique<RackNetwork>(config_.rack, config_.shards);
 
-  // Fork mode cuts the replicated streams at warmup so prepare() can
-  // drain to quiescence; run_point() revives them per point.
+  // Fork mode cuts the replicated streams and the governor at warmup so
+  // prepare() can drain to quiescence; run_point() revives them per point.
   const sim::TimePs issue_until =
       fork_mode_ ? e.warmup : e.warmup + e.measure;
-
-  // QoS (DESIGN.md §19): one policy cluster-wide, one admission boundary
-  // and power governor per shard — exactly run_experiment()'s attachments
-  // replicated, so the 1-shard conformance identity holds under QoS too.
-  const qos::QosPolicy qos_policy = workload::resolve_qos_policy(e);
-  core::EngineConfig engine_config = e.engine;
-  if (qos_policy.enabled()) engine_config.qos = qos_policy;
+  const sim::TimePs govern_until =
+      fork_mode_ ? e.warmup : e.warmup + e.measure + e.drain;
 
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>();
-    // Shard 0 replicates run_experiment()'s construction *exactly* —
-    // unperturbed machine/engine/fault seeds — which is what makes the
-    // 1-shard Datacenter byte-identical to the bare harness (the
-    // conformance oracle). Shards beyond 0 derive decorrelated seeds.
-    core::MachineConfig mc = workload::with_qos(e.machine, qos_policy);
-    if (i > 0) mc.seed = mix(mc.seed, 0x5AD0 + i);
-    sh->machine = std::make_unique<core::Machine>(mc);
-    if (i == 0 && e.tracer != nullptr) sh->machine->set_tracer(e.tracer);
-    core::register_templates(sh->lib);
-    workload::register_relief_traces(sh->lib);
-
-    // The config's checker is single-simulation state: shard 0 only.
-    // Under AF_CHECK every shard audits itself with an internal one.
-    sh->checker = (i == 0) ? e.checker : nullptr;
-    if (sh->checker == nullptr && workload::af_check_enabled()) {
-      sh->env_checker = std::make_unique<check::InvariantChecker>();
-      sh->checker = sh->env_checker.get();
+    // Shard 0 is exactly run_experiment()'s deployment — unperturbed
+    // seeds, the config's observers — which is what makes the 1-shard
+    // Datacenter byte-identical to the bare harness (the conformance
+    // oracle). Shards beyond 0 derive decorrelated machine, engine and
+    // fault seeds; the tracer, checker and metrics are single-simulation
+    // observers, so they attach to shard 0 only (under AF_CHECK every
+    // shard audits itself with an internal checker). Generator seeds are
+    // *identical* on every shard: all shards agree on the replicated
+    // arrival calendar and the router alone decides ownership (see
+    // workload::ArrivalRouter).
+    workload::ExperimentConfig shard_config = e;
+    std::optional<std::uint64_t> engine_seed;
+    if (i > 0) {
+      shard_config.tracer = nullptr;
+      shard_config.checker = nullptr;
+      shard_config.metrics = nullptr;
+      shard_config.machine.seed = mix(e.machine.seed, 0x5AD0 + i);
+      shard_config.faults = workload::resolve_fault_plan(e);
+      shard_config.faults.seed = mix(shard_config.faults.seed, 0xFA010 + i);
+      engine_seed = mix(e.seed, 0xE191E + i);
     }
-    if (sh->checker != nullptr) sh->checker->attach(*sh->machine, sh->lib);
-
-    sh->services = workload::build_services(e.specs, sh->lib);
-    std::vector<workload::Service*> service_ptrs;
-    for (auto& s : sh->services) service_ptrs.push_back(s.get());
-
-    sh->orch = core::make_orchestrator(e.kind, *sh->machine, sh->lib,
-                                       engine_config);
-
-    // Fault injection: config plan or AF_FAULTS, engine-family only —
-    // exactly run_experiment()'s policy. Shard faults are independent
-    // streams (shard 0 keeps the plan's seed for conformance).
-    fault::FaultPlan plan = e.faults;
-    if (!plan.enabled()) {
-      const double rate = workload::af_fault_rate();
-      if (rate > 0) plan = fault::FaultPlan::uniform(rate);
-    }
-    if (plan.enabled() && sh->orch->engine() != nullptr) {
-      if (i > 0) plan.seed = mix(plan.seed, 0xFA010 + i);
-      sh->injector =
-          std::make_unique<fault::FaultInjector>(sh->machine->sim(), plan);
-      sh->machine->set_fault_hooks(sh->injector.get());
-    }
-
-    const std::uint64_t engine_seed =
-        i == 0 ? e.seed : mix(e.seed, 0xE191E + i);
-    sh->engine = std::make_unique<workload::RequestEngine>(
-        *sh->machine, *sh->orch, service_ptrs, engine_seed);
-    if (!e.step_deadline_budgets.empty()) {
-      sh->engine->set_step_deadline_budgets(e.step_deadline_budgets);
-    } else {
-      sh->engine->set_step_deadline_budget(e.step_deadline_budget);
-    }
-
-    // Replicated arrival streams: *identical* generator seeds on every
-    // shard, so all shards agree on the arrival calendar and the router
-    // alone decides ownership (see workload::ArrivalRouter).
-    for (std::size_t s = 0; s < sh->services.size(); ++s) {
-      const double rps = e.per_service_rps.empty()
-                             ? e.rps_per_service
-                             : e.per_service_rps[s];
-      if (rps <= 0) continue;
-      sh->gens.push_back(std::make_unique<workload::LoadGenerator>(
-          sh->machine->sim(), *sh->engine, s, e.load_model, rps, issue_until,
-          e.seed ^ (0x10AD + 1315423911ull * (s + 1))));
-      sh->gen_rates.push_back(rps);
-    }
-
-    if (qos_policy.enabled()) {
-      sh->admission = std::make_unique<qos::AdmissionController>(
-          sh->machine->sim(), qos_policy);
-      sh->engine->set_admission(sh->admission.get());
-      for (auto& g : sh->gens) g->set_admission(sh->admission.get());
-    }
-    if (e.power.budget_w > 0.0) {
-      sh->governor =
-          std::make_unique<qos::PowerGovernor>(*sh->machine, e.power);
-      // Fork mode stops governing at the warmup horizon so the calendar
-      // drains to quiescence; run_point() re-arms it per point.
-      sh->governor->start(fork_mode_ ? e.warmup
-                                     : e.warmup + e.measure + e.drain);
-    }
+    auto sh = std::make_unique<Shard>(shard_config, issue_until,
+                                      govern_until, engine_seed);
 
     if (config_.shards > 1) {
-      for (auto& g : sh->gens) g->set_router(balancer_.get(), i);
+      for (auto& g : sh->dep.generators()) g->set_router(balancer_.get(), i);
       // Re-route a slice of nested RPCs across the rack: replace the
       // RequestEngine's machine-local injector with one that draws a
       // local/remote decision per call. Same callee universe.
       if (config_.remote_rpc_fraction > 0.0) {
-        for (auto& svc : sh->services) {
+        for (auto& svc : sh->dep.services()) {
           if (svc->callee_indices().empty()) continue;
           const double rtt = svc->spec().rpc_wire_rtt_us;
           std::vector<std::size_t> callees = svc->callee_indices();
-          const std::size_t shard_idx = i;
           svc->set_nested_injector(
-              [this, shard_idx, rtt](
-                  core::ChainContext& ctx, std::size_t callee,
-                  std::function<void(std::uint64_t)> deliver) {
-                route_nested(shard_idx, rtt, ctx, callee,
-                             std::move(deliver));
+              [this, i, rtt](core::ChainContext& ctx, std::size_t callee,
+                             std::function<void(std::uint64_t)> deliver) {
+                route_nested(i, rtt, ctx, callee, std::move(deliver));
               },
               std::move(callees));
         }
@@ -337,28 +262,26 @@ Datacenter::Datacenter(const ClusterConfig& config, bool fork_mode)
   }
 }
 
-Datacenter::~Datacenter() {
-  for (auto& sh : shards_) {
-    if (sh->checker != nullptr) sh->checker->detach();
-  }
-}
+Datacenter::~Datacenter() = default;
 
 std::size_t Datacenter::shards() const { return shards_.size(); }
 
 core::Machine& Datacenter::machine(std::size_t shard) {
-  return *shards_[shard]->machine;
+  return shards_[shard]->dep.machine();
 }
 
 workload::RequestEngine& Datacenter::engine(std::size_t shard) {
-  return *shards_[shard]->engine;
+  return shards_[shard]->dep.engine();
 }
 
-bool Datacenter::prepared() const { return fork_ != nullptr; }
+bool Datacenter::prepared() const {
+  return shards_[0]->dep.has_checkpoint();
+}
 
 void Datacenter::run_window(sim::TimePs horizon) {
   const std::function<void(std::size_t)> advance = [this,
                                                     horizon](std::size_t i) {
-    shards_[i]->machine->sim().run_until(horizon);
+    shards_[i]->dep.machine().sim().run_until(horizon);
   };
   if (pool_ != nullptr) {
     pool_->run(advance);
@@ -380,7 +303,7 @@ void Datacenter::barrier_sync() {
   // route() reads — updated here, between windows, never during one.
   std::vector<std::uint64_t> load(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    load[i] = shards_[i]->engine->in_flight();
+    load[i] = shards_[i]->dep.engine().in_flight();
   }
   balancer_->update_load(std::move(load));
 }
@@ -393,14 +316,14 @@ void Datacenter::deliver_message(const Message& m) {
   // with a tracer attached record anything. tid = the far shard, so each
   // peer gets its own track under the net process.
   Shard& flow_owner = *shards_[m.kind == Message::kRequest ? m.src : m.dst];
-  if (obs::Tracer* tr = flow_owner.machine->tracer()) {
+  if (obs::Tracer* tr = flow_owner.dep.machine().tracer()) {
     const std::uint32_t far =
         m.kind == Message::kRequest ? m.dst : m.src;
     tr->complete(obs::Subsys::kNet, obs::SpanKind::kNetHop, far, m.sent,
                  arrival, m.bytes, m.flow);
   }
   Shard& dst = *shards_[m.dst];
-  assert(arrival >= dst.machine->sim().now() &&
+  assert(arrival >= dst.dep.machine().sim().now() &&
          "lookahead violation: message arrives inside a computed window");
   if (m.kind == Message::kRequest) {
     const std::size_t dst_idx = m.dst;
@@ -408,11 +331,11 @@ void Datacenter::deliver_message(const Message& m) {
     const std::uint64_t rpc_id = m.rpc_id;
     const std::size_t callee = m.callee;
     const obs::FlowId flow = m.flow;
-    dst.machine->sim().schedule_at(
+    dst.dep.machine().sim().schedule_at(
         arrival, [this, dst_idx, src_idx, rpc_id, callee, flow] {
           // Serve the sub-request locally on the destination shard; its
           // completion posts the reply hop back through the outbox.
-          shards_[dst_idx]->engine->inject_internal(
+          shards_[dst_idx]->dep.engine().inject_internal(
               callee, 0.0,
               [this, dst_idx, src_idx, rpc_id,
                flow](std::uint64_t resp_bytes) {
@@ -421,7 +344,7 @@ void Datacenter::deliver_message(const Message& m) {
                 reply.kind = Message::kReply;
                 reply.src = static_cast<std::uint32_t>(dst_idx);
                 reply.dst = src_idx;
-                reply.sent = d.machine->sim().now();
+                reply.sent = d.dep.machine().sim().now();
                 reply.bytes = resp_bytes;
                 reply.rpc_id = rpc_id;
                 reply.flow = flow;
@@ -432,7 +355,7 @@ void Datacenter::deliver_message(const Message& m) {
     const std::size_t dst_idx = m.dst;
     const std::uint64_t rpc_id = m.rpc_id;
     const std::uint64_t resp_bytes = m.bytes;
-    dst.machine->sim().schedule_at(
+    dst.dep.machine().sim().schedule_at(
         arrival, [this, dst_idx, rpc_id, resp_bytes] {
           Shard& d = *shards_[dst_idx];
           auto it = d.pending.find(rpc_id);
@@ -452,7 +375,7 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
                       sh.remote_rng.bernoulli(config_.remote_rpc_fraction);
   if (!remote) {
     // The machine-local path the RequestEngine would have taken.
-    sh.engine->inject_internal(callee, rtt_us, std::move(deliver));
+    sh.dep.engine().inject_internal(callee, rtt_us, std::move(deliver));
     return;
   }
   // Uniform choice among the other shards; both draws come from the
@@ -467,7 +390,7 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
   m.kind = Message::kRequest;
   m.src = static_cast<std::uint32_t>(src);
   m.dst = static_cast<std::uint32_t>(dst);
-  m.sent = sh.machine->sim().now();
+  m.sent = sh.dep.machine().sim().now();
   m.bytes = rack_->params().request_bytes;
   m.rpc_id = rpc_id;
   m.callee = callee;
@@ -479,7 +402,7 @@ void Datacenter::advance_to(sim::TimePs target) {
   if (shards_.size() == 1) {
     // One shard has nobody to talk to: no windows, no barriers — the
     // exact run_until() call run_experiment() makes (conformance).
-    shards_[0]->machine->sim().run_until(target);
+    shards_[0]->dep.machine().sim().run_until(target);
     now_ = target;
     return;
   }
@@ -497,7 +420,7 @@ void Datacenter::advance_to(sim::TimePs target) {
     sim::TimePs next = sim::Simulator::kNoEvent;
     for (const auto& sh : shards_) {
       wire = wire || !sh->outbox.empty();
-      next = std::min(next, sh->machine->sim().next_event_time());
+      next = std::min(next, sh->dep.machine().sim().next_event_time());
     }
     if (!wire && next > horizon) {
       now_ = std::min(target, next);
@@ -513,13 +436,19 @@ void Datacenter::advance_to(sim::TimePs target) {
 
 bool Datacenter::quiescent() const {
   for (const auto& sh : shards_) {
-    if (sh->machine->sim().pending_events() != 0) return false;
+    if (sh->dep.machine().sim().pending_events() != 0) return false;
     if (!sh->outbox.empty() || !sh->pending.empty()) return false;
   }
   return true;
 }
 
 void Datacenter::drain_quiescent() {
+  if (shards_.size() == 1) {
+    // Drain exactly as SweepSession does: run to an empty calendar.
+    shards_[0]->dep.machine().sim().run();
+    now_ = shards_[0]->dep.machine().sim().now();
+    return;
+  }
   const sim::TimePs lookahead = rack_->lookahead();
   std::uint64_t guard = 0;
   while (!quiescent()) {
@@ -532,7 +461,7 @@ void Datacenter::drain_quiescent() {
     sim::TimePs next = sim::Simulator::kNoEvent;
     for (const auto& sh : shards_) {
       wire = wire || !sh->outbox.empty();
-      next = std::min(next, sh->machine->sim().next_event_time());
+      next = std::min(next, sh->dep.machine().sim().next_event_time());
     }
     if (!wire && next != sim::Simulator::kNoEvent && next > now_) {
       now_ = next;
@@ -545,13 +474,10 @@ void Datacenter::drain_quiescent() {
 
 void Datacenter::reset_stats() {
   for (auto& sh : shards_) {
-    sh->engine->reset_stats();
-    if (sh->injector != nullptr) sh->injector->reset_stats();
-    if (sh->admission != nullptr) sh->admission->reset_stats();
-    if (sh->governor != nullptr) sh->governor->reset_stats();
+    sh->dep.reset_stats();
     std::uint64_t admitted = 0;
     std::uint64_t generated = 0;
-    for (const auto& g : sh->gens) {
+    for (const auto& g : sh->dep.generators()) {
       admitted += g->admitted();
       generated += g->generated();
     }
@@ -577,91 +503,41 @@ ClusterResult Datacenter::run() {
     // every calendar, outbox and pending-RPC map is empty, so "zero lost
     // chains" is decidable — a fixed horizon can strand a fault-retried
     // chain (or its reply) in the final lookahead window.
-    if (shards_.size() == 1) {
-      shards_[0]->machine->sim().run();
-      now_ = shards_[0]->machine->sim().now();
-    } else {
-      drain_quiescent();
-    }
+    drain_quiescent();
   }
   ClusterResult out = harvest();
-  final_audits();
-  // Under AF_CHECK=1 a traced run also audits critical-path conservation,
-  // now including the network category's hop spans (critpath.h).
-  if (e.tracer != nullptr && workload::af_check_enabled()) {
-    critpath::Analyzer audit;
-    audit.analyze(*e.tracer);
-    if (!audit.violations().empty()) {
-      std::fprintf(stderr,
-                   "AF_CHECK: critical-path conservation violated "
-                   "(%zu chains)\n",
-                   audit.violations().size());
-      for (const std::string& v : audit.violations()) {
-        std::fprintf(stderr, "  %s\n", v.c_str());
-      }
-      std::abort();
-    }
-  }
+  // The critical-path audit covers the network category's hop spans too.
+  workload::audit_critical_path(e.tracer);
   return out;
 }
 
 void Datacenter::prepare() {
   assert(fork_mode_ && "prepare() requires fork mode");
-  assert(fork_ == nullptr && "prepare() already called");
-  const workload::ExperimentConfig& e = config_.experiment;
-  advance_to(e.warmup);
-  if (shards_.size() == 1) {
-    // Drain exactly as SweepSession does: run to an empty calendar.
-    shards_[0]->machine->sim().run();
-    now_ = shards_[0]->machine->sim().now();
-  } else {
-    // Drain to *global* quiescence: keep opening windows until every
-    // calendar, outbox and pending-RPC map is empty. Window boundaries
-    // depend only on simulated state, so the fork time is deterministic.
-    drain_quiescent();
-  }
+  assert(!prepared() && "prepare() already called");
+  advance_to(config_.experiment.warmup);
+  // Drain to *global* quiescence: keep opening windows until every
+  // calendar, outbox and pending-RPC map is empty. Window boundaries
+  // depend only on simulated state, so the fork time is deterministic.
+  drain_quiescent();
   t_fork_ = now_;
 
-  fork_ = std::make_unique<ForkState>();
-  fork_->rack = rack_->checkpoint();
-  fork_->shards.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    ForkState::PerShard& f = fork_->shards[i];
-    sh.machine->checkpoint(f.machine);
-    f.orch = sh.orch->save_checkpoint();
-    f.engine = sh.engine->checkpoint();
-    f.gens.reserve(sh.gens.size());
-    for (const auto& g : sh.gens) f.gens.push_back(g->checkpoint());
-    if (sh.checker != nullptr) f.checker = sh.checker->checkpoint();
-    if (sh.injector != nullptr) f.injector = sh.injector->checkpoint();
-    if (sh.admission != nullptr) f.admission = sh.admission->checkpoint();
-    if (sh.governor != nullptr) f.governor = sh.governor->checkpoint();
-    f.remote_rng = sh.remote_rng.state();
-    f.next_rpc = sh.next_rpc;
+  fork_rack_ = rack_->checkpoint();
+  for (auto& sh : shards_) {
+    sh->dep.checkpoint();
+    sh->fork_remote_rng = sh->remote_rng.state();
+    sh->fork_next_rpc = sh->next_rpc;
   }
 }
 
 ClusterResult Datacenter::run_point(double rate_factor) {
-  assert(fork_ != nullptr && "call prepare() before run_point()");
-  rack_->restore(fork_->rack);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    const ForkState::PerShard& f = fork_->shards[i];
-    sh.machine->restore(f.machine);
-    sh.orch->restore_checkpoint(*f.orch);
-    sh.engine->restore(f.engine);
-    for (std::size_t g = 0; g < sh.gens.size(); ++g) {
-      sh.gens[g]->restore(f.gens[g]);
-    }
-    if (sh.checker != nullptr) sh.checker->restore(f.checker);
-    if (sh.injector != nullptr) sh.injector->restore(f.injector);
-    if (sh.admission != nullptr) sh.admission->restore(f.admission);
-    if (sh.governor != nullptr) sh.governor->restore(f.governor);
-    sh.remote_rng.set_state(f.remote_rng);
-    sh.next_rpc = f.next_rpc;
-    sh.outbox.clear();
-    sh.pending.clear();
+  assert(prepared() && "call prepare() before run_point()");
+  rack_->restore(fork_rack_);
+  for (auto& sh : shards_) {
+    sh->dep.restore();
+    sh->remote_rng.set_state(sh->fork_remote_rng);
+    sh->next_rpc = sh->fork_next_rpc;
+    sh->outbox.clear();
+    sh->pending.clear();
   }
   now_ = t_fork_;
 
@@ -669,16 +545,10 @@ ClusterResult Datacenter::run_point(double rate_factor) {
   const workload::ExperimentConfig& e = config_.experiment;
   const sim::TimePs issue_until = t_fork_ + e.measure;
   for (auto& sh : shards_) {
-    for (std::size_t g = 0; g < sh->gens.size(); ++g) {
-      sh->gens[g]->resume(sh->gen_rates[g] * rate_factor, issue_until);
-    }
-    if (sh->governor != nullptr) {
-      sh->governor->resume(issue_until + e.drain);
-    }
+    sh->dep.resume(rate_factor, issue_until, issue_until + e.drain);
   }
   advance_to(issue_until + e.drain);
   ClusterResult out = harvest();
-  final_audits();
   return out;
 }
 
@@ -689,31 +559,10 @@ ClusterResult Datacenter::harvest() {
   std::uint64_t decisions = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
-    out.shards.push_back(workload::harvest_result(
-        *sh.machine, *sh.orch, *sh.engine,
-        i == 0 ? config_.experiment.metrics : nullptr));
-    if (sh.injector != nullptr) {
-      out.shards.back().faults = sh.injector->stats();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.injector->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
-    if (sh.admission != nullptr) {
-      out.shards.back().qos_tenants = sh.admission->tenant_stats();
-      out.shards.back().qos_shed_total = sh.admission->total_shed();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.admission->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
-    if (sh.governor != nullptr) {
-      out.shards.back().power = sh.governor->stats();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.governor->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
+    out.shards.push_back(sh.dep.harvest());
     std::uint64_t admitted = 0;
     std::uint64_t generated = 0;
-    for (const auto& g : sh.gens) {
+    for (const auto& g : sh.dep.generators()) {
       admitted += g->admitted();
       generated += g->generated();
     }
@@ -729,20 +578,8 @@ ClusterResult Datacenter::harvest() {
     out.balancer_busy =
         static_cast<sim::TimePs>(decisions) * Balancer::decision_cost_ps();
   }
-  out.elapsed = shards_[0]->machine->sim().now();
+  out.elapsed = shards_[0]->dep.machine().sim().now();
   return out;
-}
-
-void Datacenter::final_audits() {
-  for (auto& sh : shards_) {
-    if (sh->checker == nullptr) continue;
-    sh->checker->final_audit();
-    if (sh->env_checker != nullptr && !sh->checker->ok()) {
-      std::fprintf(stderr, "AF_CHECK: invariant violations detected\n%s",
-                   sh->checker->report().c_str());
-      std::abort();
-    }
-  }
 }
 
 }  // namespace accelflow::cluster

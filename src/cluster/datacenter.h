@@ -23,8 +23,9 @@
  * workload::ArrivalRouter — decides which shard owns each arrival. The
  * owner injects it, everyone else drops it. No arrival crosses a thread
  * boundary, and a 1-shard Datacenter degenerates *exactly* into
- * workload::run_experiment(): same construction order, same RNG streams,
- * same calendar — the conformance oracle (tests/test_cluster.cc).
+ * workload::run_experiment(): every shard is a workload::Deployment, and
+ * shard 0's is built from the unmodified config — same RNG streams, same
+ * calendar — the conformance oracle (tests/test_cluster.cc).
  *
  * ## Conservative-lookahead windows
  *
@@ -42,11 +43,11 @@
  *
  * ## Fork/checkpoint
  *
- * ClusterSession mirrors workload::SweepSession at cluster scope: warmup
- * once, drain every shard to global quiescence (empty calendars, empty
- * outboxes, no pending RPCs), capture whole-cluster state (per-shard
- * machine/orchestrator/engine/generator/checker/injector checkpoints plus
- * the rack's link-fault stream), then fork measurement points from it.
+ * ClusterSession is workload::SweepSession at cluster scope: warmup once,
+ * drain every shard to global quiescence (empty calendars, empty
+ * outboxes, no pending RPCs), capture whole-cluster state (every shard's
+ * Deployment checkpoint and remote-RPC stream plus the rack's link-fault
+ * stream), then fork measurement points from it.
  */
 
 namespace accelflow::cluster {
@@ -62,7 +63,7 @@ struct ClusterConfig {
    * own internal checker.
    */
   workload::ExperimentConfig experiment;
-  /** Machine shard count. */
+  /** Machine shard count; must be >= 1. */
   std::size_t shards = 1;
   /** Load-balancer tier policy. */
   BalancePolicy policy = BalancePolicy::kConsistentHash;
@@ -71,7 +72,8 @@ struct ClusterConfig {
   /**
    * Fraction of nested RPCs (ServiceSpec::rpc_callees) that execute on a
    * remote shard instead of locally, exercising the rack network. Drawn
-   * from a per-shard stream independent of the workload's RNGs.
+   * from a per-shard stream independent of the workload's RNGs. Must be
+   * finite and in [0, 1].
    */
   double remote_rpc_fraction = 0.25;
   /**
@@ -121,10 +123,12 @@ struct ClusterResult {
 class Datacenter {
  public:
   /**
-   * Builds every shard (machine, services, orchestrator, engine,
-   * replicated generators) plus the balancer and rack model.
+   * Builds every shard (a workload::Deployment with replicated
+   * generators) plus the balancer and rack model. Throws
+   * std::invalid_argument for shards == 0, or a remote_rpc_fraction that
+   * is not finite and in [0, 1].
    *
-   * @param fork_mode when true, warmup generators stop at
+   * @param fork_mode when true, warmup generators and governors stop at
    *        experiment.warmup so prepare() can drain to quiescence (the
    *        ClusterSession protocol); when false, run() drives the
    *        straight-through run_experiment() protocol.
@@ -173,10 +177,9 @@ class Datacenter {
   unsigned threads() const { return threads_; }
 
  private:
-  struct Shard;      // One machine + its harness (datacenter.cc).
-  struct Message;    // A cross-shard RPC hop (datacenter.cc).
-  struct ForkState;  // The whole-cluster checkpoint (datacenter.cc).
-  class ShardPool;   // Persistent window workers (datacenter.cc).
+  struct Shard;     // One deployment + its RPC state (datacenter.cc).
+  struct Message;   // A cross-shard RPC hop (datacenter.cc).
+  class ShardPool;  // Persistent window workers (datacenter.cc).
 
   /** Advances the whole cluster to `target` in lookahead windows. */
   void advance_to(sim::TimePs target);
@@ -196,13 +199,11 @@ class Datacenter {
    * Advances windows until quiescent(). Idle gaps fast-forward straight
    * to the earliest pending event across all calendars (causally safe
    * with every outbox empty: nothing is on the wire, so no event can
-   * appear before it). Multi-shard only; 1-shard callers use sim().run().
+   * appear before it). One shard just runs its calendar empty.
    */
   void drain_quiescent();
-  /** Per-shard harvest + cluster aggregates. */
+  /** Per-shard harvest and checker audit + cluster aggregates. */
   ClusterResult harvest();
-  /** Per-shard checker final audits (abort under AF_CHECK) + critpath. */
-  void final_audits();
   /** Zeroes measurement recorders (end of warmup / point start). */
   void reset_stats();
 
@@ -213,7 +214,7 @@ class Datacenter {
   std::unique_ptr<RackNetwork> rack_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ShardPool> pool_;
-  std::unique_ptr<ForkState> fork_;
+  RackNetwork::Checkpoint fork_rack_;  ///< The rack half of the fork.
   sim::TimePs now_ = 0;
   sim::TimePs t_fork_ = 0;
   bool ran_ = false;

@@ -1,13 +1,13 @@
 #include "workload/experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "core/orch_baselines.h"
-#include "core/trace_templates.h"
-#include "critpath/critpath.h"
+#include "workload/deployment.h"
+#include "workload/sweep.h"
 
 namespace accelflow::workload {
 
@@ -28,6 +28,12 @@ double af_fault_rate() {
 bool af_qos_enabled() {
   const char* v = std::getenv("AF_QOS");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+}
+
+fault::FaultPlan resolve_fault_plan(const ExperimentConfig& config) {
+  if (config.faults.enabled()) return config.faults;
+  const double rate = af_fault_rate();
+  return rate > 0 ? fault::FaultPlan::uniform(rate) : config.faults;
 }
 
 qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config) {
@@ -120,151 +126,14 @@ ExperimentResult harvest_result(core::Machine& machine,
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  // QoS policy resolution (DESIGN.md §19): the config's policy, or —
-  // under AF_QOS=1 — the tenant-isolation defaults for runs that carry
-  // none. The policy's dispatcher knobs thread into the machine config
-  // (so accelerators are *built* with the reserved headroom and aging
-  // quantum), its quotas/priorities into the engine config below.
-  const qos::QosPolicy policy = resolve_qos_policy(config);
-  core::Machine machine(with_qos(config.machine, policy));
-  if (config.tracer != nullptr) machine.set_tracer(config.tracer);
-  core::TraceLibrary lib;
-  core::register_templates(lib);
-  register_relief_traces(lib);
-
-  // Validation: the caller's checker, or — under AF_CHECK=1 — an internal
-  // one that turns any invariant violation into a hard failure. The whole
-  // test suite runs with AF_CHECK=1, so every experiment any test drives
-  // is continuously audited (TESTING.md).
-  check::InvariantChecker* checker = config.checker;
-  std::unique_ptr<check::InvariantChecker> env_checker;
-  if (checker == nullptr && af_check_enabled()) {
-    env_checker = std::make_unique<check::InvariantChecker>();
-    checker = env_checker.get();
-  }
-  if (checker != nullptr) checker->attach(machine, lib);
-
-  auto services = build_services(config.specs, lib);
-  std::vector<Service*> service_ptrs;
-  for (auto& s : services) service_ptrs.push_back(s.get());
-
-  core::EngineConfig engine_config = config.engine;
-  if (policy.enabled()) engine_config.qos = policy;
-  auto orch =
-      core::make_orchestrator(config.kind, machine, lib, engine_config);
-
-  // Fault injection: the config's plan, or — under AF_FAULTS=<rate> — a
-  // uniform plan applied to every run. The injector is run-owned state
-  // (it perturbs simulated time), unlike the observer-style tracer/checker.
-  // Only engine-family orchestrators carry the resilience policy that can
-  // recover injected losses (DESIGN.md §14); attaching an injector to a
-  // baseline would strand chains forever — a guaranteed invariant
-  // violation, not a measurement — so baselines always run fault-free.
-  fault::FaultPlan plan = config.faults;
-  if (!plan.enabled()) {
-    const double rate = af_fault_rate();
-    if (rate > 0) plan = fault::FaultPlan::uniform(rate);
-  }
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (plan.enabled() && orch->engine() != nullptr) {
-    injector = std::make_unique<fault::FaultInjector>(machine.sim(), plan);
-    machine.set_fault_hooks(injector.get());
-  }
-
-  RequestEngine engine(machine, *orch, service_ptrs, config.seed);
-  if (!config.step_deadline_budgets.empty()) {
-    engine.set_step_deadline_budgets(config.step_deadline_budgets);
-  } else {
-    engine.set_step_deadline_budget(config.step_deadline_budget);
-  }
-
-  // QoS admission controller (DESIGN.md §19): one per run, consulted by
-  // every generator before injection and fed every completion's latency.
-  std::unique_ptr<qos::AdmissionController> admission;
-  if (policy.enabled()) {
-    admission =
-        std::make_unique<qos::AdmissionController>(machine.sim(), policy);
-    engine.set_admission(admission.get());
-  }
-
   const sim::TimePs issue_until = config.warmup + config.measure;
-  std::vector<std::unique_ptr<LoadGenerator>> gens;
-  for (std::size_t s = 0; s < services.size(); ++s) {
-    const double rps = config.per_service_rps.empty()
-                           ? config.rps_per_service
-                           : config.per_service_rps[s];
-    if (rps <= 0) continue;
-    gens.push_back(std::make_unique<LoadGenerator>(
-        machine.sim(), engine, s, config.load_model, rps, issue_until,
-        config.seed ^ (0x10AD + 1315423911ull * (s + 1))));
-    if (admission != nullptr) gens.back()->set_admission(admission.get());
-  }
-
-  // Power cap (DESIGN.md §19): the governor's epoch events stop at the
-  // drain horizon, so the calendar still drains to quiescence.
-  std::unique_ptr<qos::PowerGovernor> governor;
-  if (config.power.budget_w > 0.0) {
-    governor = std::make_unique<qos::PowerGovernor>(machine, config.power);
-    governor->start(issue_until + config.drain);
-  }
-
+  Deployment dep(config, issue_until, issue_until + config.drain);
   // Warmup: run, then clear the recorders so only steady state counts.
-  machine.sim().run_until(config.warmup);
-  engine.reset_stats();
-  if (injector != nullptr) injector->reset_stats();
-  if (admission != nullptr) admission->reset_stats();
-  if (governor != nullptr) governor->reset_stats();
-  machine.sim().run_until(issue_until + config.drain);
-
-  ExperimentResult out =
-      harvest_result(machine, *orch, engine, config.metrics);
-  if (injector != nullptr) {
-    out.faults = injector->stats();
-    if (config.metrics != nullptr) {
-      injector->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (admission != nullptr) {
-    out.qos_tenants = admission->tenant_stats();
-    out.qos_shed_total = admission->total_shed();
-    if (config.metrics != nullptr) {
-      admission->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (governor != nullptr) {
-    out.power = governor->stats();
-    if (config.metrics != nullptr) {
-      governor->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (checker != nullptr) {
-    checker->final_audit();
-    if (env_checker != nullptr && !checker->ok()) {
-      std::fprintf(stderr, "AF_CHECK: invariant violations detected\n%s",
-                   checker->report().c_str());
-      std::abort();
-    }
-    checker->detach();
-  }
-  // Under AF_CHECK=1, a traced run also audits the critical-path
-  // conservation identity: re-attributing the ring must account for every
-  // picosecond of every closed chain (critpath.h). One tracer covers
-  // exactly this run, so the audit lives here and not in SweepSession
-  // (where the ring accumulates across forked points).
-  if (config.tracer != nullptr && af_check_enabled()) {
-    critpath::Analyzer audit;
-    audit.analyze(*config.tracer);
-    if (!audit.violations().empty()) {
-      std::fprintf(stderr,
-                   "AF_CHECK: critical-path conservation violated "
-                   "(%zu chains)\n",
-                   audit.violations().size());
-      for (const std::string& v : audit.violations()) {
-        std::fprintf(stderr, "  %s\n", v.c_str());
-      }
-      std::abort();
-    }
-  }
+  dep.machine().sim().run_until(config.warmup);
+  dep.reset_stats();
+  dep.machine().sim().run_until(issue_until + config.drain);
+  ExperimentResult out = dep.harvest();
+  audit_critical_path(config.tracer);
   return out;
 }
 
@@ -283,19 +152,26 @@ std::vector<sim::TimePs> unloaded_latency(ExperimentConfig config,
   return out;
 }
 
-double find_max_load(const ExperimentConfig& base,
-                     const std::vector<sim::TimePs>& slos, int search_iters,
-                     double lo, double hi, ExperimentResult* at_peak) {
+namespace {
+/**
+ * The SLO search both find_max_load() variants run; `run_at(factor)`
+ * simulates one point at `factor` x the configured per-service rates.
+ * The latency-vs-load curve is cliff-like near saturation (queue-full
+ * fallbacks feed back into CPU load), so a pure bisection is noisy: sweep
+ * a geometric grid upward until the first violation, then refine with a
+ * bounded number of bisection steps.
+ */
+double search_max_load(
+    const ExperimentConfig& base, const std::vector<sim::TimePs>& slos,
+    int search_iters, double lo, double hi, ExperimentResult* at_peak,
+    const std::function<ExperimentResult(double)>& run_at) {
+  std::vector<double> rps = base.per_service_rps;
+  if (rps.empty()) rps.assign(base.specs.size(), base.rps_per_service);
   auto meets_slo = [&](double factor, ExperimentResult* keep) {
-    ExperimentConfig cfg = base;
-    if (cfg.per_service_rps.empty()) {
-      cfg.per_service_rps.assign(cfg.specs.size(), cfg.rps_per_service);
-    }
-    for (double& r : cfg.per_service_rps) r *= factor;
-    const ExperimentResult res = run_experiment(cfg);
+    const ExperimentResult res = run_at(factor);
     bool ok = true;
     for (std::size_t s = 0; s < res.services.size(); ++s) {
-      if (cfg.per_service_rps[s] <= 0) continue;  // Not driven.
+      if (rps[s] * factor <= 0) continue;  // Not driven.
       const auto& svc = res.services[s];
       // A saturated service stops completing requests at all: that also
       // violates.
@@ -308,10 +184,6 @@ double find_max_load(const ExperimentConfig& base,
     return ok;
   };
 
-  // The latency-vs-load curve is cliff-like near saturation (queue-full
-  // fallbacks feed back into CPU load), so a pure bisection is noisy.
-  // Sweep a geometric grid upward until the first violation, then refine
-  // with a bounded number of bisection steps.
   if (!meets_slo(lo, at_peak)) return 0.0;
   double best = lo;
   double step = 1.35;
@@ -335,6 +207,31 @@ double find_max_load(const ExperimentConfig& base,
     }
   }
   return best;
+}
+}  // namespace
+
+double find_max_load(const ExperimentConfig& base,
+                     const std::vector<sim::TimePs>& slos, int search_iters,
+                     double lo, double hi, ExperimentResult* at_peak) {
+  return search_max_load(
+      base, slos, search_iters, lo, hi, at_peak, [&](double factor) {
+        ExperimentConfig cfg = base;
+        if (cfg.per_service_rps.empty()) {
+          cfg.per_service_rps.assign(cfg.specs.size(), cfg.rps_per_service);
+        }
+        for (double& r : cfg.per_service_rps) r *= factor;
+        return run_experiment(cfg);
+      });
+}
+
+double find_max_load_forked(SweepSession& session,
+                            const std::vector<sim::TimePs>& slos,
+                            int search_iters, double lo, double hi,
+                            ExperimentResult* at_peak) {
+  if (!session.prepared()) session.prepare();
+  return search_max_load(
+      session.config(), slos, search_iters, lo, hi, at_peak,
+      [&](double factor) { return session.run_point({factor, {}}); });
 }
 
 }  // namespace accelflow::workload

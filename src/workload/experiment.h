@@ -180,9 +180,13 @@ double af_fault_rate();
  *  qos::QosPolicy::isolation_defaults() instead (DESIGN.md §19). */
 bool af_qos_enabled();
 
+/** The run's fault plan: config.faults, or — under AF_FAULTS=<rate> when
+ *  that injects nothing — fault::FaultPlan::uniform(rate). */
+fault::FaultPlan resolve_fault_plan(const ExperimentConfig& config);
+
 /** The run's effective QoS policy: config.qos, or — under AF_QOS=1 when
  *  that is empty — qos::QosPolicy::isolation_defaults() for the config's
- *  services. Shared by run_experiment() and SweepSession. */
+ *  services. Resolved once per machine by workload::Deployment. */
 qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config);
 
 /** Copies `mc` with `policy`'s dispatcher knobs (reserved input slots,
@@ -193,9 +197,10 @@ core::MachineConfig with_qos(core::MachineConfig mc,
 /**
  * Collects the end-of-run measurements — per-service latency, machine
  * activity, orchestrator counters, and (optionally) a metrics-registry
- * snapshot — from a machine that has finished simulating. Shared by
- * run_experiment() and the checkpoint-and-fork SweepSession so both
- * report byte-identical structures for the same simulated timeline.
+ * snapshot — from a machine that has finished simulating. The core of
+ * workload::Deployment::harvest(), which every entry point reports
+ * through, so all of them report byte-identical structures for the same
+ * simulated timeline.
  */
 ExperimentResult harvest_result(core::Machine& machine,
                                 const core::Orchestrator& orch,

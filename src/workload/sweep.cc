@@ -1,242 +1,40 @@
 #include "workload/sweep.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
-#include <utility>
 
-#include "core/trace_templates.h"
 #include "workload/parallel_runner.h"
 
 namespace accelflow::workload {
 
-/** The fork checkpoint: the machine plus every harness-layer component. */
-struct SweepSession::Fork {
-  core::Machine::Checkpoint machine;
-  std::unique_ptr<core::OrchCheckpoint> orch;
-  RequestEngine::Checkpoint engine;
-  std::vector<LoadGenerator::Checkpoint> gens;
-  check::InvariantChecker::Checkpoint checker;
-  fault::FaultInjector::Checkpoint injector;  ///< RNG streams + counters.
-  qos::AdmissionController::Checkpoint admission;  ///< Buckets + hysteresis.
-  qos::PowerGovernor::Checkpoint governor;         ///< DVFS level + anchors.
-};
-
 SweepSession::SweepSession(const ExperimentConfig& config)
     : config_(config),
-      qos_policy_(resolve_qos_policy(config)),
-      machine_(with_qos(config.machine, qos_policy_)) {
-  if (config_.tracer != nullptr) machine_.set_tracer(config_.tracer);
-  core::register_templates(lib_);
-  register_relief_traces(lib_);
-
-  checker_ = config_.checker;
-  if (checker_ == nullptr && af_check_enabled()) {
-    env_checker_ = std::make_unique<check::InvariantChecker>();
-    checker_ = env_checker_.get();
-  }
-  if (checker_ != nullptr) checker_->attach(machine_, lib_);
-
-  services_ = build_services(config_.specs, lib_);
-  std::vector<Service*> service_ptrs;
-  for (auto& s : services_) service_ptrs.push_back(s.get());
-
-  core::EngineConfig engine_config = config_.engine;
-  if (qos_policy_.enabled()) engine_config.qos = qos_policy_;
-  orch_ = core::make_orchestrator(config_.kind, machine_, lib_,
-                                  engine_config);
-
-  // Fault injection: config plan or the AF_FAULTS env knob, exactly as in
-  // run_experiment() — engine-family orchestrators only, since baselines
-  // carry no recovery policy (DESIGN.md §14). The injector's RNG streams
-  // perturb simulated time, so they are checkpointed with the fork
-  // (unlike the tracer/checker).
-  fault::FaultPlan plan = config_.faults;
-  if (!plan.enabled()) {
-    const double rate = af_fault_rate();
-    if (rate > 0) plan = fault::FaultPlan::uniform(rate);
-  }
-  if (plan.enabled() && orch_->engine() != nullptr) {
-    injector_ = std::make_unique<fault::FaultInjector>(machine_.sim(), plan);
-    machine_.set_fault_hooks(injector_.get());
-  }
-
-  engine_ = std::make_unique<RequestEngine>(machine_, *orch_, service_ptrs,
-                                            config_.seed);
-  if (!config_.step_deadline_budgets.empty()) {
-    engine_->set_step_deadline_budgets(config_.step_deadline_budgets);
-  } else {
-    engine_->set_step_deadline_budget(config_.step_deadline_budget);
-  }
-
-  // QoS attachments (DESIGN.md §19), mirroring run_experiment(). The
-  // governor's warmup epochs stop at the warmup horizon so the calendar
-  // still drains to quiescence before the fork; run_point() re-arms it.
-  if (qos_policy_.enabled()) {
-    admission_ = std::make_unique<qos::AdmissionController>(machine_.sim(),
-                                                            qos_policy_);
-    engine_->set_admission(admission_.get());
-  }
-  if (config_.power.budget_w > 0.0) {
-    governor_ = std::make_unique<qos::PowerGovernor>(machine_,
-                                                     config_.power);
-    governor_->start(config_.warmup);
-  }
-
-  // Warmup generators stop issuing at `warmup`, so the machine can drain
-  // to quiescence before the fork point; run_point() revives them per
-  // point via resume(). Seeding matches run_experiment() exactly, so the
-  // warmup traffic is the same request stream either way.
-  for (std::size_t s = 0; s < services_.size(); ++s) {
-    const double rps = config_.per_service_rps.empty()
-                           ? config_.rps_per_service
-                           : config_.per_service_rps[s];
-    if (rps <= 0) continue;
-    gens_.push_back(std::make_unique<LoadGenerator>(
-        machine_.sim(), *engine_, s, config_.load_model, rps,
-        config_.warmup,
-        config_.seed ^ (0x10AD + 1315423911ull * (s + 1))));
-    if (admission_ != nullptr) gens_.back()->set_admission(admission_.get());
-    gen_rates_.push_back(rps);
-  }
-}
-
-SweepSession::~SweepSession() {
-  if (checker_ != nullptr) checker_->detach();
-}
+      // Warmup generators and the governor stop at `warmup`, so the
+      // machine can drain to quiescence before the fork point; run_point()
+      // revives them per point.
+      dep_(config, config.warmup, config.warmup) {}
 
 void SweepSession::prepare() {
-  assert(fork_ == nullptr && "prepare() already called");
-  machine_.sim().run_until(config_.warmup);
+  assert(!dep_.has_checkpoint() && "prepare() already called");
+  dep_.machine().sim().run_until(config_.warmup);
   // Drain every in-flight request: an empty calendar is what makes the
   // checkpoint cheap (no pending callbacks to clone) and exact (no
   // component holds a raw pointer into a half-finished flow).
-  machine_.sim().run();
-  t_fork_ = machine_.sim().now();
-
-  fork_ = std::make_unique<Fork>();
-  machine_.checkpoint(fork_->machine);
-  fork_->orch = orch_->save_checkpoint();
-  fork_->engine = engine_->checkpoint();
-  fork_->gens.reserve(gens_.size());
-  for (const auto& g : gens_) fork_->gens.push_back(g->checkpoint());
-  if (checker_ != nullptr) fork_->checker = checker_->checkpoint();
-  if (injector_ != nullptr) fork_->injector = injector_->checkpoint();
-  if (admission_ != nullptr) fork_->admission = admission_->checkpoint();
-  if (governor_ != nullptr) fork_->governor = governor_->checkpoint();
+  dep_.machine().sim().run();
+  t_fork_ = dep_.machine().sim().now();
+  dep_.checkpoint();
 }
 
 ExperimentResult SweepSession::run_point(const SweepPoint& point) {
-  assert(fork_ != nullptr && "call prepare() before run_point()");
-  machine_.restore(fork_->machine);
-  orch_->restore_checkpoint(*fork_->orch);
-  engine_->restore(fork_->engine);
-  for (std::size_t i = 0; i < gens_.size(); ++i) {
-    gens_[i]->restore(fork_->gens[i]);
-  }
-  if (checker_ != nullptr) checker_->restore(fork_->checker);
-  if (injector_ != nullptr) injector_->restore(fork_->injector);
-  if (admission_ != nullptr) admission_->restore(fork_->admission);
-  if (governor_ != nullptr) governor_->restore(fork_->governor);
-
-  if (point.mutate) point.mutate(machine_);
-
+  assert(dep_.has_checkpoint() && "call prepare() before run_point()");
+  dep_.restore();
+  if (point.mutate) point.mutate(dep_.machine());
   // Steady state only, as in run_experiment()'s post-warmup reset.
-  engine_->reset_stats();
-  if (injector_ != nullptr) injector_->reset_stats();
-  if (admission_ != nullptr) admission_->reset_stats();
-  if (governor_ != nullptr) governor_->reset_stats();
-
+  dep_.reset_stats();
   const sim::TimePs issue_until = t_fork_ + config_.measure;
-  for (std::size_t i = 0; i < gens_.size(); ++i) {
-    gens_[i]->resume(gen_rates_[i] * point.rate_factor, issue_until);
-  }
-  if (governor_ != nullptr) governor_->resume(issue_until + config_.drain);
-  machine_.sim().run_until(issue_until + config_.drain);
-
-  ExperimentResult out =
-      harvest_result(machine_, *orch_, *engine_, config_.metrics);
-  if (injector_ != nullptr) {
-    out.faults = injector_->stats();
-    if (config_.metrics != nullptr) {
-      injector_->snapshot_metrics(*config_.metrics);
-    }
-  }
-  if (admission_ != nullptr) {
-    out.qos_tenants = admission_->tenant_stats();
-    out.qos_shed_total = admission_->total_shed();
-    if (config_.metrics != nullptr) {
-      admission_->snapshot_metrics(*config_.metrics);
-    }
-  }
-  if (governor_ != nullptr) {
-    out.power = governor_->stats();
-    if (config_.metrics != nullptr) {
-      governor_->snapshot_metrics(*config_.metrics);
-    }
-  }
-  if (checker_ != nullptr) {
-    checker_->final_audit();
-    if (env_checker_ != nullptr && !checker_->ok()) {
-      std::fprintf(stderr, "AF_CHECK: invariant violations detected\n%s",
-                   checker_->report().c_str());
-      std::abort();
-    }
-  }
-  return out;
-}
-
-double find_max_load_forked(SweepSession& session,
-                            const std::vector<sim::TimePs>& slos,
-                            int search_iters, double lo, double hi,
-                            ExperimentResult* at_peak) {
-  if (!session.prepared()) session.prepare();
-  // Which services are driven (rate > 0), as in find_max_load().
-  const ExperimentConfig& cfg = session.config();
-  std::vector<double> rps = cfg.per_service_rps;
-  if (rps.empty()) rps.assign(cfg.specs.size(), cfg.rps_per_service);
-
-  auto meets_slo = [&](double factor, ExperimentResult* keep) {
-    const ExperimentResult res = session.run_point({factor, {}});
-    bool ok = true;
-    for (std::size_t s = 0; s < res.services.size(); ++s) {
-      if (rps[s] <= 0) continue;  // Not driven.
-      const auto& svc = res.services[s];
-      if (svc.completed == 0 || svc.latency.p99() > slos[s]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && keep) *keep = res;
-    return ok;
-  };
-
-  // Same search policy as find_max_load(): geometric grid up to the first
-  // violation, then a bounded bisection refinement.
-  if (!meets_slo(lo, at_peak)) return 0.0;
-  double best = lo;
-  double step = 1.35;
-  double probe = lo;
-  while (probe * step < hi) {
-    probe *= step;
-    if (meets_slo(probe, at_peak)) {
-      best = probe;
-    } else {
-      hi = probe;
-      break;
-    }
-  }
-  for (int i = 0; i < search_iters; ++i) {
-    const double mid = 0.5 * (best + hi);
-    if (mid <= best || mid >= hi) break;
-    if (meets_slo(mid, at_peak)) {
-      best = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return best;
+  dep_.resume(point.rate_factor, issue_until, issue_until + config_.drain);
+  dep_.machine().sim().run_until(issue_until + config_.drain);
+  return dep_.harvest();
 }
 
 std::vector<std::vector<ExperimentResult>> run_forked_sweeps(

@@ -2,15 +2,11 @@
 #define ACCELFLOW_WORKLOAD_SWEEP_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "check/invariant_checker.h"
 #include "core/machine.h"
-#include "core/orchestrator.h"
+#include "workload/deployment.h"
 #include "workload/experiment.h"
-#include "workload/load_generator.h"
-#include "workload/request_engine.h"
 
 /**
  * @file
@@ -29,11 +25,11 @@
  * matter how many points ran before it on the same session, and identical
  * to a fresh session running only p (tests/test_snapshot_fork.cc). The
  * fork protocol differs from run_experiment() in one deliberate way: the
- * warmup arrival processes stop at `warmup` and the machine drains before
- * the fork, so measurement starts from an idle machine with warm caches,
- * pools and RNG streams rather than mid-flight — figure benches therefore
- * keep the legacy path for their golden snapshots and use fork mode for
- * the (much longer) full-scale sweeps.
+ * warmup arrival processes and the power governor stop at `warmup` and the
+ * machine drains before the fork, so measurement starts from an idle
+ * machine with warm caches, pools and RNG streams rather than mid-flight —
+ * figure benches therefore keep the legacy path for their golden snapshots
+ * and use fork mode for the (much longer) full-scale sweeps.
  */
 
 namespace accelflow::workload {
@@ -66,7 +62,6 @@ class SweepSession {
   explicit SweepSession(const ExperimentConfig& config);
   SweepSession(const SweepSession&) = delete;
   SweepSession& operator=(const SweepSession&) = delete;
-  ~SweepSession();
 
   /**
    * Simulates the warmup, drains the machine to quiescence (empty event
@@ -76,7 +71,7 @@ class SweepSession {
   void prepare();
 
   /** True once prepare() has captured the fork checkpoint. */
-  bool prepared() const { return fork_ != nullptr; }
+  bool prepared() const { return dep_.has_checkpoint(); }
 
   /** Simulated time of the fork point (>= config.warmup). */
   sim::TimePs fork_time() const { return t_fork_; }
@@ -92,30 +87,8 @@ class SweepSession {
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  struct Fork;  // The checkpoint bundle (machine + harness state).
-
   ExperimentConfig config_;
-  /** Effective QoS policy (config.qos or the AF_QOS defaults); resolved
-   *  before machine_ so the accelerators are built with its dispatcher
-   *  knobs, exactly as run_experiment() builds them. */
-  qos::QosPolicy qos_policy_;
-  core::Machine machine_;
-  core::TraceLibrary lib_;
-  /** QoS admission controller / power governor (DESIGN.md §19); forked
-   *  with the machine — buckets, EWMAs and the DVFS level are run state. */
-  std::unique_ptr<qos::AdmissionController> admission_;
-  std::unique_ptr<qos::PowerGovernor> governor_;
-  /** Owned fault injector (config plan or AF_FAULTS); forked with the
-   *  machine — its RNG streams are deterministic run state. */
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<check::InvariantChecker> env_checker_;
-  check::InvariantChecker* checker_ = nullptr;
-  std::vector<std::unique_ptr<Service>> services_;
-  std::unique_ptr<core::Orchestrator> orch_;
-  std::unique_ptr<RequestEngine> engine_;
-  std::vector<std::unique_ptr<LoadGenerator>> gens_;
-  std::vector<double> gen_rates_;  ///< Base rate per generator.
-  std::unique_ptr<Fork> fork_;
+  Deployment dep_;
   sim::TimePs t_fork_ = 0;
 };
 

@@ -13,7 +13,9 @@
  *    no chains across shard boundaries (cross-shard RPCs all resolve);
  *  - ClusterSession fork points must be bit-identical no matter how many
  *    points ran before them, matching a fresh session (the SweepSession
- *    contract at cluster scope).
+ *    contract at cluster scope);
+ *  - a bad ClusterConfig, or a per_service_rps of the wrong size at any
+ *    entry point, is rejected by name at construction.
  *
  * The suite runs under AF_CHECK=1, so every shard of every run carries an
  * invariant checker that aborts on any violation.
@@ -21,12 +23,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "cluster/datacenter.h"
 #include "fault/fault_plan.h"
 #include "obs/tracer.h"
+#include "qos/policy.h"
 #include "workload/experiment.h"
 #include "workload/suites.h"
 #include "workload/sweep.h"
@@ -42,6 +51,16 @@ workload::ExperimentConfig small_experiment() {
   cfg.measure = sim::milliseconds(8);
   cfg.drain = sim::milliseconds(4);
   cfg.seed = 1234;
+  return cfg;
+}
+
+/** small_experiment() under the tenant-isolation QoS defaults and a
+ *  120 W package cap: the admission controller and the power governor
+ *  are both attached. */
+workload::ExperimentConfig qos_power_experiment() {
+  workload::ExperimentConfig cfg = small_experiment();
+  cfg.qos = qos::QosPolicy::isolation_defaults(cfg.specs.size());
+  cfg.power.budget_w = 120.0;
   return cfg;
 }
 
@@ -90,22 +109,26 @@ void expect_identical(const ClusterResult& a, const ClusterResult& b,
 
 TEST(ClusterConformance, OneShardMatchesBareExperiment) {
   // The cluster layer sits entirely above the engine, so one shard must
-  // not observe a difference.
-  const workload::ExperimentConfig cfg = small_experiment();
-  const workload::ExperimentResult bare = workload::run_experiment(cfg);
+  // not observe a difference — with or without the QoS boundary and the
+  // power governor attached.
+  for (const auto& [what, cfg] :
+       {std::pair{"one shard", small_experiment()},
+        std::pair{"one shard, qos + power cap", qos_power_experiment()}}) {
+    const workload::ExperimentResult bare = workload::run_experiment(cfg);
 
-  ClusterConfig cluster;
-  cluster.experiment = cfg;
-  cluster.shards = 1;
-  Datacenter dc(cluster);
-  const ClusterResult res = dc.run();
+    ClusterConfig cluster;
+    cluster.experiment = cfg;
+    cluster.shards = 1;
+    Datacenter dc(cluster);
+    const ClusterResult res = dc.run();
 
-  ASSERT_EQ(res.shards.size(), 1u);
-  expect_identical(bare, res.shards[0], "one shard");
-  // One shard routes nothing and sends nothing.
-  EXPECT_EQ(res.balancer_decisions, 0u);
-  EXPECT_EQ(res.remote_rpcs, 0u);
-  EXPECT_EQ(res.network.messages, 0u);
+    ASSERT_EQ(res.shards.size(), 1u) << what;
+    expect_identical(bare, res.shards[0], what);
+    // One shard routes nothing and sends nothing.
+    EXPECT_EQ(res.balancer_decisions, 0u) << what;
+    EXPECT_EQ(res.remote_rpcs, 0u) << what;
+    EXPECT_EQ(res.network.messages, 0u) << what;
+  }
 }
 
 TEST(ClusterConformance, OneShardTraceIsByteIdentical) {
@@ -246,6 +269,45 @@ TEST(Cluster, ShardAndLinkFaultsStayRecoverable) {
   }
 }
 
+/** The std::invalid_argument message `fn` throws, or "(no exception)". */
+template <typename Fn>
+std::string what_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(Cluster, RejectsInvalidShardCountAndRemoteFraction) {
+  ClusterConfig cluster;
+  cluster.experiment = small_experiment();
+  cluster.shards = 0;
+  EXPECT_NE(what_of([&] { Datacenter dc(cluster); }).find("shards"),
+            std::string::npos);
+  EXPECT_NE(what_of([&] { ClusterSession s(cluster); }).find("shards"),
+            std::string::npos);
+
+  // bernoulli(NaN) is always false: a NaN fraction would silently route
+  // nothing remote.
+  cluster.shards = 2;
+  for (const double f : {std::nan(""),
+                         std::numeric_limits<double>::infinity(), -0.1,
+                         1.5}) {
+    cluster.remote_rpc_fraction = f;
+    EXPECT_NE(what_of([&] { Datacenter dc(cluster); })
+                  .find("remote_rpc_fraction"),
+              std::string::npos)
+        << f;
+  }
+  for (const double f : {0.0, 1.0}) {
+    cluster.remote_rpc_fraction = f;
+    EXPECT_EQ(what_of([&] { Datacenter dc(cluster); }), "(no exception)")
+        << f;
+  }
+}
+
 TEST(ClusterSession, ForkPointsAreBitIdentical) {
   ClusterConfig cluster;
   cluster.experiment = small_experiment();
@@ -276,19 +338,100 @@ TEST(ClusterSession, ForkPointsAreBitIdentical) {
 TEST(ClusterSession, OneShardSessionConformsToSweepSession) {
   // The cluster fork engine at one shard degenerates into SweepSession:
   // same fork time, same measured stats for the same rate factor.
-  workload::ExperimentConfig cfg = small_experiment();
+  for (const auto& [what, cfg] :
+       {std::pair{"sweep conformance", small_experiment()},
+        std::pair{"sweep conformance, qos + power cap",
+                  qos_power_experiment()}}) {
+    workload::SweepSession sweep(cfg);
+    sweep.prepare();
+    const workload::ExperimentResult bare = sweep.run_point({1.0, {}});
+
+    ClusterConfig cluster;
+    cluster.experiment = cfg;
+    cluster.shards = 1;
+    ClusterSession session(cluster);
+    session.prepare();
+    EXPECT_EQ(session.fork_time(), sweep.fork_time()) << what;
+    const ClusterResult res = session.run_point(1.0);
+    ASSERT_EQ(res.shards.size(), 1u) << what;
+    expect_identical(bare, res.shards[0], what);
+  }
+}
+
+TEST(ClusterSession, PowerCappedForkMatchesRecordedValues) {
+  // Values recorded from the SweepSession and ClusterSession that built
+  // their stacks by hand, before both moved onto workload::Deployment.
+  // The governor and the generators both post calendar events while the
+  // stack is assembled, and the hand-built SweepSession started the
+  // governor first: this pins the forked timeline of a power-capped run
+  // across that change. The explicit fault plan makes the test immune to
+  // AF_FAULTS (an enabled plan wins over the environment knob).
+  workload::ExperimentConfig cfg = qos_power_experiment();
+  cfg.power.budget_w = 90.0;
+  cfg.faults = fault::FaultPlan::uniform(0.01);
+
   workload::SweepSession sweep(cfg);
   sweep.prepare();
-  const workload::ExperimentResult bare = sweep.run_point({1.0, {}});
+  const workload::ExperimentResult bare = sweep.run_point({1.3, {}});
 
   ClusterConfig cluster;
   cluster.experiment = cfg;
   cluster.shards = 1;
   ClusterSession session(cluster);
   session.prepare();
-  const ClusterResult res = session.run_point(1.0);
+  const ClusterResult res = session.run_point(1.3);
   ASSERT_EQ(res.shards.size(), 1u);
-  expect_identical(bare, res.shards[0], "sweep conformance");
+
+  for (const auto& [what, r, fork] :
+       {std::tuple{"sweep", &bare, sweep.fork_time()},
+        std::tuple{"cluster", &res.shards[0], session.fork_time()}}) {
+    EXPECT_EQ(fork, sim::TimePs{2548724261}) << what;
+    std::vector<std::uint64_t> completed;
+    for (const auto& s : r->services) completed.push_back(s.completed);
+    EXPECT_EQ(completed,
+              (std::vector<std::uint64_t>{17, 58, 118, 56, 49, 50, 97, 28}))
+        << what;
+    EXPECT_EQ(r->avg_p99_us, 363.46265499999998) << what;
+    EXPECT_EQ(r->avg_mean_us, 246.42943750000001) << what;
+    EXPECT_EQ(r->elapsed, sim::TimePs{14548724261}) << what;
+    EXPECT_EQ(r->accel_busy, sim::TimePs{41761839838}) << what;
+    EXPECT_EQ(r->core_busy, sim::TimePs{21384183302}) << what;
+    EXPECT_EQ(r->faults.total(), 594u) << what;
+    EXPECT_EQ(r->qos_shed_total, 0u) << what;
+    EXPECT_EQ(r->power.epochs, 120u) << what;
+    EXPECT_EQ(r->power.steps_down, 1u) << what;
+    EXPECT_EQ(r->power.steps_up, 5u) << what;
+    EXPECT_EQ(r->power.capped_epochs, 86u) << what;
+    EXPECT_EQ(r->power.sum_power_w, 11390.729347480124) << what;
+    EXPECT_EQ(r->power.max_power_w, 125.87743693385519) << what;
+  }
+}
+
+TEST(Experiment, RejectsMismatchedPerServiceRps) {
+  // Every entry point indexes per_service_rps by service: a vector of the
+  // wrong size must be rejected by name, not read past its end.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{9}}) {
+    workload::ExperimentConfig cfg = small_experiment();
+    cfg.per_service_rps.assign(n, 1000.0);
+    ASSERT_NE(n, cfg.specs.size());
+    EXPECT_NE(what_of([&] { workload::run_experiment(cfg); })
+                  .find("per_service_rps"),
+              std::string::npos)
+        << n;
+    EXPECT_NE(what_of([&] { workload::SweepSession s(cfg); })
+                  .find("per_service_rps"),
+              std::string::npos)
+        << n;
+    ClusterConfig cluster;
+    cluster.experiment = cfg;
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      cluster.shards = shards;
+      EXPECT_NE(what_of([&] { Datacenter dc(cluster); })
+                    .find("per_service_rps"),
+                std::string::npos)
+          << n << " rates, " << shards << " shards";
+    }
+  }
 }
 
 }  // namespace
