@@ -18,25 +18,17 @@
  *    isolating the dispatcher FSM and event kernel), and a per-hop
  *    nibble-decode micro timing.
  *
- * The seed kernel (std::function callbacks + std::priority_queue + lazy-
- * cancel unordered_set) is embedded below as LegacySimulator and run on
- * the same workloads, so the reported speedup is self-contained and
- * machine-independent. Results land in BENCH_kernel.json (override the
- * path with AF_BENCH_KERNEL_JSON) for the machine-readable perf
- * trajectory.
+ * Results land in BENCH_kernel.json (override the path with
+ * AF_BENCH_KERNEL_JSON) for the machine-readable perf trajectory.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <queue>
-#include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,74 +45,6 @@
 namespace accelflow::bench {
 namespace {
 
-/**
- * The seed event kernel, verbatim semantics: heap-allocating callbacks,
- * move churn in a binary priority_queue, lazy cancellation tombstones.
- * Kept here (not in src/) purely as the benchmark baseline.
- */
-class LegacySimulator {
- public:
-  using Callback = std::function<void()>;
-  using EventId = std::uint64_t;
-
-  sim::TimePs now() const { return now_; }
-
-  EventId schedule_at(sim::TimePs t, Callback cb) {
-    const EventId id = next_id_++;
-    heap_.push(Event{t < now_ ? now_ : t, id, std::move(cb)});
-    return id;
-  }
-  EventId schedule_after(sim::TimePs delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-  bool cancel(EventId id) {
-    if (id == 0 || id >= next_id_) return false;
-    return cancelled_.insert(id).second;
-  }
-  std::uint64_t run() {
-    std::uint64_t n = 0;
-    while (step()) ++n;
-    return n;
-  }
-  std::uint64_t executed_events() const { return executed_; }
-
- private:
-  struct Event {
-    sim::TimePs time;
-    EventId id;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-  bool step() {
-    while (!heap_.empty()) {
-      const Event& top = heap_.top();
-      if (auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        heap_.pop();
-        continue;
-      }
-      now_ = top.time;
-      Callback cb = std::move(const_cast<Event&>(top).cb);
-      heap_.pop();
-      ++executed_;
-      cb();
-      return true;
-    }
-    return false;
-  }
-
-  sim::TimePs now_ = 0;
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
-};
-
 /** Deterministic 64-bit LCG: cheap enough to not dominate the measurement. */
 struct Lcg {
   std::uint64_t state;
@@ -131,9 +55,8 @@ struct Lcg {
 };
 
 /** Self-rescheduling timer state shared by one hold-model run. */
-template <typename Sim>
 struct HoldBench {
-  Sim sim;
+  sim::Simulator sim;
   Lcg rng{12345};
   std::uint64_t remaining;
   std::uint64_t checksum = 0;
@@ -141,9 +64,7 @@ struct HoldBench {
   void arm() {
     const sim::TimePs delay = 100 + rng.next() % 10000;
     // Real model callbacks carry ~28-32 bytes of capture (context pointer,
-    // pool ticket, target queue, attempt counter), which overflows
-    // std::function's small-object buffer; mirror that here so the legacy
-    // kernel pays the per-event allocation the model actually paid.
+    // pool ticket, target queue, attempt counter); mirror that here.
     const std::uint64_t a = rng.state, b = delay;
     const std::uint32_t c = static_cast<std::uint32_t>(remaining);
     sim.schedule_after(delay, [this, a, b, c] {
@@ -162,22 +83,20 @@ struct HoldBench {
   }
 };
 
-template <typename Sim>
 std::uint64_t run_hold(std::uint64_t events) {
   // 4096 concurrent timers ~ the pending-event population of a loaded
   // full-system run (load generators + PEs + DMAs + armed timeouts).
-  HoldBench<Sim> b;
+  HoldBench b;
   return b.run(/*timers=*/4096, events);
 }
 
-template <typename Sim>
 std::uint64_t run_cancel(std::uint64_t rounds) {
-  Sim sim;
+  sim::Simulator sim;
   Lcg rng{999};
   std::uint64_t executed = 0;
   // Each round arms 8 "timeouts" and a completion that cancels 7 of them
   // before they fire — the response-timeout pattern of the engine.
-  std::vector<std::uint64_t> armed;  // EventIds are uint64_t in both kernels.
+  std::vector<sim::EventId> armed;
   std::function<void(std::uint64_t)> round = [&](std::uint64_t left) {
     if (left == 0) return;
     armed.clear();
@@ -194,9 +113,8 @@ std::uint64_t run_cancel(std::uint64_t rounds) {
   return sim.run();
 }
 
-template <typename Sim>
 std::uint64_t run_burst(std::uint64_t bursts) {
-  Sim sim;
+  sim::Simulator sim;
   std::uint64_t sink = 0;
   std::function<void(std::uint64_t)> burst = [&](std::uint64_t left) {
     if (left == 0) return;
@@ -360,8 +278,6 @@ double events_per_sec(Fn fn) {
 
 int main() {
   using namespace accelflow;
-  using bench::LegacySimulator;
-  using sim::Simulator;
 
   const bool fast = []() {
     const char* v = std::getenv("AF_BENCH_FAST");
@@ -373,47 +289,28 @@ int main() {
 
   struct Row {
     const char* name;
-    double heap;
-    double legacy;
+    double events_per_sec;
   };
   std::vector<Row> rows;
 
-  // Warm up the allocator/pools once per kernel, then measure.
-  (void)bench::run_hold<Simulator>(kHoldEvents / 10);
-  (void)bench::run_hold<LegacySimulator>(kHoldEvents / 10);
+  // Warm up the allocator/pools once, then measure.
+  (void)bench::run_hold(kHoldEvents / 10);
 
-  rows.push_back(
-      {"hold (self-rescheduling timers)",
-       bench::events_per_sec(
-           [&] { return bench::run_hold<Simulator>(kHoldEvents); }),
-       bench::events_per_sec(
-           [&] { return bench::run_hold<LegacySimulator>(kHoldEvents); })});
-  rows.push_back(
-      {"cancel (armed timeouts)",
-       bench::events_per_sec(
-           [&] { return bench::run_cancel<Simulator>(kCancelRounds); }),
-       bench::events_per_sec([&] {
-         return bench::run_cancel<LegacySimulator>(kCancelRounds);
-       })});
-  rows.push_back(
-      {"burst (arrival fan-out)",
-       bench::events_per_sec(
-           [&] { return bench::run_burst<Simulator>(kBursts); }),
-       bench::events_per_sec(
-           [&] { return bench::run_burst<LegacySimulator>(kBursts); })});
+  rows.push_back({"hold (self-rescheduling timers)",
+                  bench::events_per_sec(
+                      [&] { return bench::run_hold(kHoldEvents); })});
+  rows.push_back({"cancel (armed timeouts)",
+                  bench::events_per_sec(
+                      [&] { return bench::run_cancel(kCancelRounds); })});
+  rows.push_back({"burst (arrival fan-out)",
+                  bench::events_per_sec(
+                      [&] { return bench::run_burst(kBursts); })});
 
   stats::Table t("Event kernel throughput (events/sec)");
-  t.set_header({"Workload", "heap", "seed kernel", "heap/seed"});
-  double geo = 1.0;
+  t.set_header({"Workload", "ev/s"});
   for (const Row& r : rows) {
-    const double speedup = r.heap / r.legacy;
-    geo *= speedup;
-    t.add_row({r.name, stats::Table::fmt(r.heap / 1e6, 2) + "M",
-               stats::Table::fmt(r.legacy / 1e6, 2) + "M",
-               stats::Table::fmt(speedup, 2) + "x"});
+    t.add_row({r.name, stats::Table::fmt(r.events_per_sec / 1e6, 2) + "M"});
   }
-  geo = std::pow(geo, 1.0 / static_cast<double>(rows.size()));
-  t.add_row({"geomean", "", "", stats::Table::fmt(geo, 2) + "x"});
   t.print(std::cout);
 
   // Chain orchestration through the dispatcher FSM.
@@ -456,7 +353,7 @@ int main() {
   // Kernel counters from a representative run (exact pending/cancel
   // bookkeeping is part of what the indexed heap buys).
   {
-    bench::HoldBench<Simulator> h;
+    bench::HoldBench h;
     h.run(4096, 500'000);
     stats::Table k("Kernel counters (hold, 500K events)");
     k.set_header({"Counter", "heap"});
@@ -468,13 +365,9 @@ int main() {
     k.print(std::cout);
 
     stats::CounterSet out;
-    out.set("hold_events_per_sec", rows[0].heap);
-    out.set("cancel_events_per_sec", rows[1].heap);
-    out.set("burst_events_per_sec", rows[2].heap);
-    out.set("legacy_hold_events_per_sec", rows[0].legacy);
-    out.set("legacy_cancel_events_per_sec", rows[1].legacy);
-    out.set("legacy_burst_events_per_sec", rows[2].legacy);
-    out.set("speedup_geomean", geo);
+    out.set("hold_events_per_sec", rows[0].events_per_sec);
+    out.set("cancel_events_per_sec", rows[1].events_per_sec);
+    out.set("burst_events_per_sec", rows[2].events_per_sec);
     out.set("allocs_avoided", static_cast<double>(ks.allocs_avoided()));
     // The JSON key predates the backend-neutral rename; it still means
     // "peak pending events" (KernelStats::pending_high_water) and keeps
@@ -494,5 +387,5 @@ int main() {
     out.write_json(os);
     std::cout << "\nwrote " << file << "\n";
   }
-  return geo >= 1.0 ? 0 : 1;
+  return 0;
 }

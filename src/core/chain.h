@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string_view>
 
+#include "accel/queue_entry.h"
 #include "accel/types.h"
 #include "core/trace_library.h"
 #include "sim/random.h"
@@ -20,6 +23,10 @@
  * flags once (so every orchestrator sees identical outcomes and
  * architectures can be compared pairwise), and supplies the cost/size
  * environment through ChainEnv.
+ *
+ * Also the chain protocol every orchestrator shares (chain.cc): the
+ * Orchestrator interface, the one network-wait model (await_response)
+ * and the one queue-entry builder (make_queue_entry).
  */
 
 namespace accelflow::core {
@@ -56,13 +63,14 @@ class ChainEnv {
   /**
    * Hook for network waits whose responder is *this same machine*: nested
    * RPCs between colocated services. If the environment handles the call,
-   * it must invoke `deliver(response_bytes)` when the (recursively
-   * executed) callee finishes, and return true; returning false makes the
-   * caller fall back to the sampled remote_latency()/response_size() model
-   * (an off-machine responder).
+   * it takes `deliver` (moves from it), must invoke
+   * `deliver(response_bytes)` when the (recursively executed) callee
+   * finishes, and returns true; returning false leaves `deliver` intact
+   * and makes the caller fall back to the sampled
+   * remote_latency()/response_size() model (an off-machine responder).
    */
   virtual bool nested_call(ChainContext& ctx, RemoteKind kind,
-                           std::function<void(std::uint64_t)> deliver) {
+                           std::function<void(std::uint64_t)>& deliver) {
     (void)ctx;
     (void)kind;
     (void)deliver;
@@ -165,6 +173,84 @@ struct ChainContext {
       done_cb(r);
     }
   }
+};
+
+/** How await_response() resolved a network wait, decided when armed. */
+struct ResponseWait {
+  enum class Kind : std::uint8_t {
+    kNested,    ///< ChainEnv::nested_call() took it: the callee delivers.
+    kTimeout,   ///< The sampled latency exceeds the timeout.
+    kResponse,  ///< The response lands within the timeout.
+  };
+  Kind kind = Kind::kNested;
+  /** kResponse: when the response lands and deliver fires. */
+  sim::TimePs at = sim::kTimeNever;
+};
+
+/**
+ * The network-wait model of every orchestrator (DESIGN.md §8). Counts the
+ * call in ctx.remote_calls, then offers it to ChainEnv::nested_call().
+ * Otherwise it samples remote_latency(): past `timeout`, `on_timeout`
+ * fires at now + timeout; within it, the response lands at `from` +
+ * latency, where response_size() is sampled and handed to `deliver`.
+ * The callback that applies is posted before this returns, so the caller
+ * can do its own arm-time bookkeeping from the result before it fires.
+ */
+ResponseWait await_response(sim::Simulator& sim, ChainContext& ctx,
+                            RemoteKind kind, sim::TimePs from,
+                            sim::TimePs timeout,
+                            sim::Simulator::Callback on_timeout,
+                            std::function<void(std::uint64_t)> deliver);
+
+/**
+ * The queue entry that hands ctx's payload of `bytes` to accelerator op
+ * `op`, continuing at trace `word` / position mark `pm`: tenant, request,
+ * flags, buffer, priority and initiating core come from ctx, and the op's
+ * CPU-equivalent cost is sampled now. Format and deadline keep their
+ * defaults; callers that carry them set them.
+ */
+accel::QueueEntry make_queue_entry(ChainContext& ctx, accel::AccelType op,
+                                   std::uint64_t word, std::uint8_t pm,
+                                   std::uint64_t bytes);
+
+class AccelFlowEngine;
+
+/**
+ * Opaque snapshot of an orchestrator's mutable state, produced by
+ * Orchestrator::save_checkpoint() and consumed by restore_checkpoint().
+ * Each concrete orchestrator's Checkpoint derives from it (DESIGN.md
+ * §13); callers only move the handle around.
+ */
+struct OrchCheckpoint {
+  virtual ~OrchCheckpoint() = default;
+};
+
+/** Executes trace chains on a Machine (core/orchestrator.h lists them). */
+class Orchestrator {
+ public:
+  virtual ~Orchestrator() = default;
+
+  /**
+   * Executes the chain starting at `first` (run_trace). ctx->on_done fires
+   * when control returns to the initiating core.
+   */
+  virtual void run_chain(ChainContext* ctx, AtmAddr first) = 0;
+
+  virtual std::string_view name() const = 0;
+
+  /** The engine, when this orchestrator is AccelFlow-based (else null). */
+  virtual const AccelFlowEngine* engine() const { return nullptr; }
+
+  /**
+   * Captures the orchestrator's mutable state (counters, RNG streams,
+   * admission budgets) for the checkpoint-and-fork sweep engine. Only
+   * meaningful at a quiescent point — no chain in flight.
+   */
+  virtual std::unique_ptr<OrchCheckpoint> save_checkpoint() const = 0;
+
+  /** Restores state captured by save_checkpoint() on this same
+   *  orchestrator type (asserts on a mismatched handle). */
+  virtual void restore_checkpoint(const OrchCheckpoint& c) = 0;
 };
 
 }  // namespace accelflow::core

@@ -41,9 +41,9 @@ void CpuChainExecutor::step(std::shared_ptr<Run> r) {
   ChainContext* ctx = r->ctx;
   const double tax_speed = machine_.cores().params().tax_speed;
   sim::TimePs segment = 0;
-  while (r->i < r->ops.size()) {
+  while (r->i < r->ops.size() &&
+         r->ops[r->i].kind != LogicalOp::Kind::kRemoteWait) {
     const LogicalOp& op = r->ops[r->i];
-    bool stop = false;
     switch (op.kind) {
       case LogicalOp::Kind::kInvoke:
         segment += static_cast<sim::TimePs>(
@@ -70,56 +70,33 @@ void CpuChainExecutor::step(std::shared_ptr<Run> r) {
       case LogicalOp::Kind::kNotifyCont:
         ++ctx->mid_notifies;
         break;
-      case LogicalOp::Kind::kRemoteWait:
-        stop = true;
+      case LogicalOp::Kind::kRemoteWait:  // Ends the segment (see above).
         break;
     }
-    if (stop) break;
     ++r->i;
   }
 
   stats_.cpu_time += segment;
-  const bool at_wait = r->i < r->ops.size();
 
   auto after_segment = [this, r]() mutable {
-    ChainContext* ctx = r->ctx;
     if (r->i >= r->ops.size()) {
       const auto done = std::move(r->done);
       if (done) done(false);
       return;
     }
     // Network wait: the core is released; resume on response arrival.
-    const LogicalOp& op = r->ops[r->i];
-    ++ctx->remote_calls;
-    const RemoteKind nested_kind = op.remote;
-    auto nested_deliver = [this, r](std::uint64_t bytes) mutable {
-      r->bytes = bytes;
-      step(std::move(r));
-    };
-    // Nested RPCs to colocated services: the callee runs on this machine.
-    std::size_t next_i = r->i + 1;
-    if (ctx->env->nested_call(*ctx, nested_kind,
-                              [r, next_i, nested_deliver](
-                                  std::uint64_t bytes) mutable {
-                                r->i = next_i;
-                                nested_deliver(bytes);
-                              })) {
-      return;
-    }
-    const sim::TimePs latency = ctx->env->remote_latency(*ctx, op.remote);
-    if (latency > timeout_) {
-      ++stats_.timeouts;
-      machine_.sim().schedule_after(timeout_, [r] {
-        if (r->done) r->done(true);
-      });
-      return;
-    }
-    const RemoteKind kind = op.remote;
-    ++r->i;
-    machine_.sim().schedule_after(latency, [this, r, kind]() mutable {
-      r->bytes = r->ctx->env->response_size(*r->ctx, kind);
-      step(std::move(r));
-    });
+    const ResponseWait w = await_response(
+        machine_.sim(), *r->ctx, r->ops[r->i].remote, machine_.sim().now(),
+        timeout_,
+        [r] {
+          if (r->done) r->done(true);
+        },
+        [this, r](std::uint64_t bytes) mutable {
+          ++r->i;
+          r->bytes = bytes;
+          step(std::move(r));
+        });
+    if (w.kind == ResponseWait::Kind::kTimeout) ++stats_.timeouts;
   };
 
   if (segment == 0) {
@@ -127,7 +104,6 @@ void CpuChainExecutor::step(std::shared_ptr<Run> r) {
   } else {
     machine_.cores().run_on(ctx->core, segment, after_segment);
   }
-  (void)at_wait;
 }
 
 }  // namespace accelflow::core

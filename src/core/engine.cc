@@ -22,6 +22,15 @@ std::uint64_t entry_dma_bytes(const QueueEntry& e) {
          kEntryHeaderBytes;
 }
 
+/** A network response of `bytes` landed for the receive entry `e`, whose
+ *  next op runs on `at`: attach the payload and sample that op's cost. */
+void land_response(QueueEntry& e, AccelType at, std::uint64_t bytes) {
+  ChainContext& ctx = *e.ctx;
+  e.payload.size_bytes = bytes;
+  e.payload.flags = ctx.flags;
+  e.cpu_cost = ctx.env->op_cpu_cost(ctx, at, bytes);
+}
+
 /** Grow-on-demand slot of a per-tenant counter vector (EngineStats). */
 std::uint64_t& tenant_count(std::vector<std::uint64_t>& v,
                             accel::TenantId tenant) {
@@ -31,8 +40,10 @@ std::uint64_t& tenant_count(std::vector<std::uint64_t>& v,
 }  // namespace
 
 AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
-                                 const EngineConfig& config)
-    : machine_(machine),
+                                 const EngineConfig& config,
+                                 std::string_view name)
+    : name_(name),
+      machine_(machine),
       lib_(lib),
       config_(config),
       mba_(machine.sim(), config.mba) {
@@ -41,6 +52,27 @@ AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
 }
 
 AccelFlowEngine::~AccelFlowEngine() = default;
+
+AccelFlowEngine::Checkpoint AccelFlowEngine::checkpoint() const {
+  Checkpoint c;
+  c.stats = stats_;
+  c.tenant_active = tenant_active_;
+  c.throttled = throttled_;
+  c.mba = mba_.checkpoint();
+  c.parked = parked_.checkpoint();
+  c.health = health_;
+  return c;
+}
+
+std::unique_ptr<OrchCheckpoint> AccelFlowEngine::save_checkpoint() const {
+  return std::make_unique<Checkpoint>(checkpoint());
+}
+
+void AccelFlowEngine::restore_checkpoint(const OrchCheckpoint& c) {
+  const auto* ck = dynamic_cast<const Checkpoint*>(&c);
+  assert(ck != nullptr && "checkpoint from a different orchestrator");
+  restore(*ck);
+}
 
 sim::TimePs AccelFlowEngine::instr_time(double instrs) const {
   // Dispatcher FSMs execute ~1 RISC instruction per cycle at the package
@@ -82,35 +114,16 @@ void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
 
   // Graceful degradation (DESIGN.md §14): while the first accelerator is
   // quarantined, the whole chain starts on the CPU instead.
-  if (reroute_unhealthy(op0.accel)) {
-    ++stats_.health_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(op0.accel)];
-    ctx->faulted = true;
+  if (reroute_unhealthy(ctx, op0.accel)) {
     continue_chain_on_cpu(ctx, tr.word, op0.next_pm, ctx->initial_bytes,
                           op0.accel);
     return;
   }
 
-  QueueEntry e;
-  e.trace_word = tr.word;
-  e.position_mark = op0.next_pm;
-  e.tenant = ctx->tenant;
-  e.request = ctx->request;
-  e.chain = ctx->chain;
-  e.payload.size_bytes = ctx->initial_bytes;
+  QueueEntry e = make_queue_entry(*ctx, op0.accel, tr.word, op0.next_pm,
+                                  ctx->initial_bytes);
   e.payload.format = ctx->initial_format;
-  e.payload.flags = ctx->flags;
-  e.payload.va = ctx->buffer_va;
-  e.cpu_cost = ctx->env->op_cpu_cost(*ctx, op0.accel, e.payload.size_bytes);
-  e.priority = ctx->priority;
-  if (config_.stamp_deadlines &&
-      ctx->step_deadline_budget != sim::kTimeNever) {
-    e.deadline = machine_.sim().now() + ctx->step_deadline_budget;
-  }
-  e.initiating_core = ctx->core;
-  e.ctx = ctx;
-  e.ready = false;
-  e.pending_inputs = 1;
+  stamp_deadline(e);
 
   // The user-mode Enqueue instruction plus A-DMA programming.
   machine_.cores().charge_enqueue(ctx->core);
@@ -167,10 +180,6 @@ void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
   dst.schedule_deliver(arrive, slot);
 }
 
-void AccelFlowEngine::handle_output(accel::Accelerator& acc, SlotId slot) {
-  run_dispatcher_fsm(acc, slot);
-}
-
 void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
                                          SlotId slot) {
   QueueEntry e = acc.output_entry(slot);  // The A-DMA moves a copy onward.
@@ -203,15 +212,31 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
   std::uint8_t pm = e.position_mark;
   bool saw_branch = false, saw_transform = false, saw_eot = false;
 
-  auto record_glue = [&] {
-    if (zero) return;
-    stats_.glue_instrs.add(instrs);
-    stats_.glue_branch_ops += saw_branch;
-    stats_.glue_transform_ops += saw_transform;
-    stats_.glue_eot_ops += saw_eot;
+  // Every exit: account the glue, run the FSM for it, and release the
+  // output slot when the entry launches onward. Returns the launch time.
+  auto exit_step = [&] {
+    if (!zero) {
+      stats_.glue_instrs.add(instrs);
+      stats_.glue_branch_ops += saw_branch;
+      stats_.glue_transform_ops += saw_transform;
+      stats_.glue_eot_ops += saw_eot;
+    }
+    const sim::TimePs fsm_done =
+        zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
+    const sim::TimePs launch = std::max(ready, fsm_done);
+    acc.release_output_at(launch, slot);
+    return launch;
   };
-  auto release_at = [&acc, slot](sim::TimePs when) {
-    acc.release_output_at(when, slot);
+  // Branch resolution: in the dispatcher, or a manager round trip
+  // (Fig. 13 "Direct").
+  auto branch_step = [&] {
+    ++ctx->branches;
+    saw_branch = true;
+    if (config_.dispatcher_branches || zero) {
+      if (!zero) instrs += config_.branch_instrs;
+    } else {
+      ready = manager_round_trip(acc, ready);
+    }
   };
   auto atm_fetch = [&](AtmAddr addr) {
     ++stats_.atm_loads;
@@ -232,42 +257,23 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
         e.position_mark = op.next_pm;
         e.cpu_cost =
             ctx->env->op_cpu_cost(*ctx, op.accel, e.payload.size_bytes);
-        record_glue();
-        const sim::TimePs fsm_done =
-            zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-        const sim::TimePs launch = std::max(ready, fsm_done);
-        release_at(launch);
-        forward(acc, std::move(e), op.accel, launch, /*armed_wait=*/false,
-                RemoteKind::kNone);
+        forward(acc, std::move(e), op.accel, exit_step(),
+                /*armed_wait=*/false, RemoteKind::kNone);
         return;
       }
-      case TraceOp::Kind::kBranchSkip: {
-        ++ctx->branches;
-        saw_branch = true;
-        if (config_.dispatcher_branches || zero) {
-          if (!zero) instrs += config_.branch_instrs;
-        } else {
-          ready = manager_round_trip(acc, ready);
-        }
+      case TraceOp::Kind::kBranchSkip:
+        branch_step();
         pm = op.next_pm;
         if (!eval_condition(op.cond, e.payload.flags)) pm += op.skip;
         break;
-      }
-      case TraceOp::Kind::kBranchAtm: {
-        ++ctx->branches;
-        saw_branch = true;
-        if (config_.dispatcher_branches || zero) {
-          if (!zero) instrs += config_.branch_instrs;
-        } else {
-          ready = manager_round_trip(acc, ready);
-        }
+      case TraceOp::Kind::kBranchAtm:
+        branch_step();
         if (eval_condition(op.cond, e.payload.flags)) {
           pm = op.next_pm;
         } else {
           atm_fetch(op.atm);
         }
         break;
-      }
       case TraceOp::Kind::kTransform: {
         ++ctx->transforms;
         saw_transform = true;
@@ -321,26 +327,15 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
         assert(first.kind == TraceOp::Kind::kInvoke);
         e.trace_word = word;
         e.position_mark = first.next_pm;
-        record_glue();
-        const sim::TimePs fsm_done =
-            zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-        const sim::TimePs launch = std::max(ready, fsm_done);
-        release_at(launch);
-        forward(acc, std::move(e), first.accel, launch, /*armed_wait=*/true,
-                kind);
+        forward(acc, std::move(e), first.accel, exit_step(),
+                /*armed_wait=*/true, kind);
         return;
       }
-      case TraceOp::Kind::kEndNotify: {
+      case TraceOp::Kind::kEndNotify:
         saw_eot = true;
         if (!zero) instrs += config_.eot_notify_instrs;
-        record_glue();
-        const sim::TimePs fsm_done =
-            zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-        const sim::TimePs launch = std::max(ready, fsm_done);
-        release_at(launch);
-        finish_to_cpu(acc, std::move(e), launch);
+        finish_to_cpu(acc, std::move(e), exit_step());
         return;
-      }
     }
   }
 }
@@ -355,41 +350,25 @@ void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
   // Graceful degradation: don't hand new work to a quarantined
   // accelerator. Armed network waits are exempt — the receive trace must
   // park somewhere, and the CPU path models that wait differently.
-  if (!armed_wait && reroute_unhealthy(target)) {
-    ++stats_.health_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(target)];
-    ctx->faulted = true;
+  if (!armed_wait && reroute_unhealthy(ctx, target)) {
     // The only FSM exit that may finish the chain before the dispatcher's
     // launch time: if it is the run's last chain, a drained calendar must
     // still reach the output-slot release, so make it a real event.
     from.post_pending_releases();
-    cpu_fallback_from_entry(e, target);
+    continue_chain_on_cpu(ctx, e.trace_word, e.position_mark,
+                          e.payload.size_bytes, target);
     return;
   }
 
-  if (config_.stamp_deadlines &&
-      ctx->step_deadline_budget != sim::kTimeNever) {
-    // The deadline is relative to now; early finishers pass slack on.
-    e.deadline = machine_.sim().now() + ctx->step_deadline_budget;
-  }
+  stamp_deadline(e);
 
   sim::TimePs arrive = ready;
   if (!config_.zero_overhead) {
     // MBA-style throttling: a capped tenant's transfers wait for bucket
     // credit before touching the A-DMA engines (Section IV-D).
-    const sim::TimePs admitted = std::max(
-        ready, mba_.acquire(e.tenant, entry_dma_bytes(e)));
-    arrive = machine_.dma().transfer(from.location(), dst.location(),
-                                     entry_dma_bytes(e), admitted);
-    if (ValidationHooks* c = chk()) c->on_dma(entry_dma_bytes(e), arrive);
-    if (e.payload.size_bytes > kInlineDataBytes) {
-      // The remainder lives in the memory buffer: the producer writes it
-      // back coherently; the consumer fetches it through its Memory
-      // Pointer at dispatch time.
-      const auto w = machine_.memory().write(
-          e.payload.size_bytes - kInlineDataBytes, /*llc_hit_prob=*/0.9);
-      arrive = std::max(arrive, w.complete_at);
-    }
+    arrive = move_entry(
+        e, from.location(), dst.location(),
+        std::max(ready, mba_.acquire(e.tenant, entry_dma_bytes(e))));
   }
 
   e.ready = false;
@@ -400,155 +379,103 @@ void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
   machine_.sim().schedule_at(
       arrive, [this, &dst, parked, armed_wait, wait_kind] {
         accel::QueueEntry e = parked_.take(parked);
-        ChainContext* ctx = e.ctx;
-        const AccelType target = dst.type();
-        ++stats_.attempts_by_type[accel::index_of(target)];
-        const SlotId slot = dst.try_enqueue(e);
-        if (slot == accel::kInvalidSlot) {
-          if (armed_wait) {
-            // No room to pre-arm the receive trace: defer the arming and
-            // re-enqueue when the response actually arrives (the entry
-            // carries no data yet, so the overflow area cannot hold it).
-            ++stats_.deferred_arms;
-            ++ctx->remote_calls;
-            // The deferred entry parks again until the response arrives;
-            // every exit below either redeems or drops the ticket.
-            const auto deferred = parked_.park(std::move(e));
-            auto deliver_deferred = [this, deferred,
-                                     &dst](std::uint64_t bytes) {
-              accel::QueueEntry le = parked_.take(deferred);
-              ChainContext* lctx = le.ctx;
-              le.payload.size_bytes = bytes;
-              le.payload.flags = lctx->flags;
-              le.cpu_cost =
-                  lctx->env->op_cpu_cost(*lctx, dst.type(), bytes);
-              le.ready = false;
-              le.pending_inputs = 1;
-              forward_into_queue(dst, std::move(le));
-            };
-            // The parked entry is invisible to holds_chain(): tell the
-            // watchdog this is a (possibly unbounded) known wait, not a
-            // loss. A synchronous nested delivery re-arms right over it.
-            note_hop_wait(ctx, sim::kTimeNever);
-            if (!ctx->env->nested_call(*ctx, wait_kind, deliver_deferred)) {
-              const sim::TimePs latency =
-                  ctx->env->remote_latency(*ctx, wait_kind);
-              const sim::TimePs timeout =
-                  sim::milliseconds(config_.response_timeout_ms);
-              if (latency > timeout) {
-                ++stats_.timeouts;
-                parked_.drop(deferred);  // The timeout path never delivers.
-                disarm_hop(ctx);  // The chain completes below, on schedule.
-                machine_.sim().schedule_after(timeout, [this, ctx] {
-                  ChainResult r;
-                  r.ok = false;
-                  r.timeout = true;
-                  r.completed_at = machine_.sim().now();
-                  machine_.cores().notify(ctx->core);
-                  complete_chain(ctx, r);
-                });
-                return;
-              }
-              const std::uint64_t resp =
-                  ctx->env->response_size(*ctx, wait_kind);
-              note_hop_wait(ctx, machine_.sim().now() + latency);
-              machine_.sim().schedule_after(
-                  latency,
-                  [deliver_deferred, resp] { deliver_deferred(resp); });
-            }
-            return;
-          }
-          // Output dispatchers cannot retry: the entry goes to the overflow
-          // area; a full overflow area falls back to the CPU (Section IV-A).
-          if (!dst.overflow_enqueue(e)) {
-            ++stats_.overflow_fallbacks;
-            ++stats_.fallbacks_by_type[accel::index_of(target)];
-            // Include the about-to-run op: backing the PM up is impossible
-            // (nibbles vary), so re-walk from the invoke by prepending it.
-            cpu_fallback_from_entry(e, target);
-            return;
-          }
-          return;  // Drained into the queue later by the accelerator.
-        }
         if (!armed_wait) {
-          dst.deliver_data(slot);
+          admit(dst, e);
           return;
         }
-        // Armed network wait: the response (or a timeout) makes it ready.
-        ++ctx->remote_calls;
-        auto deliver = [this, &dst, slot, ctx](std::uint64_t bytes) {
-          accel::QueueEntry& qe = dst.input_entry(slot);
-          qe.payload.size_bytes = bytes;
-          qe.payload.flags = ctx->flags;
-          qe.cpu_cost = ctx->env->op_cpu_cost(*ctx, dst.type(), bytes);
-          // Refresh the hand-off record: a re-issue of this hop must carry
-          // the response payload, not the pre-response placeholder.
-          arm_hop(ctx, dst.type(), qe.trace_word, qe.position_mark, bytes,
-                  qe.payload.format, /*in_flight_until=*/0);
-          dst.deliver_data(slot);
-        };
-        if (ctx->env->nested_call(*ctx, wait_kind, deliver)) return;
-        const sim::TimePs latency = ctx->env->remote_latency(*ctx, wait_kind);
-        const sim::TimePs timeout =
-            sim::milliseconds(config_.response_timeout_ms);
-        if (latency > timeout) {
-          ++stats_.timeouts;
-          disarm_hop(ctx);  // The chain completes below, on schedule.
-          machine_.sim().schedule_after(timeout, [this, &dst, slot, ctx] {
-            dst.release_input(slot);
-            ChainResult r;
-            r.ok = false;
-            r.timeout = true;
-            r.completed_at = machine_.sim().now();
-            machine_.cores().notify(ctx->core);
-            complete_chain(ctx, r);
-          });
-          return;
-        }
-        machine_.sim().schedule_after(
-            latency, [this, &dst, slot, ctx, wait_kind] {
-              QueueEntry& qe = dst.input_entry(slot);
-              qe.payload.size_bytes =
-                  ctx->env->response_size(*ctx, wait_kind);
-              qe.payload.flags = ctx->flags;
-              qe.cpu_cost = ctx->env->op_cpu_cost(*ctx, dst.type(),
-                                                  qe.payload.size_bytes);
-              arm_hop(ctx, dst.type(), qe.trace_word, qe.position_mark,
-                      qe.payload.size_bytes, qe.payload.format,
-                      /*in_flight_until=*/0);
-              dst.deliver_data(slot);
-            });
+        ++stats_.attempts_by_type[accel::index_of(dst.type())];
+        const SlotId slot = dst.try_enqueue(e);
+        arm_wait(dst, slot, std::move(e), wait_kind);
       });
+}
+
+void AccelFlowEngine::arm_wait(accel::Accelerator& dst, SlotId slot,
+                               QueueEntry e, RemoteKind kind) {
+  ChainContext* ctx = e.ctx;
+  const bool queued = slot != accel::kInvalidSlot;
+  sim::TicketPool<QueueEntry>::Ticket deferred = 0;
+  std::function<void(std::uint64_t)> deliver;
+  if (queued) {
+    // Armed in the queue: the response (or a timeout) makes it ready.
+    deliver = [this, &dst, slot](std::uint64_t bytes) {
+      QueueEntry& qe = dst.input_entry(slot);
+      land_response(qe, dst.type(), bytes);
+      // Refresh the hand-off record: a re-issue of this hop must carry the
+      // response payload, not the pre-response placeholder.
+      arm_hop(qe.ctx, dst.type(), qe.trace_word, qe.position_mark, bytes,
+              qe.payload.format, /*in_flight_until=*/0);
+      dst.deliver_data(slot);
+    };
+  } else {
+    // No room to pre-arm the receive trace: defer the arming and re-enqueue
+    // when the response actually arrives (the entry carries no data yet, so
+    // the overflow area cannot hold it). The entry parks until then; every
+    // outcome below either redeems or drops the ticket.
+    ++stats_.deferred_arms;
+    deferred = parked_.park(std::move(e));
+    // The parked entry is invisible to holds_chain(): tell the watchdog
+    // this is a (possibly unbounded) known wait, not a loss. A synchronous
+    // nested delivery re-arms right over it.
+    note_hop_wait(ctx, sim::kTimeNever);
+    deliver = [this, &dst, deferred](std::uint64_t bytes) {
+      QueueEntry le = parked_.take(deferred);
+      land_response(le, dst.type(), bytes);
+      forward_into_queue(dst, std::move(le));
+    };
+  }
+  sim::Simulator& sim = machine_.sim();
+  const ResponseWait w = await_response(
+      sim, *ctx, kind, sim.now(),
+      sim::milliseconds(config_.response_timeout_ms),
+      [this, &dst, slot, ctx, queued] {
+        if (queued) dst.release_input(slot);
+        time_out_chain(ctx, /*on_cpu=*/false);
+      },
+      std::move(deliver));
+  if (w.kind == ResponseWait::Kind::kTimeout) {
+    ++stats_.timeouts;
+    if (!queued) parked_.drop(deferred);  // The timeout never delivers.
+    disarm_hop(ctx);  // The chain completes on schedule.
+  } else if (!queued && w.kind == ResponseWait::Kind::kResponse) {
+    note_hop_wait(ctx, w.at);
+  }
+}
+
+void AccelFlowEngine::time_out_chain(ChainContext* ctx, bool on_cpu) {
+  // The ensemble notifies the core; on the CPU path the core is waiting.
+  if (!on_cpu) machine_.cores().notify(ctx->core);
+  complete_chain(ctx, {.ok = false, .cpu_fallback = on_cpu, .timeout = true});
 }
 
 void AccelFlowEngine::forward_into_queue(accel::Accelerator& dst,
                                          QueueEntry e) {
-  if (reroute_unhealthy(dst.type())) {
-    ++stats_.health_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(dst.type())];
-    e.ctx->faulted = true;
-    cpu_fallback_from_entry(e, dst.type());
+  if (reroute_unhealthy(e.ctx, dst.type())) {
+    continue_chain_on_cpu(e.ctx, e.trace_word, e.position_mark,
+                          e.payload.size_bytes, dst.type());
     return;
   }
   arm_hop(e.ctx, dst.type(), e.trace_word, e.position_mark,
           e.payload.size_bytes, e.payload.format, /*in_flight_until=*/0);
+  admit(dst, e);
+}
+
+void AccelFlowEngine::admit(accel::Accelerator& dst, const QueueEntry& e) {
   ++stats_.attempts_by_type[accel::index_of(dst.type())];
   const SlotId slot = dst.try_enqueue(e);
   if (slot != accel::kInvalidSlot) {
     dst.deliver_data(slot);
     return;
   }
+  // Output dispatchers cannot retry: the entry goes to the overflow area,
+  // to be drained into the queue later by the accelerator; a full
+  // overflow area falls back to the CPU (Section IV-A).
   if (!dst.overflow_enqueue(e)) {
     ++stats_.overflow_fallbacks;
     ++stats_.fallbacks_by_type[accel::index_of(dst.type())];
-    cpu_fallback_from_entry(e, dst.type());
+    // The CPU runs the about-to-run op itself, then the rest.
+    continue_chain_on_cpu(e.ctx, e.trace_word, e.position_mark,
+                          e.payload.size_bytes, dst.type());
   }
-}
-
-void AccelFlowEngine::cpu_fallback_from_entry(const QueueEntry& e,
-                                              AccelType pending) {
-  continue_chain_on_cpu(e.ctx, e.trace_word, e.position_mark,
-                        e.payload.size_bytes, pending);
 }
 
 void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
@@ -585,23 +512,9 @@ void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
     switch (op.kind) {
       case TraceOp::Kind::kInvoke: {
         // Re-enter the ensemble.
-        QueueEntry e;
-        e.trace_word = word;
-        e.position_mark = op.next_pm;
-        e.tenant = ctx->tenant;
-        e.request = ctx->request;
-        e.chain = ctx->chain;
-        e.payload.size_bytes = bytes;
-        e.payload.flags = ctx->flags;
-        e.payload.va = ctx->buffer_va;
-        e.cpu_cost = ctx->env->op_cpu_cost(*ctx, op.accel, bytes);
-        e.priority = ctx->priority;
-        e.initiating_core = ctx->core;
-        e.ctx = ctx;
-        e.ready = false;
-        e.pending_inputs = 1;
         accel::Accelerator& dst = machine_.accel(op.accel);
-        const auto parked = parked_.park(std::move(e));
+        const auto parked = parked_.park(
+            make_queue_entry(*ctx, op.accel, word, op.next_pm, bytes));
         cores.run_on(ctx->core, segment, [this, &dst, parked] {
           forward_into_queue(dst, parked_.take(parked));
         });
@@ -642,59 +555,26 @@ void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
         // receive trace then re-enters the ensemble.
         const TraceOp first = decode_op(word, 0);
         assert(first.kind == TraceOp::Kind::kInvoke);
-        const std::uint64_t next_word = word;
         const std::uint8_t next_pm = first.next_pm;
         const AccelType recv = first.accel;
-        ++ctx->remote_calls;
-        auto deliver = [this, ctx, next_word, next_pm,
-                        recv](std::uint64_t resp) {
-          QueueEntry e;
-          e.trace_word = next_word;
-          e.position_mark = next_pm;
-          e.tenant = ctx->tenant;
-          e.request = ctx->request;
-          e.chain = ctx->chain;
-          e.payload.size_bytes = resp;
-          e.payload.flags = ctx->flags;
-          e.payload.va = ctx->buffer_va;
-          e.cpu_cost = ctx->env->op_cpu_cost(*ctx, recv, resp);
-          e.priority = ctx->priority;
-          e.initiating_core = ctx->core;
-          e.ctx = ctx;
-          e.ready = false;
-          e.pending_inputs = 1;
-          forward_into_queue(machine_.accel(recv), std::move(e));
-        };
-        cores.run_on(ctx->core, segment, [this, ctx, kind, deliver] {
-          if (ctx->env->nested_call(*ctx, kind, deliver)) return;
-          const sim::TimePs latency = ctx->env->remote_latency(*ctx, kind);
-          const sim::TimePs timeout =
-              sim::milliseconds(config_.response_timeout_ms);
-          if (latency > timeout) {
-            ++stats_.timeouts;
-            machine_.sim().schedule_after(timeout, [this, ctx] {
-              ChainResult r;
-              r.ok = false;
-              r.timeout = true;
-              r.cpu_fallback = true;
-              r.completed_at = machine_.sim().now();
-              complete_chain(ctx, r);
-            });
-            return;
-          }
-          const std::uint64_t resp = ctx->env->response_size(*ctx, kind);
-          machine_.sim().schedule_after(
-              latency, [deliver, resp] { deliver(resp); });
+        cores.run_on(ctx->core, segment, [this, ctx, kind, word, next_pm,
+                                          recv] {
+          const ResponseWait w = await_response(
+              machine_.sim(), *ctx, kind, machine_.sim().now(),
+              sim::milliseconds(config_.response_timeout_ms),
+              [this, ctx] { time_out_chain(ctx, /*on_cpu=*/true); },
+              [this, ctx, word, next_pm, recv](std::uint64_t resp) {
+                forward_into_queue(
+                    machine_.accel(recv),
+                    make_queue_entry(*ctx, recv, word, next_pm, resp));
+              });
+          if (w.kind == ResponseWait::Kind::kTimeout) ++stats_.timeouts;
         });
         return;
       }
       case TraceOp::Kind::kEndNotify: {
         cores.run_on(ctx->core, segment, [this, ctx] {
-          ChainResult r;
-          r.ok = true;
-          r.cpu_fallback = true;
-          r.completed_at = machine_.sim().now();
-          complete_chain(ctx, r);
+          complete_chain(ctx, {.cpu_fallback = true});
         });
         return;
       }
@@ -708,15 +588,8 @@ void AccelFlowEngine::finish_to_cpu(accel::Accelerator& from, QueueEntry e,
   sim::TimePs arrive = ready;
   if (!config_.zero_overhead) {
     // The A-DMA deposits the result in a memory buffer the core reads.
-    arrive = machine_.dma().transfer(from.location(),
-                                     machine_.core_location(ctx->core),
-                                     entry_dma_bytes(e), ready);
-    if (ValidationHooks* c = chk()) c->on_dma(entry_dma_bytes(e), arrive);
-    if (e.payload.size_bytes > kInlineDataBytes) {
-      const auto w = machine_.memory().write(
-          e.payload.size_bytes - kInlineDataBytes, /*llc_hit_prob=*/0.9);
-      arrive = std::max(arrive, w.complete_at);
-    }
+    arrive = move_entry(e, from.location(), machine_.core_location(ctx->core),
+                        ready);
   }
   ++stats_.notifications;
   if (obs::Tracer* t = trc()) {
@@ -726,12 +599,26 @@ void AccelFlowEngine::finish_to_cpu(accel::Accelerator& from, QueueEntry e,
   }
   machine_.sim().schedule_at(arrive, [this, ctx] {
     machine_.cores().notify(ctx->core, [this, ctx] {
-      ChainResult r;
-      r.ok = true;
-      r.completed_at = machine_.sim().now();
-      complete_chain(ctx, r);
+      complete_chain(ctx, {});
     });
   });
+}
+
+sim::TimePs AccelFlowEngine::move_entry(const QueueEntry& e,
+                                        noc::Location from, noc::Location to,
+                                        sim::TimePs start) {
+  const std::uint64_t bytes = entry_dma_bytes(e);
+  sim::TimePs arrive = machine_.dma().transfer(from, to, bytes, start);
+  if (ValidationHooks* c = chk()) c->on_dma(bytes, arrive);
+  if (e.payload.size_bytes > kInlineDataBytes) {
+    // The remainder lives in the memory buffer: the producer writes it
+    // back coherently; the consumer fetches it through its Memory
+    // Pointer at dispatch time.
+    const auto w = machine_.memory().write(
+        e.payload.size_bytes - kInlineDataBytes, /*llc_hit_prob=*/0.9);
+    arrive = std::max(arrive, w.complete_at);
+  }
+  return arrive;
 }
 
 sim::TimePs AccelFlowEngine::manager_round_trip(
@@ -807,8 +694,7 @@ void AccelFlowEngine::snapshot_metrics(obs::MetricsRegistry& reg) const {
   }
 }
 
-void AccelFlowEngine::complete_chain(ChainContext* ctx,
-                                     const ChainResult& result) {
+void AccelFlowEngine::complete_chain(ChainContext* ctx, ChainResult res) {
   disarm_hop(ctx);
   // The context may be freed and recycled once finished: no timer may
   // outlive it.
@@ -816,7 +702,7 @@ void AccelFlowEngine::complete_chain(ChainContext* ctx,
     machine_.sim().cancel(ctx->hop.timer);
     ctx->hop.timer = sim::kInvalidEventId;
   }
-  ChainResult res = result;
+  res.completed_at = machine_.sim().now();
   if (ctx->faulted) {
     res.faulted = true;
     ++stats_.chains_faulted;
@@ -996,26 +882,9 @@ void AccelFlowEngine::retry_hop(ChainContext* ctx) {
   // Rebuild the lost entry from the hand-off record (the payload still
   // lives in its memory buffer; the re-issued DMA is modeled by the
   // normal enqueue path) and hand it back to the same accelerator.
-  QueueEntry e;
-  e.trace_word = w.word;
-  e.position_mark = w.pm;
-  e.tenant = ctx->tenant;
-  e.request = ctx->request;
-  e.chain = ctx->chain;
-  e.payload.size_bytes = w.bytes;
+  QueueEntry e = make_queue_entry(*ctx, w.target, w.word, w.pm, w.bytes);
   e.payload.format = w.fmt;
-  e.payload.flags = ctx->flags;
-  e.payload.va = ctx->buffer_va;
-  e.cpu_cost = ctx->env->op_cpu_cost(*ctx, w.target, w.bytes);
-  e.priority = ctx->priority;
-  if (config_.stamp_deadlines &&
-      ctx->step_deadline_budget != sim::kTimeNever) {
-    e.deadline = machine_.sim().now() + ctx->step_deadline_budget;
-  }
-  e.initiating_core = ctx->core;
-  e.ctx = ctx;
-  e.ready = false;
-  e.pending_inputs = 1;
+  stamp_deadline(e);
   forward_into_queue(machine_.accel(w.target), std::move(e));
 }
 
@@ -1053,7 +922,7 @@ void AccelFlowEngine::record_hop_success(AccelType t) {
   }
 }
 
-bool AccelFlowEngine::reroute_unhealthy(AccelType t) {
+bool AccelFlowEngine::reroute_unhealthy(ChainContext* ctx, AccelType t) {
   if (!resilience_active()) return false;
   Health& hs = health_[accel::index_of(t)];
   if (hs.state != Health::State::kUnhealthy) return false;
@@ -1064,6 +933,9 @@ bool AccelFlowEngine::reroute_unhealthy(AccelType t) {
     hs.consecutive_losses = 0;
     return false;
   }
+  ++stats_.health_fallbacks;
+  ++stats_.fallbacks_by_type[accel::index_of(t)];
+  ctx->faulted = true;
   return true;
 }
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -154,13 +156,18 @@ struct EngineStats {
 /**
  * The AccelFlow orchestration engine. One instance drives one Machine.
  *
- * Implements accel::OutputHandler: every accelerator's output dispatcher
+ * It is the Orchestrator of AccelFlow, its Figure-13 ablation rungs and
+ * the Figure-14 Ideal system (make_orchestrator names each), and it
+ * implements accel::OutputHandler: every accelerator's output dispatcher
  * delegates its Figure-8 semantics here.
  */
-class AccelFlowEngine : public accel::OutputHandler {
+class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
  public:
+  /** @param name the architecture name the Orchestrator reports; it must
+   *  outlive the engine (make_orchestrator passes name_of(kind)). */
   AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
-                  const EngineConfig& config);
+                  const EngineConfig& config,
+                  std::string_view name = "AccelFlow");
   ~AccelFlowEngine() override;
 
   /**
@@ -171,7 +178,17 @@ class AccelFlowEngine : public accel::OutputHandler {
    */
   void start_chain(ChainContext* ctx, AtmAddr first);
 
-  void handle_output(accel::Accelerator& acc, accel::SlotId slot) override;
+  void run_chain(ChainContext* ctx, AtmAddr first) override {
+    start_chain(ctx, first);
+  }
+  std::string_view name() const override { return name_; }
+  const AccelFlowEngine* engine() const override { return this; }
+  std::unique_ptr<OrchCheckpoint> save_checkpoint() const override;
+  void restore_checkpoint(const OrchCheckpoint& c) override;
+
+  void handle_output(accel::Accelerator& acc, accel::SlotId slot) override {
+    run_dispatcher_fsm(acc, slot);
+  }
 
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return config_; }
@@ -229,6 +246,34 @@ class AccelFlowEngine : public accel::OutputHandler {
                accel::AccelType target, sim::TimePs ready, bool armed_wait,
                RemoteKind wait_kind);
 
+  /**
+   * Arms the network wait of receive entry `e` at `dst` (core::
+   * await_response): in input slot `slot`, or — when the queue was full
+   * (kInvalidSlot) — deferred until the response lands.
+   */
+  void arm_wait(accel::Accelerator& dst, accel::SlotId slot,
+                accel::QueueEntry e, RemoteKind kind);
+
+  /** A network wait timed out: the chain ends, failed. `on_cpu` marks a
+   *  wait the CPU fallback path owned. */
+  void time_out_chain(ChainContext* ctx, bool on_cpu);
+
+  /** Stamps e's soft-SLO deadline (Section IV-C) when deadline stamping
+   *  is on and the chain has a budget. It is relative to now, so early
+   *  finishers pass slack on. */
+  void stamp_deadline(accel::QueueEntry& e) const {
+    const sim::TimePs budget = e.ctx->step_deadline_budget;
+    if (config_.stamp_deadlines && budget != sim::kTimeNever) {
+      e.deadline = machine_.sim().now() + budget;
+    }
+  }
+
+  /** The A-DMA moves `e` from `from` to `to`, starting at `start`, with
+   *  any payload past the inline data through the memory buffer. Returns
+   *  the arrival time. */
+  sim::TimePs move_entry(const accel::QueueEntry& e, noc::Location from,
+                         noc::Location to, sim::TimePs start);
+
   /** End of trace, no address: DMA to memory + user-level notification. */
   void finish_to_cpu(accel::Accelerator& from, accel::QueueEntry e,
                      sim::TimePs ready);
@@ -247,15 +292,17 @@ class AccelFlowEngine : public accel::OutputHandler {
                              std::uint8_t pm, std::uint64_t payload_bytes,
                              accel::AccelType pending);
 
-  /** Enqueues a data-ready entry, using the overflow area when full. */
+  /** Enqueues a data-ready entry (re-arming the watchdog) unless `dst`
+   *  is quarantined, which sends it to the CPU instead. */
   void forward_into_queue(accel::Accelerator& dst, accel::QueueEntry e);
 
-  /** Fallback for a rejected forward: includes the pending op itself. */
-  void cpu_fallback_from_entry(const accel::QueueEntry& e,
-                               accel::AccelType pending);
+  /** Admits a data-ready entry into `dst`'s input queue, using the
+   *  overflow area when full and the CPU when that is full too. */
+  void admit(accel::Accelerator& dst, const accel::QueueEntry& e);
 
-  /** Chain ended: bookkeeping + tenant counter + queued chain starts. */
-  void complete_chain(ChainContext* ctx, const ChainResult& result);
+  /** Chain ended now with `res`'s flags: bookkeeping + tenant counter +
+   *  queued chain starts. */
+  void complete_chain(ChainContext* ctx, ChainResult res);
 
   // --- Fault resilience (DESIGN.md §14) ---------------------------------
 
@@ -291,8 +338,9 @@ class AccelFlowEngine : public accel::OutputHandler {
   void record_hop_success(accel::AccelType t);
   /** A hop on `t` was lost: feeds the health state machine. */
   void record_hop_failure(accel::AccelType t);
-  /** True while `t` is quarantined (lazily advances Unhealthy->Probation). */
-  bool reroute_unhealthy(accel::AccelType t);
+  /** True while `t` is quarantined (lazily advances Unhealthy->Probation):
+   *  counts the re-route and marks ctx faulted. */
+  bool reroute_unhealthy(ChainContext* ctx, accel::AccelType t);
 
   sim::TimePs instr_time(double instrs) const;
 
@@ -304,6 +352,7 @@ class AccelFlowEngine : public accel::OutputHandler {
     return tenant_active_[tenant];
   }
 
+  std::string_view name_;
   Machine& machine_;
   const TraceLibrary& lib_;
   EngineConfig config_;
@@ -333,7 +382,7 @@ class AccelFlowEngine : public accel::OutputHandler {
    * meaningful at a quiescent point (no chain in flight), where the deque
    * is empty — workload::SweepSession guarantees that.
    */
-  struct Checkpoint {
+  struct Checkpoint : OrchCheckpoint {
     EngineStats stats;                        ///< Counters.
     std::vector<std::uint32_t> tenant_active; ///< Per-tenant live traces.
     std::deque<PendingStart> throttled;       ///< Waiting starts (empty).
@@ -343,10 +392,7 @@ class AccelFlowEngine : public accel::OutputHandler {
   };
 
   /** Captures the engine's orchestration state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{stats_, tenant_active_, throttled_, mba_.checkpoint(),
-                      parked_.checkpoint(), health_};
-  }
+  Checkpoint checkpoint() const;
 
   /** Restores state captured by checkpoint(). */
   void restore(const Checkpoint& c) {

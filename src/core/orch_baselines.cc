@@ -99,24 +99,15 @@ void BaselineOrchestrator::restore(const Checkpoint& c) {
   central_fifo_.clear();
 }
 
-namespace {
-/** Checkpoint payload of BaselineOrchestrator. */
-struct BaselineOrchCheckpoint : OrchCheckpoint {
-  BaselineOrchestrator::Checkpoint state;
-};
-}  // namespace
-
 std::unique_ptr<OrchCheckpoint> BaselineOrchestrator::save_checkpoint()
     const {
-  auto out = std::make_unique<BaselineOrchCheckpoint>();
-  out->state = checkpoint();
-  return out;
+  return std::make_unique<Checkpoint>(checkpoint());
 }
 
 void BaselineOrchestrator::restore_checkpoint(const OrchCheckpoint& c) {
-  const auto* ck = dynamic_cast<const BaselineOrchCheckpoint*>(&c);
+  const auto* ck = dynamic_cast<const Checkpoint*>(&c);
   assert(ck != nullptr && "checkpoint from a different orchestrator");
-  restore(ck->state);
+  restore(*ck);
 }
 
 void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
@@ -126,10 +117,9 @@ void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
     cpu_exec_->run(ctx, walk_ops(first, ctx->flags), ctx->initial_bytes,
                    [this, ctx](bool timed_out) {
                      ++stats_.completed;
-                     ChainResult r;
-                     r.ok = !timed_out;
-                     r.timeout = timed_out;
-                     r.completed_at = machine_.sim().now();
+                     const ChainResult r{.ok = !timed_out,
+                                         .timeout = timed_out,
+                                         .completed_at = machine_.sim().now()};
                      if (ValidationHooks* v = machine_.checker()) {
                        v->on_chain_finish(*ctx, r);
                      }
@@ -223,40 +213,17 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
         cores.notify(ctx->core);
         ++c->i;
         break;
-      case LogicalOp::Kind::kRemoteWait: {
-        ++ctx->remote_calls;
-        {
-          // Colocated-callee nested RPC: the response arrives when the
-          // callee's own invocation on this machine completes.
-          const std::size_t next_i = c->i + 1;
-          if (ctx->env->nested_call(
-                  *ctx, op.remote, [this, c, next_i](std::uint64_t bytes) {
-                    c->i = next_i;
-                    c->bytes = bytes;
-                    step(c, machine_.sim().now());
-                  })) {
-            return;
-          }
-        }
-        const sim::TimePs latency =
-            ctx->env->remote_latency(*ctx, op.remote);
-        const sim::TimePs timeout =
-            sim::milliseconds(costs_.response_timeout_ms);
-        if (latency > timeout) {
-          machine_.sim().schedule_after(timeout, [this, c] {
-            finish(c, /*timed_out=*/true, /*fell_back=*/false);
-          });
-          return;
-        }
-        const RemoteKind kind = op.remote;
-        ++c->i;
-        machine_.sim().schedule_at(
-            ready + latency, [this, c, kind] {
-              c->bytes = c->ctx->env->response_size(*c->ctx, kind);
+      case LogicalOp::Kind::kRemoteWait:
+        await_response(
+            machine_.sim(), *ctx, op.remote, ready,
+            sim::milliseconds(costs_.response_timeout_ms),
+            [this, c] { finish(c, /*timed_out=*/true, /*fell_back=*/false); },
+            [this, c](std::uint64_t bytes) {
+              ++c->i;
+              c->bytes = bytes;
               step(c, machine_.sim().now());
             });
         return;
-      }
     }
   }
   // Chain complete: control returns to the core.
@@ -311,24 +278,12 @@ void BaselineOrchestrator::issue_invoke(Chain* c, sim::TimePs ready,
       break;
   }
 
-  QueueEntry e;
-  e.tenant = ctx->tenant;
-  e.request = ctx->request;
-  e.chain = ctx->chain;
-  e.payload.size_bytes = c->bytes;
-  e.payload.flags = ctx->flags;
-  e.payload.va = ctx->buffer_va;
-  e.cpu_cost = ctx->env->op_cpu_cost(*ctx, target, c->bytes);
-  e.priority = ctx->priority;
-  e.initiating_core = ctx->core;
-  e.ctx = ctx;
-  e.ready = false;
-  e.pending_inputs = 1;
-
+  // Baselines carry no trace: the entry names the op alone.
   auto issue = std::make_shared<Issue>();
   issue->c = c;
   issue->dst = &dst;
-  issue->entry = std::move(e);
+  issue->entry = make_queue_entry(*ctx, target, /*word=*/0, /*pm=*/0,
+                                  c->bytes);
   issue->src = src;
   issue->dma_bytes =
       std::min<std::uint64_t>(c->bytes, accel::kInlineDataBytes) + 64;
@@ -362,17 +317,7 @@ void BaselineOrchestrator::pump_central_queue() {
       return;
     }
     --central_tokens_;  // Returned when the op's result is handled.
-    accel::Accelerator& dst = *head->dst;
-    obs::FlowScope flow_scope(
-        machine_.tracer(),
-        obs::flow_id(head->entry.request, head->entry.chain));
-    const sim::TimePs arrive = machine_.dma().transfer(
-        head->src, dst.location(), head->dma_bytes, machine_.sim().now());
-    if (ValidationHooks* v = machine_.checker()) {
-      v->on_dma(head->dma_bytes, arrive);
-    }
-    machine_.sim().schedule_at(arrive,
-                               [&dst, slot] { dst.deliver_data(slot); });
+    launch(*head, slot, machine_.sim().now());
     central_fifo_.pop_front();
   }
 }
@@ -381,8 +326,7 @@ void BaselineOrchestrator::try_issue(std::shared_ptr<Issue> issue,
                                      sim::TimePs when) {
   // Enqueue with retries; persistent fullness falls back to the CPU.
   Chain* c = issue->c;
-  accel::Accelerator& dst = *issue->dst;
-  const SlotId slot = dst.try_enqueue(issue->entry);
+  const SlotId slot = issue->dst->try_enqueue(issue->entry);
   if (slot == accel::kInvalidSlot) {
     if (++issue->attempts >= costs_.enqueue_retries) {
       ++stats_.fallbacks;
@@ -401,15 +345,19 @@ void BaselineOrchestrator::try_issue(std::shared_ptr<Issue> issue,
         });
     return;
   }
+  launch(*issue, slot, when);
+}
+
+void BaselineOrchestrator::launch(const Issue& issue, SlotId slot,
+                                  sim::TimePs when) {
   obs::FlowScope flow_scope(
-      machine_.tracer(), obs::flow_id(issue->entry.request, issue->entry.chain));
+      machine_.tracer(), obs::flow_id(issue.entry.request, issue.entry.chain));
   const sim::TimePs arrive = machine_.dma().transfer(
-      issue->src, dst.location(), issue->dma_bytes, when);
+      issue.src, issue.dst->location(), issue.dma_bytes, when);
   if (ValidationHooks* v = machine_.checker()) {
-    v->on_dma(issue->dma_bytes, arrive);
+    v->on_dma(issue.dma_bytes, arrive);
   }
-  machine_.sim().schedule_at(arrive,
-                             [&dst, slot] { dst.deliver_data(slot); });
+  issue.dst->schedule_deliver(arrive, slot);
 }
 
 void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
@@ -537,11 +485,10 @@ void BaselineOrchestrator::finish(Chain* c, bool timed_out, bool fell_back) {
                tid, now, ctx->tenant, flow);
     t->flow(obs::Phase::kFlowEnd, obs::Subsys::kEngine, tid, now, flow);
   }
-  ChainResult r;
-  r.ok = !timed_out;
-  r.timeout = timed_out;
-  r.cpu_fallback = fell_back;
-  r.completed_at = machine_.sim().now();
+  const ChainResult r{.ok = !timed_out,
+                      .cpu_fallback = fell_back,
+                      .timeout = timed_out,
+                      .completed_at = machine_.sim().now()};
   if (ValidationHooks* v = machine_.checker()) v->on_chain_finish(*ctx, r);
   chains_.erase(ctx);
   ctx->finish(r);

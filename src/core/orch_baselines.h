@@ -116,7 +116,7 @@ class BaselineOrchestrator : public Orchestrator,
    * issues hold raw pointers and are cleared on restore rather than
    * captured (workload::SweepSession checkpoints with none in flight).
    */
-  struct Checkpoint {
+  struct Checkpoint : OrchCheckpoint {
     std::array<std::uint64_t, 4> rng{};     ///< Tail/stall draw stream.
     BaselineStats stats;                    ///< Counters.
     CpuExecStats cpu_exec;                  ///< CPU-executor counters.
@@ -168,6 +168,9 @@ class BaselineOrchestrator : public Orchestrator,
     int attempts = 0;
   };
   void try_issue(std::shared_ptr<Issue> issue, sim::TimePs when);
+  /** The admitted issue's payload DMA into input slot `slot`, from `when`;
+   *  the slot becomes ready when it lands. */
+  void launch(const Issue& issue, accel::SlotId slot, sim::TimePs when);
 
   /**
    * RELIEF base design: all issues pass through one FIFO. The manager only

@@ -1,55 +1,23 @@
 #include "core/orchestrator.h"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "core/orch_baselines.h"
 
 namespace accelflow::core {
 
-namespace {
-
-/** Checkpoint payload of AccelFlowOrchestrator: the engine's state. */
-struct EngineOrchCheckpoint : OrchCheckpoint {
-  AccelFlowEngine::Checkpoint engine;
-};
-
-/** Wraps the AccelFlow engine (and its Ideal/ablation variants). */
-class AccelFlowOrchestrator : public Orchestrator {
- public:
-  AccelFlowOrchestrator(std::string_view name, Machine& machine,
-                        const TraceLibrary& lib, const EngineConfig& config)
-      : name_(name), engine_(machine, lib, config) {}
-
-  void run_chain(ChainContext* ctx, AtmAddr first) override {
-    engine_.start_chain(ctx, first);
-  }
-  std::string_view name() const override { return name_; }
-  const AccelFlowEngine* engine() const override { return &engine_; }
-
-  std::unique_ptr<OrchCheckpoint> save_checkpoint() const override {
-    auto out = std::make_unique<EngineOrchCheckpoint>();
-    out->engine = engine_.checkpoint();
-    return out;
-  }
-
-  void restore_checkpoint(const OrchCheckpoint& c) override {
-    const auto* ck = dynamic_cast<const EngineOrchCheckpoint*>(&c);
-    assert(ck != nullptr && "checkpoint from a different orchestrator");
-    engine_.restore(ck->engine);
-  }
-
- private:
-  std::string_view name_;
-  AccelFlowEngine engine_;
-};
-
-}  // namespace
-
 std::unique_ptr<Orchestrator> make_orchestrator(
     OrchKind kind, Machine& machine, const TraceLibrary& lib,
     const EngineConfig& engine_overrides) {
-  EngineConfig cfg = engine_overrides;
+  auto engine = [&](bool branches, bool transforms,
+                    bool zero) -> std::unique_ptr<Orchestrator> {
+    EngineConfig cfg = engine_overrides;
+    cfg.dispatcher_branches = branches;
+    cfg.dispatcher_transforms = transforms;
+    cfg.zero_overhead = zero;
+    return std::make_unique<AccelFlowEngine>(machine, lib, cfg,
+                                             name_of(kind));
+  };
   switch (kind) {
     case OrchKind::kNonAcc:
       return std::make_unique<BaselineOrchestrator>(
@@ -66,30 +34,15 @@ std::unique_ptr<Orchestrator> make_orchestrator(
     case OrchKind::kCohort:
       return std::make_unique<BaselineOrchestrator>(
           BaselineMode::kCohort, machine, lib, false);
+    // The AccelFlow family: the kind forces the Fig. 13/14 ablation flags.
     case OrchKind::kAccelFlowDirect:
-      cfg.dispatcher_branches = false;
-      cfg.dispatcher_transforms = false;
-      cfg.zero_overhead = false;
-      return std::make_unique<AccelFlowOrchestrator>("Direct", machine, lib,
-                                                     cfg);
+      return engine(/*branches=*/false, /*transforms=*/false, /*zero=*/false);
     case OrchKind::kAccelFlowCntrFlow:
-      cfg.dispatcher_branches = true;
-      cfg.dispatcher_transforms = false;
-      cfg.zero_overhead = false;
-      return std::make_unique<AccelFlowOrchestrator>("CntrFlow", machine,
-                                                     lib, cfg);
+      return engine(true, false, false);
     case OrchKind::kAccelFlow:
-      cfg.dispatcher_branches = true;
-      cfg.dispatcher_transforms = true;
-      cfg.zero_overhead = false;
-      return std::make_unique<AccelFlowOrchestrator>("AccelFlow", machine,
-                                                     lib, cfg);
+      return engine(true, true, false);
     case OrchKind::kIdeal:
-      cfg.dispatcher_branches = true;
-      cfg.dispatcher_transforms = true;
-      cfg.zero_overhead = true;
-      return std::make_unique<AccelFlowOrchestrator>("Ideal", machine, lib,
-                                                     cfg);
+      return engine(true, true, true);
   }
   throw std::invalid_argument("unknown orchestrator kind");
 }

@@ -11,52 +11,14 @@
 
 /**
  * @file
- * The orchestration interface and the architecture roster of Section VI:
- * Non-acc, CPU-Centric, RELIEF, Cohort, AccelFlow, plus the Figure-13
- * ablation rungs and the Figure-14 Ideal system. All of them execute the
- * same logical chains on the same Machine; only the coordination mechanism
- * (and hence where time is spent) differs.
+ * The architecture roster of Section VI: Non-acc, CPU-Centric, RELIEF,
+ * Cohort, AccelFlow, plus the Figure-13 ablation rungs and the Figure-14
+ * Ideal system. All of them implement the Orchestrator interface
+ * (core/chain.h) and execute the same logical chains on the same Machine;
+ * only the coordination mechanism (and hence where time is spent) differs.
  */
 
 namespace accelflow::core {
-
-/**
- * Opaque snapshot of an orchestrator's mutable state, produced by
- * Orchestrator::save_checkpoint() and consumed by restore_checkpoint().
- * Each concrete orchestrator defines its own derived payload (DESIGN.md
- * §13); callers only move the handle around.
- */
-struct OrchCheckpoint {
-  virtual ~OrchCheckpoint() = default;
-};
-
-/** Executes trace chains on a Machine. */
-class Orchestrator {
- public:
-  virtual ~Orchestrator() = default;
-
-  /**
-   * Executes the chain starting at `first` (run_trace). ctx->on_done fires
-   * when control returns to the initiating core.
-   */
-  virtual void run_chain(ChainContext* ctx, AtmAddr first) = 0;
-
-  virtual std::string_view name() const = 0;
-
-  /** The engine, when this orchestrator is AccelFlow-based (else null). */
-  virtual const AccelFlowEngine* engine() const { return nullptr; }
-
-  /**
-   * Captures the orchestrator's mutable state (counters, RNG streams,
-   * admission budgets) for the checkpoint-and-fork sweep engine. Only
-   * meaningful at a quiescent point — no chain in flight.
-   */
-  virtual std::unique_ptr<OrchCheckpoint> save_checkpoint() const = 0;
-
-  /** Restores state captured by save_checkpoint() on this same
-   *  orchestrator type (asserts on a mismatched handle). */
-  virtual void restore_checkpoint(const OrchCheckpoint& c) = 0;
-};
 
 /** The architectures and ablations evaluated in the paper. */
 enum class OrchKind : std::uint8_t {

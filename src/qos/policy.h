@@ -101,8 +101,7 @@ struct QosPolicy {
    * one priority class (1, above best-effort so the reserved headroom
    * never refuses it), a generous active-chain cap, dispatcher aging and
    * reserved headroom on. No quotas and no SLOs, so the admission
-   * controller never sheds — this is what AF_QOS=1 applies to runs whose
-   * config carries no explicit policy.
+   * controller never sheds.
    */
   static QosPolicy isolation_defaults(std::size_t num_tenants) {
     QosPolicy p;

@@ -14,7 +14,7 @@
  * assembled from an ExperimentConfig in one fixed order, with its
  * recorder resets, fork checkpoint, harvest and final audit.
  * run_experiment(), SweepSession and every cluster::Datacenter shard are
- * built from it, so a policy applied here (the AF_FAULTS/AF_CHECK/AF_QOS
+ * built from it, so a policy applied here (the AF_FAULTS/AF_CHECK
  * fallbacks, the generator seed formula, the `rps <= 0` filter) applies
  * to all of them.
  */

@@ -25,11 +25,6 @@ double af_fault_rate() {
   return std::min(rate, 1.0);
 }
 
-bool af_qos_enabled() {
-  const char* v = std::getenv("AF_QOS");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 fault::FaultPlan resolve_fault_plan(const ExperimentConfig& config) {
   if (config.faults.enabled()) return config.faults;
   const double rate = af_fault_rate();
@@ -37,8 +32,7 @@ fault::FaultPlan resolve_fault_plan(const ExperimentConfig& config) {
 }
 
 qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config) {
-  if (config.qos.enabled() || !af_qos_enabled()) return config.qos;
-  return qos::QosPolicy::isolation_defaults(config.specs.size());
+  return config.qos;
 }
 
 core::MachineConfig with_qos(core::MachineConfig mc,

@@ -89,9 +89,7 @@ struct ExperimentConfig {
    * constructs a qos::AdmissionController at the load-generator boundary,
    * threads the policy into the engine (per-tenant chain quotas, entry
    * priorities) and the machine (reserved input slots, priority aging).
-   * The default empty policy is a behavioral no-op. Independent of this
-   * field, AF_QOS=1 in the environment applies
-   * qos::QosPolicy::isolation_defaults() to runs with no explicit policy.
+   * The default empty policy is a behavioral no-op.
    */
   qos::QosPolicy qos;
 
@@ -175,18 +173,12 @@ bool af_check_enabled();
  *  not already carry a plan. Returns 0 when unset or unparsable. */
 double af_fault_rate();
 
-/** True when AF_QOS=1 (anything but "0"/"") is set in the environment:
- *  runs whose config carries no explicit QoS policy get
- *  qos::QosPolicy::isolation_defaults() instead (DESIGN.md §19). */
-bool af_qos_enabled();
-
 /** The run's fault plan: config.faults, or — under AF_FAULTS=<rate> when
  *  that injects nothing — fault::FaultPlan::uniform(rate). */
 fault::FaultPlan resolve_fault_plan(const ExperimentConfig& config);
 
-/** The run's effective QoS policy: config.qos, or — under AF_QOS=1 when
- *  that is empty — qos::QosPolicy::isolation_defaults() for the config's
- *  services. Resolved once per machine by workload::Deployment. */
+/** The run's QoS policy (config.qos). Resolved once per machine by
+ *  workload::Deployment. */
 qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config);
 
 /** Copies `mc` with `policy`'s dispatcher knobs (reserved input slots,

@@ -129,7 +129,7 @@ sim::TimePs Service::remote_latency(core::ChainContext& ctx,
 }
 
 bool Service::nested_call(core::ChainContext& ctx, core::RemoteKind kind,
-                          std::function<void(std::uint64_t)> deliver) {
+                          std::function<void(std::uint64_t)>& deliver) {
   if (kind != core::RemoteKind::kNestedRpc || !injector_ ||
       callee_indices_.empty()) {
     return false;

@@ -183,7 +183,7 @@ class Service : public core::ChainEnv {
   std::uint64_t response_size(core::ChainContext& ctx,
                               core::RemoteKind kind) override;
   bool nested_call(core::ChainContext& ctx, core::RemoteKind kind,
-                   std::function<void(std::uint64_t)> deliver) override;
+                   std::function<void(std::uint64_t)>& deliver) override;
 
  private:
   ServiceSpec spec_;

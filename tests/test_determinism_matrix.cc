@@ -14,9 +14,8 @@
  * it must not perturb a bit.
  *
  * A fourth axis covers the multi-tenant QoS layer (DESIGN.md §19): a run
- * carrying a QoS policy and a power budget (ExperimentConfig::qos/power
- * or AF_QOS=1) must stay bit-identical across worker-thread counts, and
- * the AF_QOS env toggle must match the equivalent config toggle.
+ * carrying a QoS policy and a power budget (ExperimentConfig::qos/power)
+ * must stay bit-identical across worker-thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -125,31 +124,6 @@ TEST(DeterminismMatrix, CheckerDoesNotPerturbResults) {
   if (af_check != nullptr) setenv("AF_CHECK", saved.c_str(), 1);
 }
 
-/** Drops AF_QOS from the environment for the scope (it would silently
- *  apply the isolation defaults to the "no policy" runs). */
-class ScopedNoAfQos {
- public:
-  ScopedNoAfQos() {
-    const char* v = std::getenv("AF_QOS");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_QOS");
-  }
-  ~ScopedNoAfQos() {
-    if (had_) {
-      setenv("AF_QOS", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_QOS");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 /** A matrix config carrying the full QoS bundle: isolation defaults plus
  *  an SLO'd latency-sensitive tenant, a quota'd tenant, and a power cap —
  *  every feedback loop (latency EWMA, token buckets, DVFS ladder) live. */
@@ -164,7 +138,6 @@ ExperimentConfig qos_matrix_config() {
 }
 
 TEST(DeterminismMatrix, QosPolicyIdenticalAcrossThreadCounts) {
-  ScopedNoAfQos no_env;
   std::vector<ExperimentConfig> configs = matrix_configs();
   for (ExperimentConfig& cfg : configs) {
     cfg.qos = qos_matrix_config().qos;
@@ -184,19 +157,6 @@ TEST(DeterminismMatrix, QosPolicyIdenticalAcrossThreadCounts) {
                            " config " + std::to_string(i));
     }
   }
-}
-
-TEST(DeterminismMatrix, QosEnvToggleMatchesConfigToggle) {
-  ScopedNoAfQos no_env;
-  const ExperimentConfig cfg = matrix_configs()[0];
-  ExperimentConfig via = cfg;
-  via.qos = qos::QosPolicy::isolation_defaults(via.specs.size());
-  const ExperimentResult via_config = run_experiment(via);
-  setenv("AF_QOS", "1", 1);
-  const ExperimentResult via_env = run_experiment(cfg);
-  unsetenv("AF_QOS");
-  expect_identical(via_config, via_env, "AF_QOS env toggle");
-  EXPECT_GT(via_env.qos_tenants.size(), 0u);
 }
 
 /** Cluster results that must match bit for bit across the axes. */

@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,31 +47,6 @@
 
 namespace accelflow::workload {
 namespace {
-
-/** Drops AF_QOS from the environment for the scope: it would silently
- *  apply isolation defaults to the "no policy" side of A/B tests. */
-class ScopedNoAfQos {
- public:
-  ScopedNoAfQos() {
-    const char* v = std::getenv("AF_QOS");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_QOS");
-  }
-  ~ScopedNoAfQos() {
-    if (had_) {
-      setenv("AF_QOS", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_QOS");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 ExperimentConfig qos_base(double rps = 2500.0, std::uint64_t seed = 17) {
   ExperimentConfig cfg;
@@ -324,7 +298,6 @@ TEST(ReservedSlots, ZeroReservedIsThePlainQueue) {
 // --- Engine integration ---------------------------------------------------
 
 TEST(EngineQos, PerTenantActiveCapThrottlesWithoutLosingWork) {
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(3000.0, 19);
   qos::QosPolicy p;
   p.tenants.resize(cfg.specs.size());
@@ -352,7 +325,6 @@ TEST(EngineQos, AllDefaultsPolicyIsABehavioralNoop) {
   // priority 0) attaches the whole QoS plumbing — admission consults,
   // latency feedback, engine caps — and must not move a single bit next
   // to a run with no policy at all.
-  ScopedNoAfQos no_env;
   const ExperimentConfig plain = qos_base(2500.0, 23);
   ExperimentConfig noop = plain;
   noop.qos.tenants.resize(noop.specs.size());
@@ -373,7 +345,6 @@ TEST(EngineQos, AgingKeepsBestEffortTenantsLiveUnderPriorityPolicy) {
   // A prioritized antagonist saturates the ensemble under strict-priority
   // dispatch; the aging quantum guarantees the best-effort tenants still
   // make progress (effective priority grows with waiting time).
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(800.0, 29);
   cfg.machine.policy = accel::SchedPolicy::kPriority;
   cfg.machine.pes_per_accel = 2;  // Small ensemble: contention is real.
@@ -402,7 +373,6 @@ TEST(TenantTag, SurvivesFaultsAndCpuFallbackReRouting) {
   // fault storm tuned to force CPU fallbacks. Every per-tenant counter —
   // completions, faults, fallbacks — must land on that tenant and no
   // other: the tag survives retry, quarantine re-route, and fallback.
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(4000.0, 31);
   std::size_t solo = cfg.specs.size();
   for (std::size_t s = 0; s < cfg.specs.size(); ++s) {
@@ -448,7 +418,6 @@ TEST(TenantTag, CrossShardNestedRpcsKeepTheCalleeTenant) {
   // cluster where every nested RPC executes remotely. On both shards the
   // per-tenant completions may only land on the caller or its callees —
   // a tag lost in the cross-shard path would surface elsewhere.
-  ScopedNoAfQos no_env;
   ExperimentConfig base = qos_base(0.0, 37);
   std::size_t caller = base.specs.size();
   for (std::size_t s = 0; s < base.specs.size(); ++s) {
@@ -488,7 +457,6 @@ TEST(TenantTag, CrossShardNestedRpcsKeepTheCalleeTenant) {
 // --- Power-capped operation ----------------------------------------------
 
 TEST(PowerCap, TightBudgetCapsTheLadderAndStretchesLatency) {
-  ScopedNoAfQos no_env;
   const ExperimentConfig base = qos_base(1500.0, 41);
   ExperimentConfig capped = base;
   // Below the package's idle floor: the governor must descend the ladder
@@ -512,7 +480,6 @@ TEST(PowerCap, TightBudgetCapsTheLadderAndStretchesLatency) {
 }
 
 TEST(PowerCap, GenerousBudgetStaysAtNominal) {
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(1500.0, 41);
   cfg.power.budget_w = 10000.0;  // Far above the server's max draw.
 
@@ -524,7 +491,6 @@ TEST(PowerCap, GenerousBudgetStaysAtNominal) {
 }
 
 TEST(PowerCap, NonPositiveBudgetIsFullyInert) {
-  ScopedNoAfQos no_env;
   const ExperimentConfig plain = qos_base(2000.0, 43);
   ExperimentConfig zero = plain;
   zero.power.budget_w = 0.0;
@@ -544,7 +510,6 @@ TEST(PowerCap, CritpathAttributesLongerPeServiceUnderTheCap) {
   // The cap's PE slowdown must be *observable*: the critical-path
   // profiler attributes more pe_service time per chain when the governor
   // holds the ladder below nominal.
-  ScopedNoAfQos no_env;
   const auto pe_service_per_chain = [](double budget_w) {
     obs::Tracer tracer(1u << 18);
     ExperimentConfig cfg;
@@ -580,7 +545,6 @@ TEST(PowerCap, ForkedPointMatchesFreshSessionBitForBit) {
   // ladder level and busy-time anchors — forks with the machine: a point
   // re-run after divergence, and the same point in a fresh session, must
   // replay bit for bit.
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(2500.0, 53);
   qos::QosPolicy p = qos::QosPolicy::isolation_defaults(cfg.specs.size());
   p.tenants[0].cls = qos::TenantClass::kLatencySensitive;
@@ -611,7 +575,6 @@ TEST(PowerCap, ForkedPointMatchesFreshSessionBitForBit) {
 // --- Metrics export -------------------------------------------------------
 
 TEST(QosMetrics, PerTenantFamiliesAreExported) {
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = qos_base(2000.0, 59);
   qos::QosPolicy p;
   p.tenants.resize(cfg.specs.size());
@@ -682,7 +645,6 @@ ExperimentConfig drill_config(std::uint64_t seed = 61) {
 }
 
 TEST(ChaosDrill, VictimHoldsSloAndSheddingConfinesToAntagonist) {
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = drill_config();
   check::InvariantChecker checker;
   cfg.checker = &checker;
@@ -713,7 +675,6 @@ TEST(ChaosDrill, WithoutAdmissionControlTheVictimBlowsItsSlo) {
   // The counterfactual that gives the drill its teeth: the identical
   // antagonist burst with the QoS layer off drives the victim's p99 past
   // the target the controlled run holds.
-  ScopedNoAfQos no_env;
   ExperimentConfig cfg = drill_config();
   cfg.qos = qos::QosPolicy{};  // Same storm, no admission control.
 
@@ -723,7 +684,6 @@ TEST(ChaosDrill, WithoutAdmissionControlTheVictimBlowsItsSlo) {
 }
 
 TEST(ChaosDrill, ReplaysBitIdentically) {
-  ScopedNoAfQos no_env;
   const ExperimentResult a = run_experiment(drill_config());
   const ExperimentResult b = run_experiment(drill_config());
   expect_identical(a, b, "chaos drill replay");
