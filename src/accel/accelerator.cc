@@ -11,7 +11,6 @@ Accelerator::Accelerator(sim::Simulator& sim, const AccelParams& params,
                          mem::MemorySystem& mem, mem::Iommu& iommu,
                          noc::Location location)
     : sim_(sim),
-      params_(params),
       mem_(mem),
       iommu_(iommu),
       location_(location),
@@ -19,8 +18,9 @@ Accelerator::Accelerator(sim::Simulator& sim, const AccelParams& params,
       tlb_(params.tlb_entries, params.tlb_ways),
       input_(params.input_queue_entries),
       output_(params.output_queue_entries),
-      pes_(static_cast<std::size_t>(params.num_pes)),
       free_pes_(params.num_pes) {
+  s_.pes.resize(static_cast<std::size_t>(params.num_pes));
+  s_.params = params;
   // QoS headroom applies to admission (the input queue) only; the output
   // queue is drained by the dispatcher regardless of priority.
   if (params.reserved_input_slots > 0) {
@@ -30,23 +30,23 @@ Accelerator::Accelerator(sim::Simulator& sim, const AccelParams& params,
 
 void Accelerator::set_num_pes(int num_pes) {
   assert(num_pes > 0);
-  for (const Pe& p : pes_) {
+  for (const Pe& p : s_.pes) {
     assert(!p.busy && "set_num_pes requires an idle accelerator");
     (void)p;
   }
-  assert(blocked_.empty() && "set_num_pes requires an idle accelerator");
-  pes_.assign(static_cast<std::size_t>(num_pes), Pe{});
+  assert(s_.blocked.empty() && "set_num_pes requires an idle accelerator");
+  s_.pes.assign(static_cast<std::size_t>(num_pes), Pe{});
   free_pes_ = num_pes;
-  params_.num_pes = num_pes;
+  s_.params.num_pes = num_pes;
 }
 
 void Accelerator::set_queue_capacity(std::size_t entries) {
-  assert(overflow_.empty() && "set_queue_capacity requires an idle overflow");
+  assert(s_.overflow.empty() && "set_queue_capacity requires an idle overflow");
   reclaim_released();
   input_.set_capacity(entries);   // Asserts the queue is empty.
   output_.set_capacity(entries);  // Likewise.
-  params_.input_queue_entries = entries;
-  params_.output_queue_entries = entries;
+  s_.params.input_queue_entries = entries;
+  s_.params.output_queue_entries = entries;
 }
 
 void Accelerator::set_tracer(obs::Tracer* tracer, std::uint32_t accel_index) {
@@ -61,7 +61,7 @@ SlotId Accelerator::try_enqueue(QueueEntry e) {
   // queue, so its alloc/release identities stay intact and the caller
   // exercises its real full-queue path (retry / overflow / fallback).
   if (fault_hooks_ != nullptr && fault_hooks_->queue_reject(fault_unit_)) {
-    ++stats_.injected_rejections;
+    ++s_.stats.injected_rejections;
     return kInvalidSlot;
   }
   e.enqueued_at = sim_.now();
@@ -73,7 +73,7 @@ void Accelerator::deliver_data(SlotId slot) {
   assert(e.pending_inputs > 0);
   if (--e.pending_inputs == 0) {
     e.ready = true;
-    if (params_.policy == SchedPolicy::kFifo) {
+    if (s_.params.policy == SchedPolicy::kFifo) {
       ready_fifo_.emplace_back(e.seq, slot);
       std::push_heap(ready_fifo_.begin(), ready_fifo_.end(),
                      std::greater<>{});
@@ -90,22 +90,22 @@ void Accelerator::release_input(SlotId slot) {
 bool Accelerator::overflow_enqueue(QueueEntry e) {
   if (tracer_ != nullptr) {
     tracer_->instant(obs::Subsys::kAccel, obs::SpanKind::kOverflow,
-                     tid_base_ + kQueueTid, sim_.now(), overflow_.size(),
+                     tid_base_ + kQueueTid, sim_.now(), s_.overflow.size(),
                      obs::flow_id(e.request, e.chain));
   }
-  if (overflow_.size() >= params_.overflow_capacity) {
-    ++stats_.overflow_rejections;
+  if (s_.overflow.size() >= s_.params.overflow_capacity) {
+    ++s_.stats.overflow_rejections;
     return false;
   }
   // Count only entries that actually land in the area, so
   // overflow_enqueues == overflow_drains + overflow_occupancy() holds at
   // all times (the invariant checker audits it).
-  ++stats_.overflow_enqueues;
+  ++s_.stats.overflow_enqueues;
   // Writing the entry to the overflow area costs a coherent memory write;
   // the data is cold when later refilled.
   e.enqueued_at = sim_.now();
   mem_.write(kInlineDataBytes, /*llc_hit_prob=*/0.5);
-  overflow_.push_back(std::move(e));
+  s_.overflow.push_back(std::move(e));
   // An injected queue-reject can land an entry here while the SRAM queue
   // has room (a real full queue makes this a no-op). Refill immediately:
   // the drain is otherwise only triggered by dispatches and slot
@@ -116,10 +116,10 @@ bool Accelerator::overflow_enqueue(QueueEntry e) {
 }
 
 void Accelerator::drain_overflow() {
-  while (!overflow_.empty() && !input_.full()) {
-    QueueEntry e = std::move(overflow_.front());
-    overflow_.pop_front();
-    ++stats_.overflow_drains;
+  while (!s_.overflow.empty() && !input_.full()) {
+    QueueEntry e = std::move(s_.overflow.front());
+    s_.overflow.pop_front();
+    ++s_.stats.overflow_drains;
     // Refill: read the entry back from memory; it becomes ready once the
     // read completes.
     const sim::TimePs done =
@@ -141,14 +141,14 @@ bool Accelerator::holds_chain(const core::ChainContext* ctx) const {
     if (e.ctx == ctx) held = true;
   });
   if (held) return true;
-  for (const QueueEntry& e : overflow_) {
+  for (const QueueEntry& e : s_.overflow) {
     if (e.ctx == ctx) return true;
   }
-  for (const Pe& p : pes_) {
+  for (const Pe& p : s_.pes) {
     // A killed PE's entry will never surface; don't report it as alive.
     if (p.busy && !p.killed && p.inflight.ctx == ctx) return true;
   }
-  for (const BlockedDeposit& b : blocked_) {
+  for (const BlockedDeposit& b : s_.blocked) {
     if (b.entry.ctx == ctx) return true;
   }
   reclaim_released();
@@ -168,8 +168,8 @@ sim::TimePs Accelerator::translate(TenantId tenant, mem::VirtAddr va,
       const auto res = iommu_.translate(tenant, first + p);
       if (res.faulted) {
         // Accelerator stops; CPU is interrupted; OS services the fault.
-        ++stats_.faults;
-        extra += sim::microseconds(params_.fault_service_us);
+        ++s_.stats.faults;
+        extra += sim::microseconds(s_.params.fault_service_us);
       }
       extra += res.complete_at > sim_.now() ? res.complete_at - sim_.now() : 0;
       tlb_.fill(tenant, first + p);
@@ -179,7 +179,7 @@ sim::TimePs Accelerator::translate(TenantId tenant, mem::VirtAddr va,
 }
 
 SlotId Accelerator::pick_ready_entry() {
-  if (params_.policy == SchedPolicy::kFifo) {
+  if (s_.params.policy == SchedPolicy::kFifo) {
     // The heap top either names the oldest ready entry or a slot whose
     // entry has since been dispatched (released, possibly reused for a
     // younger entry — a seq mismatch either way); stale tops are popped
@@ -203,8 +203,8 @@ SlotId Accelerator::pick_ready_entry() {
   // Quantum 0 (the default) keeps the raw priority — bit-identical to
   // the pre-aging scheduler.
   const sim::TimePs quantum =
-      params_.aging_quantum_us > 0.0
-          ? sim::microseconds(params_.aging_quantum_us)
+      s_.params.aging_quantum_us > 0.0
+          ? sim::microseconds(s_.params.aging_quantum_us)
           : sim::TimePs{0};
   const auto effective = [&](const QueueEntry& e) -> std::uint64_t {
     std::uint64_t p = e.priority;
@@ -220,7 +220,7 @@ SlotId Accelerator::pick_ready_entry() {
       return;
     }
     const QueueEntry& b = input_.at(best);
-    switch (params_.policy) {
+    switch (s_.params.policy) {
       case SchedPolicy::kFifo:
         if (e.seq < b.seq) best = s;
         break;
@@ -245,7 +245,7 @@ SlotId Accelerator::pick_ready_entry() {
 
 void Accelerator::rebuild_ready_index() {
   ready_fifo_.clear();
-  if (params_.policy != SchedPolicy::kFifo) return;
+  if (s_.params.policy != SchedPolicy::kFifo) return;
   input_.for_each_occupied([&](SlotId s, QueueEntry& e) {
     if (e.ready) ready_fifo_.emplace_back(e.seq, s);
   });
@@ -258,8 +258,8 @@ void Accelerator::try_dispatch() {
     // common fully-busy case; the scan itself stops at the first hit.
     if (free_pes_ == 0) return;
     int pe = -1;
-    for (std::size_t i = 0; i < pes_.size(); ++i) {
-      if (!pes_[i].busy) {
+    for (std::size_t i = 0; i < s_.pes.size(); ++i) {
+      if (!s_.pes[i].busy) {
         pe = static_cast<int>(i);
         break;
       }
@@ -270,12 +270,12 @@ void Accelerator::try_dispatch() {
     if (slot == kInvalidSlot) return;
 
     QueueEntry entry = input_.at(slot);
-    if (entry.seq < last_dispatched_seq_) ++stats_.reorders;
-    last_dispatched_seq_ = std::max(last_dispatched_seq_, entry.seq);
-    stats_.input_queue_delay.record(sim_.now() - entry.enqueued_at);
-    stats_.input_bytes.add(entry.payload.size_bytes);
+    if (entry.seq < s_.last_dispatched_seq) ++s_.stats.reorders;
+    s_.last_dispatched_seq = std::max(s_.last_dispatched_seq, entry.seq);
+    s_.stats.input_queue_delay.record(sim_.now() - entry.enqueued_at);
+    s_.stats.input_bytes.add(entry.payload.size_bytes);
     if (entry.deadline != sim::kTimeNever && sim_.now() > entry.deadline) {
-      ++stats_.deadline_misses;
+      ++s_.stats.deadline_misses;
     }
 
     // The entry moves out of the queue into the PE and the slot clears
@@ -283,7 +283,7 @@ void Accelerator::try_dispatch() {
     input_.release(slot);
     drain_overflow();
 
-    Pe& p = pes_[static_cast<std::size_t>(pe)];
+    Pe& p = s_.pes[static_cast<std::size_t>(pe)];
     p.busy = true;
     --free_pes_;
     sim::TimePs t = sim_.now();
@@ -297,15 +297,15 @@ void Accelerator::try_dispatch() {
       const sim::TimePs stall = fault_hooks_->pe_stall(fault_unit_);
       if (stall > 0) {
         t += stall;
-        stats_.injected_stall_time += stall;
+        s_.stats.injected_stall_time += stall;
       }
       p.killed = fault_hooks_->pe_kill(fault_unit_);
     }
 
     // Tenant isolation: clear PE + scratchpad between tenants (IV-D).
     if (p.has_tenant && p.last_tenant != entry.tenant) {
-      t += sim::nanoseconds(params_.tenant_wipe_ns);
-      ++stats_.tenant_wipes;
+      t += sim::nanoseconds(s_.params.tenant_wipe_ns);
+      ++s_.stats.tenant_wipes;
     }
     p.has_tenant = true;
     p.last_tenant = entry.tenant;
@@ -313,14 +313,14 @@ void Accelerator::try_dispatch() {
     // Queue -> scratchpad transfer (Table III), pipelined per PE port.
     const std::uint64_t inline_bytes =
         std::min<std::uint64_t>(entry.payload.size_bytes, kInlineDataBytes);
-    t += sim::nanoseconds(params_.queue_to_spad_latency_ns);
+    t += sim::nanoseconds(s_.params.queue_to_spad_latency_ns);
     t += static_cast<sim::TimePs>(static_cast<double>(inline_bytes) /
-                                  (params_.queue_to_spad_gbps * 1e9 / 1e12));
+                                  (s_.params.queue_to_spad_gbps * 1e9 / 1e12));
 
     // Large payloads: fetch the remainder through the Memory Pointer,
     // translating through the accelerator TLB.
     if (entry.payload.size_bytes > kInlineDataBytes) {
-      ++stats_.large_payload_jobs;
+      ++s_.stats.large_payload_jobs;
       const std::uint64_t rest = entry.payload.size_bytes - kInlineDataBytes;
       t += translate(entry.tenant, entry.payload.va, rest);
       const auto acc = mem_.read(rest, /*llc_hit_prob=*/0.8);
@@ -329,11 +329,11 @@ void Accelerator::try_dispatch() {
 
     // The computation itself: CPU-equivalent cost divided by the speedup.
     const auto compute = static_cast<sim::TimePs>(
-        static_cast<double>(entry.cpu_cost) / params_.speedup + 0.5);
+        static_cast<double>(entry.cpu_cost) / s_.params.speedup + 0.5);
     t += compute;
 
-    ++stats_.jobs;
-    stats_.pe_busy_time += t - sim_.now();
+    ++s_.stats.jobs;
+    s_.stats.pe_busy_time += t - sim_.now();
     if (tracer_ != nullptr) {
       const obs::FlowId flow = obs::flow_id(entry.request, entry.chain);
       tracer_->complete(obs::Subsys::kAccel, obs::SpanKind::kQueueWait,
@@ -354,7 +354,7 @@ void Accelerator::try_dispatch() {
 }
 
 void Accelerator::on_pe_done(int pe) {
-  Pe& p = pes_[static_cast<std::size_t>(pe)];
+  Pe& p = s_.pes[static_cast<std::size_t>(pe)];
   if (p.killed) {
     // Injected hard-failure: the result never reaches the output queue.
     // Accounted in killed_jobs (the checker's quiescence identity becomes
@@ -362,7 +362,7 @@ void Accelerator::on_pe_done(int pe) {
     // watchdog notices the missing hop and retries or falls back.
     p.killed = false;
     p.inflight = QueueEntry{};
-    ++stats_.killed_jobs;
+    ++s_.stats.killed_jobs;
     p.busy = false;
     ++free_pes_;
     try_dispatch();
@@ -373,7 +373,7 @@ void Accelerator::on_pe_done(int pe) {
     // PE is non-preemptible and has nowhere to put its result: it blocks
     // until the output dispatcher frees a slot. Only now can a release
     // wake anything, so the deferred ones become calendar events.
-    blocked_.push_back(BlockedDeposit{pe, std::move(p.inflight), sim_.now()});
+    s_.blocked.push_back(BlockedDeposit{pe, std::move(p.inflight), sim_.now()});
     post_pending_releases();
     return;
   }
@@ -384,7 +384,7 @@ void Accelerator::on_pe_done(int pe) {
 }
 
 void Accelerator::deposit_output(QueueEntry entry) {
-  stats_.output_bytes.add(entry.payload.size_bytes);
+  s_.stats.output_bytes.add(entry.payload.size_bytes);
   entry.ready = true;
   entry.enqueued_at = sim_.now();
   const SlotId slot = output_.allocate(std::move(entry));
@@ -394,31 +394,31 @@ void Accelerator::deposit_output(QueueEntry entry) {
 }
 
 sim::TimePs Accelerator::occupy_dispatcher(sim::TimePs duration) {
-  const sim::TimePs start = std::max(sim_.now(), dispatcher_busy_until_);
-  dispatcher_busy_until_ = start + duration;
-  dispatcher_busy_accum_ += duration;
+  const sim::TimePs start = std::max(sim_.now(), s_.dispatcher_busy_until);
+  s_.dispatcher_busy_until = start + duration;
+  s_.dispatcher_busy_accum += duration;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kAccel, obs::SpanKind::kDispatcherFsm,
                       tid_base_ + kDispatcherTid, start,
-                      dispatcher_busy_until_);
+                      s_.dispatcher_busy_until);
   }
-  return dispatcher_busy_until_;
+  return s_.dispatcher_busy_until;
 }
 
 void Accelerator::release_output_at(sim::TimePs when, SlotId slot) {
   assert(when >= sim_.now() && "cannot release in the past");
   const PendingRelease r{when, sim_.reserve_seq(), slot};
-  if (!blocked_.empty()) {
+  if (!s_.blocked.empty()) {
     post_release(r);
     return;
   }
-  released_.push_back(r);
-  std::push_heap(released_.begin(), released_.end(), fires_after);
+  s_.released.push_back(r);
+  std::push_heap(s_.released.begin(), s_.released.end(), fires_after);
 }
 
 void Accelerator::post_pending_releases() {
-  for (const PendingRelease& r : released_) post_release(r);
-  released_.clear();
+  for (const PendingRelease& r : s_.released) post_release(r);
+  s_.released.clear();
 }
 
 void Accelerator::post_release(const PendingRelease& r) {
@@ -427,11 +427,11 @@ void Accelerator::post_release(const PendingRelease& r) {
 }
 
 void Accelerator::reclaim_released() const {
-  while (!released_.empty() &&
-         sim_.fired(released_.front().at, released_.front().seq)) {
-    output_.release(released_.front().slot);
-    std::pop_heap(released_.begin(), released_.end(), fires_after);
-    released_.pop_back();
+  while (!s_.released.empty() &&
+         sim_.fired(s_.released.front().at, s_.released.front().seq)) {
+    output_.release(s_.released.front().slot);
+    std::pop_heap(s_.released.begin(), s_.released.end(), fires_after);
+    s_.released.pop_back();
   }
 }
 
@@ -440,12 +440,12 @@ void Accelerator::release_output(SlotId slot) {
   // events would have.
   reclaim_released();
   output_.release(slot);
-  if (!blocked_.empty()) {
-    BlockedDeposit b = std::move(blocked_.front());
-    blocked_.pop_front();
-    stats_.pe_blocked_time += sim_.now() - b.blocked_since;
+  if (!s_.blocked.empty()) {
+    BlockedDeposit b = std::move(s_.blocked.front());
+    s_.blocked.pop_front();
+    s_.stats.pe_blocked_time += sim_.now() - b.blocked_since;
     deposit_output(std::move(b.entry));
-    Pe& p = pes_[static_cast<std::size_t>(b.pe)];
+    Pe& p = s_.pes[static_cast<std::size_t>(b.pe)];
     p.busy = false;
     ++free_pes_;
     try_dispatch();
@@ -455,8 +455,8 @@ void Accelerator::release_output(SlotId slot) {
 double Accelerator::pe_utilization() const {
   const sim::TimePs elapsed = sim_.now();
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(stats_.pe_busy_time) /
-         (static_cast<double>(elapsed) * static_cast<double>(pes_.size()));
+  return static_cast<double>(s_.stats.pe_busy_time) /
+         (static_cast<double>(elapsed) * static_cast<double>(s_.pes.size()));
 }
 
 }  // namespace accelflow::accel

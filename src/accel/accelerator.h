@@ -131,8 +131,8 @@ class Accelerator {
   /** Installs the orchestration-layer output handler. */
   void set_output_handler(OutputHandler* handler) { handler_ = handler; }
 
-  AccelType type() const { return params_.type; }
-  const AccelParams& params() const { return params_; }
+  AccelType type() const { return s_.params.type; }
+  const AccelParams& params() const { return s_.params; }
   noc::Location location() const { return location_; }
 
   // --- Input side -----------------------------------------------------
@@ -162,7 +162,7 @@ class Accelerator {
 
   bool input_full() const { return input_.full(); }
   std::size_t input_occupancy() const { return input_.occupancy(); }
-  std::size_t overflow_occupancy() const { return overflow_.size(); }
+  std::size_t overflow_occupancy() const { return s_.overflow.size(); }
 
   /**
    * True if any entry belonging to `ctx` is still resident in this
@@ -215,7 +215,7 @@ class Accelerator {
 
   // --- Introspection ----------------------------------------------------
 
-  const AccelStats& stats() const { return stats_; }
+  const AccelStats& stats() const { return s_.stats; }
   const QueueStats& input_stats() const { return input_.stats(); }
   const QueueStats& output_stats() const {
     reclaim_released();
@@ -227,7 +227,7 @@ class Accelerator {
   }
   const mem::TlbStats& tlb_stats() const { return tlb_.stats(); }
   double pe_utilization() const;
-  sim::TimePs dispatcher_busy_time() const { return dispatcher_busy_accum_; }
+  sim::TimePs dispatcher_busy_time() const { return s_.dispatcher_busy_accum; }
 
   /**
    * Models an address translation through the accelerator TLB for a
@@ -277,7 +277,7 @@ class Accelerator {
   void set_num_pes(int num_pes);
 
   /** Adjusts the compute speedup factor (generation sweeps). */
-  void set_speedup(double speedup) { params_.speedup = speedup; }
+  void set_speedup(double speedup) { s_.params.speedup = speedup; }
 
   /**
    * Re-sizes the input and output SRAM queues (queue-depth sweeps and the
@@ -312,21 +312,22 @@ class Accelerator {
     std::uint64_t seq = 0;
     SlotId slot = kInvalidSlot;
   };
-  /** Heap order for released_: true when `a` fires after `b`. */
+  /** Heap order for s_.released: true when `a` fires after `b`. */
   static bool fires_after(const PendingRelease& a, const PendingRelease& b) {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
  public:
-  /** Deep copy of all mutable accelerator state (DESIGN.md §13). */
-  struct Checkpoint {
-    mem::Tlb::Checkpoint tlb;            ///< Translation cache.
-    SramQueue::Checkpoint input;         ///< Input queue.
-    SramQueue::Checkpoint output;        ///< Output queue.
+  /** The accelerator's own mutable state, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
     std::vector<Pe> pes;                 ///< PE occupancy + inflight entries.
     std::deque<BlockedDeposit> blocked;  ///< PEs stalled on output space.
     std::deque<QueueEntry> overflow;     ///< In-memory overflow area.
-    std::vector<PendingRelease> released;  ///< Deferred output releases.
+    /** Deferred output releases: a min-heap on (at, seq). Empty whenever
+     *  a PE is blocked (their releases are posted as calendar events).
+     *  Mutable with output_: reclaim_released() runs in const readers. */
+    mutable std::vector<PendingRelease> released;
     sim::TimePs dispatcher_busy_until = 0;  ///< Output FSM horizon.
     sim::TimePs dispatcher_busy_accum = 0;  ///< Output FSM busy total.
     std::uint64_t last_dispatched_seq = 0;  ///< Reorder detection stamp.
@@ -334,39 +335,28 @@ class Accelerator {
     AccelParams params;                  ///< Divergable knobs (PEs, speedup).
   };
 
-  /** Captures all mutable state (handler/tracer wiring excluded). */
+  /** State plus the TLB's and SRAM queues' checkpoints (handler/tracer
+   *  wiring excluded). */
+  struct Checkpoint : State {
+    mem::Tlb::Checkpoint tlb;      ///< Translation cache.
+    SramQueue::Checkpoint input;   ///< Input queue.
+    SramQueue::Checkpoint output;  ///< Output queue.
+  };
+
   Checkpoint checkpoint() const {
     reclaim_released();
-    return Checkpoint{tlb_.checkpoint(),
-                      input_.checkpoint(),
-                      output_.checkpoint(),
-                      pes_,
-                      blocked_,
-                      overflow_,
-                      released_,
-                      dispatcher_busy_until_,
-                      dispatcher_busy_accum_,
-                      last_dispatched_seq_,
-                      stats_,
-                      params_};
+    return {s_, tlb_.checkpoint(), input_.checkpoint(), output_.checkpoint()};
   }
 
-  /** Restores state captured by checkpoint(). */
+  /** Restores state captured by checkpoint() and rebuilds the derived
+   *  free-PE count and ready index. */
   void restore(const Checkpoint& c) {
+    s_ = c;
     tlb_.restore(c.tlb);
     input_.restore(c.input);
     output_.restore(c.output);
-    pes_ = c.pes;
     free_pes_ = 0;
-    for (const Pe& p : pes_) free_pes_ += !p.busy;
-    blocked_ = c.blocked;
-    overflow_ = c.overflow;
-    released_ = c.released;
-    dispatcher_busy_until_ = c.dispatcher_busy_until;
-    dispatcher_busy_accum_ = c.dispatcher_busy_accum;
-    last_dispatched_seq_ = c.last_dispatched_seq;
-    stats_ = c.stats;
-    params_ = c.params;
+    for (const Pe& p : s_.pes) free_pes_ += !p.busy;
     rebuild_ready_index();
   }
 
@@ -400,7 +390,7 @@ class Accelerator {
   void post_release(const PendingRelease& r);
 
   sim::Simulator& sim_;
-  AccelParams params_;
+  State s_;
   mem::MemorySystem& mem_;
   mem::Iommu& iommu_;
   noc::Location location_;
@@ -409,27 +399,17 @@ class Accelerator {
   OutputHandler* handler_ = nullptr;
 
   SramQueue input_;
-  /** Mutable with released_: reclaim_released() runs in const readers. */
+  /** Mutable with s_.released: reclaim_released() runs in const readers. */
   mutable SramQueue output_;
-  /** Deferred output releases: a min-heap on (at, seq). Empty whenever a
-   *  PE is blocked (their releases are posted as calendar events). */
-  mutable std::vector<PendingRelease> released_;
   /** Lazy min-(seq, slot) heap over ready input entries, maintained only
    *  under the FIFO policy: the dispatcher's pick is O(log ready) instead
    *  of a walk over every occupied slot. Stale tops (the slot was released
    *  or reused, detectable by a seq mismatch) are discarded at the next
    *  pick. Derived state: rebuilt from the input queue on restore(). */
   std::vector<std::pair<std::uint64_t, SlotId>> ready_fifo_;
-  std::vector<Pe> pes_;
-  /** Count of non-busy PEs (derived from pes_; lets the dispatcher skip
+  /** Count of non-busy PEs (derived from s_.pes; lets the dispatcher skip
    *  the free-PE scan when the array is fully busy). */
   int free_pes_ = 0;
-  std::deque<BlockedDeposit> blocked_;
-  std::deque<QueueEntry> overflow_;
-  sim::TimePs dispatcher_busy_until_ = 0;
-  sim::TimePs dispatcher_busy_accum_ = 0;
-  std::uint64_t last_dispatched_seq_ = 0;
-  AccelStats stats_;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t tid_base_ = 0;  ///< First trace track of this accelerator.
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.

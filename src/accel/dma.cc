@@ -11,20 +11,21 @@ DmaPool::DmaPool(sim::Simulator& sim, noc::Interconnect& net,
       params_(p),
       latency_(sim::nanoseconds(p.latency_ns)),
       bytes_per_ps_(p.bandwidth_gbps * 1e9 / 1e12),
-      engine_free_at_(static_cast<std::size_t>(p.num_engines), 0) {}
+      s_{std::vector<sim::TimePs>(static_cast<std::size_t>(p.num_engines), 0),
+         {}} {}
 
 sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
                               std::uint64_t bytes, sim::TimePs ready_at) {
-  ++stats_.transfers;
-  stats_.bytes += bytes;
+  ++s_.stats.transfers;
+  s_.stats.bytes += bytes;
 
   // The earliest-free engine; ties go to the lowest index.
   const auto engine = static_cast<std::uint32_t>(
-      std::min_element(engine_free_at_.begin(), engine_free_at_.end()) -
-      engine_free_at_.begin());
+      std::min_element(s_.engine_free_at.begin(), s_.engine_free_at.end()) -
+      s_.engine_free_at.begin());
   const sim::TimePs ready = std::max(sim_.now(), ready_at);
-  const sim::TimePs start = std::max(ready, engine_free_at_[engine]);
-  stats_.engine_wait += start - ready;
+  const sim::TimePs start = std::max(ready, s_.engine_free_at[engine]);
+  s_.stats.engine_wait += start - ready;
 
   const auto ser = static_cast<sim::TimePs>(
       static_cast<double>(bytes) / bytes_per_ps_ + 0.5);
@@ -35,13 +36,13 @@ sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
     const sim::TimePs penalty =
         fault_hooks_->dma_error_penalty(static_cast<int>(engine));
     if (penalty > 0) {
-      ++stats_.injected_errors;
+      ++s_.stats.injected_errors;
       occupied += penalty;
     }
   }
   const sim::TimePs engine_done = start + occupied;
-  engine_free_at_[engine] = engine_done;
-  stats_.busy_time += occupied;
+  s_.engine_free_at[engine] = engine_done;
+  s_.stats.busy_time += occupied;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kDma, obs::SpanKind::kDmaTransfer, engine,
                       start, engine_done, bytes);
@@ -56,9 +57,9 @@ sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
 double DmaPool::utilization() const {
   const sim::TimePs elapsed = sim_.now();
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(stats_.busy_time) /
+  return static_cast<double>(s_.stats.busy_time) /
          (static_cast<double>(elapsed) *
-          static_cast<double>(engine_free_at_.size()));
+          static_cast<double>(s_.engine_free_at.size()));
 }
 
 }  // namespace accelflow::accel

@@ -61,9 +61,9 @@ class DmaPool {
   double utilization() const;
 
   /** Transfer counters. */
-  const DmaStats& stats() const { return stats_; }
+  const DmaStats& stats() const { return s_.stats; }
   /** Number of engines in the pool. */
-  int num_engines() const { return static_cast<int>(engine_free_at_.size()); }
+  int num_engines() const { return static_cast<int>(s_.engine_free_at.size()); }
 
   /**
    * Re-sizes the engine pool (A-DMA sensitivity sweeps and the
@@ -74,7 +74,7 @@ class DmaPool {
    */
   void set_num_engines(int n) {
     assert(n > 0);
-    engine_free_at_.assign(static_cast<std::size_t>(n), 0);
+    s_.engine_free_at.assign(static_cast<std::size_t>(n), 0);
     params_.num_engines = n;
   }
 
@@ -95,20 +95,17 @@ class DmaPool {
    */
   void set_fault_hooks(sim::FaultHooks* hooks) { fault_hooks_ = hooks; }
 
-  /** Deep copy of engine occupancy + counters (DESIGN.md §13). */
-  struct Checkpoint {
-    std::vector<sim::TimePs> engine_free_at;  ///< Per-engine next-free.
-    DmaStats stats;                           ///< Counters.
+  /** Engine occupancy and counters, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
+    /** Per-engine next-free time; transfer() takes the first minimum. */
+    std::vector<sim::TimePs> engine_free_at;
+    DmaStats stats;  ///< Counters.
   };
+  using Checkpoint = State;
 
-  /** Captures engine occupancy and counters. */
-  Checkpoint checkpoint() const { return Checkpoint{engine_free_at_, stats_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    engine_free_at_ = c.engine_free_at;
-    stats_ = c.stats;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   sim::Simulator& sim_;
@@ -116,9 +113,7 @@ class DmaPool {
   DmaParams params_;
   sim::TimePs latency_;
   double bytes_per_ps_;
-  /** Per-engine next-free time; transfer() takes the first minimum. */
-  std::vector<sim::TimePs> engine_free_at_;
-  DmaStats stats_;
+  State s_;
   obs::Tracer* tracer_ = nullptr;
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.
 };

@@ -5,79 +5,72 @@
 
 namespace accelflow::accel {
 
-SramQueue::SramQueue(std::size_t capacity)
-    : slots_(capacity), occupied_words_((capacity + 63) / 64) {
-  assert(capacity > 0);
-  free_list_.reserve(capacity);
-  // Push in reverse so slot 0 is handed out first (cosmetic determinism).
-  for (SlotId s = static_cast<SlotId>(capacity); s-- > 0;) {
-    free_list_.push_back(s);
-  }
-}
+SramQueue::SramQueue(std::size_t capacity) { set_capacity(capacity); }
 
 void SramQueue::set_capacity(std::size_t capacity) {
   assert(capacity > 0);
-  assert(occupancy_ == 0 && "set_capacity requires an empty queue");
-  slots_.assign(capacity, std::nullopt);
+  assert(s_.occupancy == 0 && "set_capacity requires an empty queue");
+  s_.slots.assign(capacity, std::nullopt);
   occupied_words_.assign((capacity + 63) / 64, 0);
-  free_list_.clear();
-  free_list_.reserve(capacity);
+  s_.free_list.clear();
+  s_.free_list.reserve(capacity);
+  // Push in reverse so slot 0 is handed out first (cosmetic determinism).
   for (SlotId s = static_cast<SlotId>(capacity); s-- > 0;) {
-    free_list_.push_back(s);
+    s_.free_list.push_back(s);
   }
 }
 
 void SramQueue::set_reserved(std::size_t n) {
-  assert(n < slots_.size() &&
+  assert(n < s_.slots.size() &&
          "reserved headroom must leave at least one usable slot");
   reserved_ = n;
 }
 
 SlotId SramQueue::allocate(QueueEntry e, bool bypass_reserve) {
-  ++stats_.allocations;
-  if (free_list_.empty()) {
-    ++stats_.alloc_failures;
-    --stats_.allocations;  // Count only successful allocations.
+  ++s_.stats.allocations;
+  if (s_.free_list.empty()) {
+    ++s_.stats.alloc_failures;
+    --s_.stats.allocations;  // Count only successful allocations.
     return kInvalidSlot;
   }
   // Reserved headroom (DESIGN.md §19): the last `reserved_` free slots
   // admit prioritized entries only, so a best-effort flood cannot fill
   // the queue wall-to-wall against a latency-sensitive tenant.
   if (!bypass_reserve && reserved_ > 0 && e.priority == 0 &&
-      free_list_.size() <= reserved_) {
-    ++stats_.alloc_failures;
-    ++stats_.reserved_denials;
-    --stats_.allocations;
+      s_.free_list.size() <= reserved_) {
+    ++s_.stats.alloc_failures;
+    ++s_.stats.reserved_denials;
+    --s_.stats.allocations;
     return kInvalidSlot;
   }
-  const SlotId slot = free_list_.back();
-  free_list_.pop_back();
-  e.seq = next_seq_++;
-  slots_[slot] = std::move(e);
+  const SlotId slot = s_.free_list.back();
+  s_.free_list.pop_back();
+  e.seq = s_.next_seq++;
+  s_.slots[slot] = std::move(e);
   set_occupied(slot);
-  ++occupancy_;
-  stats_.max_occupancy = std::max<std::uint64_t>(stats_.max_occupancy,
-                                                 occupancy_);
+  ++s_.occupancy;
+  s_.stats.max_occupancy =
+      std::max<std::uint64_t>(s_.stats.max_occupancy, s_.occupancy);
   return slot;
 }
 
 void SramQueue::release(SlotId slot) {
-  assert(slot < slots_.size() && slots_[slot].has_value());
-  slots_[slot].reset();
+  assert(slot < s_.slots.size() && s_.slots[slot].has_value());
+  s_.slots[slot].reset();
   clear_occupied(slot);
-  free_list_.push_back(slot);
-  --occupancy_;
-  ++stats_.releases;
+  s_.free_list.push_back(slot);
+  --s_.occupancy;
+  ++s_.stats.releases;
 }
 
 QueueEntry& SramQueue::at(SlotId slot) {
-  assert(slot < slots_.size() && slots_[slot].has_value());
-  return *slots_[slot];
+  assert(slot < s_.slots.size() && s_.slots[slot].has_value());
+  return *s_.slots[slot];
 }
 
 const QueueEntry& SramQueue::at(SlotId slot) const {
-  assert(slot < slots_.size() && slots_[slot].has_value());
-  return *slots_[slot];
+  assert(slot < s_.slots.size() && s_.slots[slot].has_value());
+  return *s_.slots[slot];
 }
 
 }  // namespace accelflow::accel

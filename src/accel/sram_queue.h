@@ -68,15 +68,15 @@ class SramQueue {
   /** Frees a slot. */
   void release(SlotId slot);
 
-  bool full() const { return occupancy_ == slots_.size(); }
-  bool empty() const { return occupancy_ == 0; }
-  std::size_t occupancy() const { return occupancy_; }
-  std::size_t capacity() const { return slots_.size(); }
+  bool full() const { return s_.occupancy == s_.slots.size(); }
+  bool empty() const { return s_.occupancy == 0; }
+  std::size_t occupancy() const { return s_.occupancy; }
+  std::size_t capacity() const { return s_.slots.size(); }
 
   QueueEntry& at(SlotId slot);
   const QueueEntry& at(SlotId slot) const;
   bool occupied(SlotId slot) const {
-    return slots_[slot].has_value();
+    return s_.slots[slot].has_value();
   }
 
   /**
@@ -95,7 +95,7 @@ class SramQueue {
            bits &= bits - 1) {
         const SlotId s = static_cast<SlotId>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        fn(s, *slots_[s]);
+        fn(s, *s_.slots[s]);
       }
     }
   }
@@ -108,12 +108,12 @@ class SramQueue {
            bits &= bits - 1) {
         const SlotId s = static_cast<SlotId>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        fn(s, *slots_[s]);
+        fn(s, *s_.slots[s]);
       }
     }
   }
 
-  const QueueStats& stats() const { return stats_; }
+  const QueueStats& stats() const { return s_.stats; }
 
   /**
    * Re-sizes the slot bank (queue-depth sensitivity sweeps and the
@@ -123,33 +123,27 @@ class SramQueue {
    */
   void set_capacity(std::size_t capacity);
 
-  /** Deep copy of slots, free list, and counters (DESIGN.md §13). */
-  struct Checkpoint {
+  /** Slots, free list and counters, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
     std::vector<std::optional<QueueEntry>> slots;  ///< Slot contents.
     std::vector<SlotId> free_list;                 ///< Free-slot stack.
     std::size_t occupancy = 0;                     ///< Occupied count.
     std::uint64_t next_seq = 0;                    ///< Arrival stamp.
     QueueStats stats;                              ///< Counters.
   };
+  using Checkpoint = State;
 
-  /** Captures the queue's full state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{slots_, free_list_, occupancy_, next_seq_, stats_};
-  }
+  Checkpoint checkpoint() const { return s_; }
 
-  /** Restores state captured by checkpoint(). The occupancy bitmap is
-   *  derived state: rebuilt from the slots, not stored in the snapshot.
-   *  Also restores the captured capacity, undoing any set_capacity()
-   *  divergence applied after the checkpoint. */
+  /** Restores state captured by checkpoint(), including its capacity
+   *  (undoing a later set_capacity()). The occupancy bitmap is derived
+   *  state: rebuilt from the slots, not stored in the snapshot. */
   void restore(const Checkpoint& c) {
-    slots_ = c.slots;
-    free_list_ = c.free_list;
-    occupancy_ = c.occupancy;
-    next_seq_ = c.next_seq;
-    stats_ = c.stats;
-    occupied_words_.assign((slots_.size() + 63) / 64, 0);
-    for (SlotId s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].has_value()) set_occupied(s);
+    s_ = c;
+    occupied_words_.assign((s_.slots.size() + 63) / 64, 0);
+    for (SlotId s = 0; s < s_.slots.size(); ++s) {
+      if (s_.slots[s].has_value()) set_occupied(s);
     }
   }
 
@@ -161,15 +155,11 @@ class SramQueue {
     occupied_words_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
   }
 
-  std::vector<std::optional<QueueEntry>> slots_;
-  /** Bit s set iff slots_[s] holds an entry (64 slots per word). */
+  State s_;
+  /** Bit s set iff s_.slots[s] holds an entry (64 slots per word). */
   std::vector<std::uint64_t> occupied_words_;
-  std::vector<SlotId> free_list_;
-  std::size_t occupancy_ = 0;
-  std::uint64_t next_seq_ = 0;
   /** Free slots a priority-0 entry may not consume (QoS headroom). */
   std::size_t reserved_ = 0;
-  QueueStats stats_;
 };
 
 }  // namespace accelflow::accel

@@ -18,16 +18,16 @@ void InvariantChecker::attach(core::Machine& machine,
   lib_ = &lib;
   machine.set_checker(this);
   machine.sim().set_probe(this);
-  last_event_time_ = machine.sim().now();
+  s_.last_event_time = machine.sim().now();
   // Run-scoped tracking resets so one checker can audit several sequential
   // runs (e.g. a find_max_load sweep attaches it to every probe run);
   // detected violations and activity counters accumulate across runs.
-  active_.clear();
-  finished_.clear();
-  sequences_.clear();
-  dma_inflight_.clear();
-  dma_issued_bytes_ = 0;
-  dma_delivered_bytes_ = 0;
+  s_.active.clear();
+  s_.finished.clear();
+  s_.sequences.clear();
+  s_.dma_inflight.clear();
+  s_.dma_issued_bytes = 0;
+  s_.dma_delivered_bytes = 0;
   if (machine.tracer() == nullptr) {
     // No tracer on this run: attach our own small flight recorder so a
     // violation can still show what the machine was doing. Recording never
@@ -52,16 +52,16 @@ void InvariantChecker::detach() {
 
 void InvariantChecker::on_chain_start(const core::ChainContext& ctx,
                                       core::AtmAddr first) {
-  ++stats_.chains_started;
+  ++s_.stats.chains_started;
   const obs::FlowId flow = obs::flow_id(ctx.request, ctx.chain);
-  if (active_.count(flow) > 0) {
+  if (s_.active.count(flow) > 0) {
     violate("chain started twice while still active", flow);
     return;
   }
   // Sequential stages of one request legitimately reuse its flow id (the
   // chain counter resets per launch): a restart after a finish is a new
   // chain of the same flow, not a duplicate.
-  finished_.erase(flow);
+  s_.finished.erase(flow);
 
   FlowState fs;
   const core::ChainWalk walk = core::walk_chain(*lib_, first, ctx.flags);
@@ -79,16 +79,16 @@ void InvariantChecker::on_chain_start(const core::ChainContext& ctx,
   fs.last_bytes = ctx.initial_bytes;
   fs.env = ctx.env;
   fs.started_at = machine_->sim().now();
-  active_.emplace(flow, std::move(fs));
+  s_.active.emplace(flow, std::move(fs));
 }
 
 void InvariantChecker::on_stage(const core::ChainContext& ctx,
                                 AccelType type, std::uint64_t payload_bytes,
                                 bool on_cpu) {
-  ++stats_.stages_checked;
+  ++s_.stats.stages_checked;
   const obs::FlowId flow = obs::flow_id(ctx.request, ctx.chain);
-  const auto it = active_.find(flow);
-  if (it == active_.end()) {
+  const auto it = s_.active.find(flow);
+  if (it == s_.active.end()) {
     violate(std::string("stage ") + std::string(accel::name_of(type)) +
                 " executed for a flow with no active chain",
             flow);
@@ -96,7 +96,7 @@ void InvariantChecker::on_stage(const core::ChainContext& ctx,
   }
   FlowState& fs = it->second;
   if (config_.record_sequences) {
-    sequences_[flow].push_back(StageRecord{type, payload_bytes, on_cpu});
+    s_.sequences[flow].push_back(StageRecord{type, payload_bytes, on_cpu});
   }
   if (fs.next >= fs.expected.size()) {
     violate(std::string("stage ") + std::string(accel::name_of(type)) +
@@ -140,11 +140,11 @@ void InvariantChecker::on_stage(const core::ChainContext& ctx,
 
 void InvariantChecker::on_chain_finish(const core::ChainContext& ctx,
                                        const core::ChainResult& result) {
-  ++stats_.chains_finished;
+  ++s_.stats.chains_finished;
   const obs::FlowId flow = obs::flow_id(ctx.request, ctx.chain);
-  const auto it = active_.find(flow);
-  if (it == active_.end()) {
-    violate(finished_.count(flow) > 0
+  const auto it = s_.active.find(flow);
+  if (it == s_.active.end()) {
+    violate(s_.finished.count(flow) > 0
                 ? std::string("chain finished twice")
                 : std::string("chain finished without a recorded start"),
             flow);
@@ -157,14 +157,14 @@ void InvariantChecker::on_chain_finish(const core::ChainContext& ctx,
             flow);
   }
   // A timeout legitimately truncates the sequence: only a prefix ran.
-  active_.erase(it);
-  finished_.insert(flow);
+  s_.active.erase(it);
+  s_.finished.insert(flow);
   retire_dma(machine_->sim().now());
   if (config_.audit_on_finish) audit_queues();
 }
 
 void InvariantChecker::on_dma(std::uint64_t bytes, sim::TimePs complete_at) {
-  ++stats_.dma_transfers;
+  ++s_.stats.dma_transfers;
   const sim::TimePs now = machine_->sim().now();
   if (complete_at < now || complete_at == sim::kTimeNever) {
     violate("DMA transfer of " + std::to_string(bytes) +
@@ -174,33 +174,33 @@ void InvariantChecker::on_dma(std::uint64_t bytes, sim::TimePs complete_at) {
             0);
     return;
   }
-  dma_issued_bytes_ += bytes;
-  dma_inflight_.emplace_back(complete_at, bytes);
-  std::push_heap(dma_inflight_.begin(), dma_inflight_.end(),
+  s_.dma_issued_bytes += bytes;
+  s_.dma_inflight.emplace_back(complete_at, bytes);
+  std::push_heap(s_.dma_inflight.begin(), s_.dma_inflight.end(),
                  std::greater<>());
 }
 
 void InvariantChecker::on_event(sim::TimePs now) {
-  ++stats_.events_observed;
-  if (now < last_event_time_) {
+  ++s_.stats.events_observed;
+  if (now < s_.last_event_time) {
     violate("event time moved backwards: " + std::to_string(now) +
-                " ps after " + std::to_string(last_event_time_) + " ps",
+                " ps after " + std::to_string(s_.last_event_time) + " ps",
             0);
   }
-  last_event_time_ = now;
+  s_.last_event_time = now;
 }
 
 void InvariantChecker::retire_dma(sim::TimePs now) {
-  while (!dma_inflight_.empty() && dma_inflight_.front().first <= now) {
-    dma_delivered_bytes_ += dma_inflight_.front().second;
-    std::pop_heap(dma_inflight_.begin(), dma_inflight_.end(),
+  while (!s_.dma_inflight.empty() && s_.dma_inflight.front().first <= now) {
+    s_.dma_delivered_bytes += s_.dma_inflight.front().second;
+    std::pop_heap(s_.dma_inflight.begin(), s_.dma_inflight.end(),
                   std::greater<>());
-    dma_inflight_.pop_back();
+    s_.dma_inflight.pop_back();
   }
 }
 
 void InvariantChecker::audit_queues() {
-  ++stats_.audits;
+  ++s_.stats.audits;
   for (const AccelType t : accel::kAllAccelTypes) {
     const accel::Accelerator& acc = machine_->accel(t);
     const std::string name(accel::name_of(t));
@@ -261,16 +261,17 @@ void InvariantChecker::final_audit() {
     // identities below only hold at quiescence.
     return;
   }
-  for (const auto& [flow, fs] : active_) {
+  for (const auto& [flow, fs] : s_.active) {
     violate("chain never finished (stalled after " +
                 std::to_string(fs.next) + " of " +
                 std::to_string(fs.expected.size()) + " invocations)",
             flow);
   }
-  if (!dma_inflight_.empty() || dma_issued_bytes_ != dma_delivered_bytes_) {
+  if (!s_.dma_inflight.empty() ||
+      s_.dma_issued_bytes != s_.dma_delivered_bytes) {
     violate("DMA bytes not conserved at quiescence: " +
-                std::to_string(dma_issued_bytes_) + " issued, " +
-                std::to_string(dma_delivered_bytes_) + " delivered",
+                std::to_string(s_.dma_issued_bytes) + " issued, " +
+                std::to_string(s_.dma_delivered_bytes) + " delivered",
             0);
   }
   for (const AccelType t : accel::kAllAccelTypes) {
@@ -297,8 +298,8 @@ void InvariantChecker::final_audit() {
 }
 
 void InvariantChecker::violate(std::string what, obs::FlowId flow) {
-  if (violations_.size() >= config_.max_violations) {
-    ++stats_.violations_dropped;
+  if (s_.violations.size() >= config_.max_violations) {
+    ++s_.stats.violations_dropped;
     return;
   }
   Violation v;
@@ -306,7 +307,7 @@ void InvariantChecker::violate(std::string what, obs::FlowId flow) {
   v.flow = flow;
   v.at = machine_ != nullptr ? machine_->sim().now() : 0;
   v.span_excerpt = span_excerpt();
-  violations_.push_back(std::move(v));
+  s_.violations.push_back(std::move(v));
 }
 
 std::string InvariantChecker::span_excerpt() const {
@@ -330,13 +331,13 @@ std::string InvariantChecker::span_excerpt() const {
 
 std::string InvariantChecker::report() const {
   std::ostringstream os;
-  os << "InvariantChecker: " << violations_.size() << " violation(s) ("
-     << stats_.violations_dropped << " more dropped), "
-     << stats_.chains_started << " chains started, "
-     << stats_.chains_finished << " finished, " << stats_.stages_checked
-     << " stages checked, " << stats_.dma_transfers << " DMA transfers, "
-     << stats_.audits << " queue audits\n";
-  for (const Violation& v : violations_) {
+  os << "InvariantChecker: " << s_.violations.size() << " violation(s) ("
+     << s_.stats.violations_dropped << " more dropped), "
+     << s_.stats.chains_started << " chains started, "
+     << s_.stats.chains_finished << " finished, " << s_.stats.stages_checked
+     << " stages checked, " << s_.stats.dma_transfers << " DMA transfers, "
+     << s_.stats.audits << " queue audits\n";
+  for (const Violation& v : s_.violations) {
     os << "  VIOLATION";
     if (v.flow != 0) {
       os << " [request " << (v.flow >> 8) << " chain " << (v.flow & 0xFF)
@@ -352,14 +353,14 @@ std::string InvariantChecker::report() const {
 
 const std::vector<StageRecord>* InvariantChecker::sequence(
     obs::FlowId flow) const {
-  const auto it = sequences_.find(flow);
-  return it == sequences_.end() ? nullptr : &it->second;
+  const auto it = s_.sequences.find(flow);
+  return it == s_.sequences.end() ? nullptr : &it->second;
 }
 
 std::vector<obs::FlowId> InvariantChecker::recorded_flows() const {
   std::vector<obs::FlowId> flows;
-  flows.reserve(sequences_.size());
-  for (const auto& [flow, seq] : sequences_) flows.push_back(flow);
+  flows.reserve(s_.sequences.size());
+  for (const auto& [flow, seq] : s_.sequences) flows.push_back(flow);
   std::sort(flows.begin(), flows.end());
   return flows;
 }

@@ -150,13 +150,13 @@ class InvariantChecker final : public core::ValidationHooks,
   // --- Results ----------------------------------------------------------
 
   /** True when no violation has been detected. */
-  bool ok() const { return violations_.empty(); }
+  bool ok() const { return s_.violations.empty(); }
 
   /** Detected violations, in detection order (capped; see CheckerStats). */
-  const std::vector<Violation>& violations() const { return violations_; }
+  const std::vector<Violation>& violations() const { return s_.violations; }
 
   /** Activity counters. */
-  const CheckerStats& stats() const { return stats_; }
+  const CheckerStats& stats() const { return s_.stats; }
 
   /** Multi-line human-readable report of all violations (empty when ok). */
   std::string report() const;
@@ -188,8 +188,9 @@ class InvariantChecker final : public core::ValidationHooks,
 
  public:
   /**
-   * Deep copy of the checker's observation state (DESIGN.md §13), taken
-   * and restored by the checkpoint-and-fork sweep engine so an attached
+   * The checker's observation state, copied whole by checkpoint()
+   * (DESIGN.md §13; the attachment is not part of it). The
+   * checkpoint-and-fork sweep engine takes and restores it so an attached
    * checker tracks each forked timeline independently — a restored
    * request-id cursor reuses flow ids, which would otherwise trip the
    * "flow finished twice" invariant. Restoring rewinds violations too:
@@ -197,41 +198,25 @@ class InvariantChecker final : public core::ValidationHooks,
    * FlowState::env aliases the caller-owned Service objects, which
    * outlive the sweep session, so copying the pointers is sound.
    */
-  struct Checkpoint {
+  struct State {
     sim::TimePs last_event_time = 0;  ///< Monotonicity watermark.
     std::unordered_map<obs::FlowId, FlowState> active;  ///< In-flight flows.
     std::unordered_set<obs::FlowId> finished;  ///< Terminated flow ids.
     std::unordered_map<obs::FlowId, std::vector<StageRecord>>
         sequences;  ///< record_sequences mode captures.
-    std::vector<std::pair<sim::TimePs, std::uint64_t>>
-        dma_inflight;  ///< Issued, undelivered transfers.
+    /** Min-heap of (complete_at, bytes) for issued, undelivered
+     *  transfers. */
+    std::vector<std::pair<sim::TimePs, std::uint64_t>> dma_inflight;
     std::uint64_t dma_issued_bytes = 0;     ///< DMA bytes issued.
     std::uint64_t dma_delivered_bytes = 0;  ///< DMA bytes delivered.
     std::vector<Violation> violations;      ///< Violations so far.
     CheckerStats stats;                     ///< Activity counters.
   };
+  using Checkpoint = State;
 
-  /** Captures the observation state (the attachment is not captured). */
-  Checkpoint checkpoint() const {
-    return Checkpoint{last_event_time_,     active_,
-                      finished_,            sequences_,
-                      dma_inflight_,        dma_issued_bytes_,
-                      dma_delivered_bytes_, violations_,
-                      stats_};
-  }
-
+  Checkpoint checkpoint() const { return s_; }
   /** Restores state captured by checkpoint() on this same checker. */
-  void restore(const Checkpoint& c) {
-    last_event_time_ = c.last_event_time;
-    active_ = c.active;
-    finished_ = c.finished;
-    sequences_ = c.sequences;
-    dma_inflight_ = c.dma_inflight;
-    dma_issued_bytes_ = c.dma_issued_bytes;
-    dma_delivered_bytes_ = c.dma_delivered_bytes;
-    violations_ = c.violations;
-    stats_ = c.stats;
-  }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   /** Records (or counts, past the cap) one violation. */
@@ -249,18 +234,7 @@ class InvariantChecker final : public core::ValidationHooks,
   std::unique_ptr<obs::Tracer> own_tracer_;
   bool installed_tracer_ = false;
 
-  sim::TimePs last_event_time_ = 0;
-  std::unordered_map<obs::FlowId, FlowState> active_;
-  std::unordered_set<obs::FlowId> finished_;
-  std::unordered_map<obs::FlowId, std::vector<StageRecord>> sequences_;
-
-  /** Min-heap of (complete_at, bytes) for issued, undelivered transfers. */
-  std::vector<std::pair<sim::TimePs, std::uint64_t>> dma_inflight_;
-  std::uint64_t dma_issued_bytes_ = 0;
-  std::uint64_t dma_delivered_bytes_ = 0;
-
-  std::vector<Violation> violations_;
-  CheckerStats stats_;
+  State s_;
 };
 
 }  // namespace accelflow::check

@@ -55,19 +55,22 @@ struct Datacenter::Shard {
 
   workload::Deployment dep;
 
-  /** Local vs remote decision stream for nested RPCs (shard-private, so
-   *  draws happen race-free on the shard's own worker thread). */
-  sim::Rng remote_rng{0};
+  /** The cluster-side RPC state, copied whole into the fork checkpoint
+   *  (`dep` holds the rest). */
+  struct Rpc {
+    /** Local vs remote decision stream for nested RPCs (shard-private,
+     *  so draws happen race-free on the shard's own worker thread). */
+    sim::Rng remote_rng{0};
+    std::uint64_t next_id = 0;  ///< Outbound RPC id cursor.
+  };
+  Rpc rpc;
+  Rpc fork_rpc;
   /** Messages sent this window, merged (and cleared) at the barrier. */
   std::vector<Message> outbox;
   /** In-flight outbound RPCs: id -> continuation fired by the reply. */
   std::unordered_map<std::uint64_t, std::function<void(std::uint64_t)>>
       pending;
-  std::uint64_t next_rpc = 0;     ///< Outbound RPC id cursor.
   std::uint64_t remote_sent = 0;  ///< Nested calls that went remote (ever).
-  /** The RPC half of the fork checkpoint; `dep` holds the rest. */
-  std::array<std::uint64_t, 4> fork_remote_rng{};
-  std::uint64_t fork_next_rpc = 0;
 
   // Measurement baselines captured by reset_stats() so harvest() reports
   // the measured window only (generators have no reset of their own).
@@ -245,7 +248,7 @@ Datacenter::Datacenter(const ClusterConfig& config, bool fork_mode)
               std::move(callees));
         }
       }
-      sh->remote_rng = sim::Rng(mix(e.seed, 0x2E30 + i));
+      sh->rpc.remote_rng = sim::Rng(mix(e.seed, 0x2E30 + i));
     }
 
     shards_.push_back(std::move(sh));
@@ -372,7 +375,7 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
                               std::function<void(std::uint64_t)> deliver) {
   Shard& sh = *shards_[src];
   const bool remote = shards_.size() > 1 &&
-                      sh.remote_rng.bernoulli(config_.remote_rpc_fraction);
+                      sh.rpc.remote_rng.bernoulli(config_.remote_rpc_fraction);
   if (!remote) {
     // The machine-local path the RequestEngine would have taken.
     sh.dep.engine().inject_internal(callee, rtt_us, std::move(deliver));
@@ -380,10 +383,11 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
   }
   // Uniform choice among the other shards; both draws come from the
   // shard-private stream, so this runs race-free on the shard's thread.
-  const std::size_t other = sh.remote_rng.next_below(shards_.size() - 1);
+  const std::size_t other =
+      sh.rpc.remote_rng.next_below(shards_.size() - 1);
   const std::size_t dst = other >= src ? other + 1 : other;
   const std::uint64_t rpc_id =
-      (static_cast<std::uint64_t>(src) << 48) | sh.next_rpc++;
+      (static_cast<std::uint64_t>(src) << 48) | sh.rpc.next_id++;
   sh.pending.emplace(rpc_id, std::move(deliver));
   ++sh.remote_sent;
   Message m;
@@ -524,8 +528,7 @@ void Datacenter::prepare() {
   fork_rack_ = rack_->checkpoint();
   for (auto& sh : shards_) {
     sh->dep.checkpoint();
-    sh->fork_remote_rng = sh->remote_rng.state();
-    sh->fork_next_rpc = sh->next_rpc;
+    sh->fork_rpc = sh->rpc;
   }
 }
 
@@ -534,8 +537,7 @@ ClusterResult Datacenter::run_point(double rate_factor) {
   rack_->restore(fork_rack_);
   for (auto& sh : shards_) {
     sh->dep.restore();
-    sh->remote_rng.set_state(sh->fork_remote_rng);
-    sh->next_rpc = sh->fork_next_rpc;
+    sh->rpc = sh->fork_rpc;
     sh->outbox.clear();
     sh->pending.clear();
   }

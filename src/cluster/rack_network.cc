@@ -6,7 +6,7 @@
 namespace accelflow::cluster {
 
 RackNetwork::RackNetwork(const RackParams& params, std::size_t shards)
-    : params_(params), shards_(shards), rng_(params.seed) {
+    : params_(params), shards_(shards), s_{sim::Rng(params.seed), {}} {
   assert(params_.machines_per_rack > 0);
   assert(params_.intra_rack_hop_us > 0.0);
   assert(params_.inter_rack_hop_us >= params_.intra_rack_hop_us);
@@ -28,22 +28,22 @@ sim::TimePs RackNetwork::hop_latency(std::size_t src, std::size_t dst,
       static_cast<double>(bytes) * 8.0 / (params_.line_gbps * 1000.0);
   double latency_us = base_us + wire_us;
   if (params_.link_fault_prob > 0.0 &&
-      rng_.bernoulli(params_.link_fault_prob)) {
+      s_.rng.bernoulli(params_.link_fault_prob)) {
     latency_us *= params_.retransmit_factor;
-    ++stats_.retransmits;
+    ++s_.stats.retransmits;
   }
   const auto latency =
       static_cast<sim::TimePs>(sim::microseconds(latency_us));
   assert(latency >= lookahead_ &&
          "hop latency below the conservative-lookahead window");
-  ++stats_.messages;
-  stats_.bytes += bytes;
+  ++s_.stats.messages;
+  s_.stats.bytes += bytes;
   if (intra) {
-    ++stats_.intra_rack;
+    ++s_.stats.intra_rack;
   } else {
-    ++stats_.inter_rack;
+    ++s_.stats.inter_rack;
   }
-  stats_.total_latency += latency;
+  s_.stats.total_latency += latency;
   return latency;
 }
 

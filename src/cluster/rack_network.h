@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_CLUSTER_RACK_NETWORK_H_
 #define ACCELFLOW_CLUSTER_RACK_NETWORK_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -99,28 +98,25 @@ class RackNetwork {
   sim::TimePs hop_latency(std::size_t src, std::size_t dst,
                           std::uint64_t bytes);
 
-  const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
+  const Stats& stats() const { return s_.stats; }
+  void reset_stats() { s_.stats = Stats{}; }
 
-  /** Deep copy of the deterministic link state (fork support). */
-  struct Checkpoint {
-    std::array<std::uint64_t, 4> rng{};  ///< Link-fault stream.
-    Stats stats;                         ///< Counters at capture.
+  /** The deterministic link state, copied whole by checkpoint() (fork
+   *  support, DESIGN.md §13). */
+  struct State {
+    sim::Rng rng;  ///< Link-fault stream.
+    Stats stats;   ///< Counters.
   };
+  using Checkpoint = State;
 
-  Checkpoint checkpoint() const { return Checkpoint{rng_.state(), stats_}; }
-
-  void restore(const Checkpoint& c) {
-    rng_.set_state(c.rng);
-    stats_ = c.stats;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   RackParams params_;
   std::size_t shards_;
   sim::TimePs lookahead_;
-  sim::Rng rng_;
-  Stats stats_;
+  State s_;
 };
 
 }  // namespace accelflow::cluster

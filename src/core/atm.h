@@ -47,46 +47,41 @@ class Atm {
 
   /** Installs a trace; overwrites any previous contents. */
   void store(AtmAddr addr, const Trace& t) {
-    slots_[addr] = t;
-    ++stats_.writes;
+    s_.slots[addr] = t;
+    ++s_.stats.writes;
   }
 
   /** Reads a trace; the slot must have been stored. */
   const Trace& load(AtmAddr addr) {
-    ++stats_.reads;
-    return slots_[addr].value();
+    ++s_.stats.reads;
+    return s_.slots[addr].value();
   }
 
   /** True when `addr` holds a stored trace. */
-  bool contains(AtmAddr addr) const { return slots_[addr].has_value(); }
+  bool contains(AtmAddr addr) const { return s_.slots[addr].has_value(); }
 
   /** SRAM access time of one dispatcher-side read. */
   sim::TimePs read_latency() const { return read_latency_; }
   /** Mesh position of the SRAM. */
   noc::Location location() const { return location_; }
   /** Read/write counters. */
-  const AtmStats& stats() const { return stats_; }
+  const AtmStats& stats() const { return s_.stats; }
 
-  /** Deep copy of the trace slots + counters (DESIGN.md §13). */
-  struct Checkpoint {
+  /** The trace slots and counters, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
     std::array<std::optional<Trace>, 256> slots;  ///< SRAM contents.
     AtmStats stats;                               ///< Counters.
   };
+  using Checkpoint = State;
 
-  /** Captures SRAM contents and counters. */
-  Checkpoint checkpoint() const { return Checkpoint{slots_, stats_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    slots_ = c.slots;
-    stats_ = c.stats;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
-  std::array<std::optional<Trace>, 256> slots_;
   sim::TimePs read_latency_;
   noc::Location location_;
-  AtmStats stats_;
+  State s_;
 };
 
 }  // namespace accelflow::core

@@ -55,12 +55,9 @@ AccelFlowEngine::~AccelFlowEngine() = default;
 
 AccelFlowEngine::Checkpoint AccelFlowEngine::checkpoint() const {
   Checkpoint c;
-  c.stats = stats_;
-  c.tenant_active = tenant_active_;
-  c.throttled = throttled_;
+  static_cast<State&>(c) = s_;
   c.mba = mba_.checkpoint();
   c.parked = parked_.checkpoint();
-  c.health = health_;
   return c;
 }
 
@@ -81,7 +78,7 @@ sim::TimePs AccelFlowEngine::instr_time(double instrs) const {
 }
 
 std::uint32_t AccelFlowEngine::tenant_active(accel::TenantId tenant) const {
-  return tenant < tenant_active_.size() ? tenant_active_[tenant] : 0;
+  return tenant < s_.tenant_active.size() ? s_.tenant_active[tenant] : 0;
 }
 
 void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
@@ -94,9 +91,9 @@ void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
   const std::uint32_t cap =
       std::min(config_.tenant_max_active, slo.max_active_chains);
   if (active >= cap) {
-    ++stats_.tenant_throttled;
-    if (active < config_.tenant_max_active) ++stats_.quota_throttled;
-    throttled_.push_back(PendingStart{ctx, first});
+    ++s_.stats.tenant_throttled;
+    if (active < config_.tenant_max_active) ++s_.stats.quota_throttled;
+    s_.throttled.push_back(PendingStart{ctx, first});
     return;
   }
   ++active;
@@ -104,7 +101,7 @@ void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
   // so a latency-sensitive tenant's entries win SchedPolicy::kPriority
   // picks without every injector knowing about the policy.
   if (slo.priority > ctx->priority) ctx->priority = slo.priority;
-  ++stats_.chains_started;
+  ++s_.stats.chains_started;
   if (ValidationHooks* c = chk()) c->on_chain_start(*ctx, first);
 
   const Trace& tr = lib_.get(first);
@@ -144,14 +141,14 @@ void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
   // Attribute the initial-payload DMA (and its NoC legs) to this chain.
   obs::FlowScope flow_scope(trc(), obs::flow_id(entry.request, entry.chain));
   accel::Accelerator& dst = machine_.accel(target);
-  if (attempt == 0) ++stats_.attempts_by_type[accel::index_of(target)];
+  if (attempt == 0) ++s_.stats.attempts_by_type[accel::index_of(target)];
   const SlotId slot = dst.try_enqueue(entry);
   if (slot == accel::kInvalidSlot) {
     if (attempt + 1 >= config_.enqueue_retries) {
       // Starvation freedom: after several failed attempts the trace
       // executes on the core instead.
-      ++stats_.enqueue_fallbacks;
-      ++stats_.fallbacks_by_type[accel::index_of(target)];
+      ++s_.stats.enqueue_fallbacks;
+      ++s_.stats.fallbacks_by_type[accel::index_of(target)];
       continue_chain_on_cpu(ctx, entry.trace_word, entry.position_mark,
                             entry.payload.size_bytes, target);
       return;
@@ -216,10 +213,10 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
   // output slot when the entry launches onward. Returns the launch time.
   auto exit_step = [&] {
     if (!zero) {
-      stats_.glue_instrs.add(instrs);
-      stats_.glue_branch_ops += saw_branch;
-      stats_.glue_transform_ops += saw_transform;
-      stats_.glue_eot_ops += saw_eot;
+      s_.stats.glue_instrs.add(instrs);
+      s_.stats.glue_branch_ops += saw_branch;
+      s_.stats.glue_transform_ops += saw_transform;
+      s_.stats.glue_eot_ops += saw_eot;
     }
     const sim::TimePs fsm_done =
         zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
@@ -239,7 +236,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     }
   };
   auto atm_fetch = [&](AtmAddr addr) {
-    ++stats_.atm_loads;
+    ++s_.stats.atm_loads;
     word = machine_.atm().load(addr).word;
     pm = 0;
     if (!zero) {
@@ -306,7 +303,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
       }
       case TraceOp::Kind::kNotifyCont: {
         ++ctx->mid_notifies;
-        ++stats_.notifications;
+        ++s_.stats.notifications;
         const int core = ctx->core;
         machine_.sim().schedule_at(
             ready, [this, core] { machine_.cores().notify(core); });
@@ -383,7 +380,7 @@ void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
           admit(dst, e);
           return;
         }
-        ++stats_.attempts_by_type[accel::index_of(dst.type())];
+        ++s_.stats.attempts_by_type[accel::index_of(dst.type())];
         const SlotId slot = dst.try_enqueue(e);
         arm_wait(dst, slot, std::move(e), wait_kind);
       });
@@ -411,7 +408,7 @@ void AccelFlowEngine::arm_wait(accel::Accelerator& dst, SlotId slot,
     // when the response actually arrives (the entry carries no data yet, so
     // the overflow area cannot hold it). The entry parks until then; every
     // outcome below either redeems or drops the ticket.
-    ++stats_.deferred_arms;
+    ++s_.stats.deferred_arms;
     deferred = parked_.park(std::move(e));
     // The parked entry is invisible to holds_chain(): tell the watchdog
     // this is a (possibly unbounded) known wait, not a loss. A synchronous
@@ -433,7 +430,7 @@ void AccelFlowEngine::arm_wait(accel::Accelerator& dst, SlotId slot,
       },
       std::move(deliver));
   if (w.kind == ResponseWait::Kind::kTimeout) {
-    ++stats_.timeouts;
+    ++s_.stats.timeouts;
     if (!queued) parked_.drop(deferred);  // The timeout never delivers.
     disarm_hop(ctx);  // The chain completes on schedule.
   } else if (!queued && w.kind == ResponseWait::Kind::kResponse) {
@@ -460,7 +457,7 @@ void AccelFlowEngine::forward_into_queue(accel::Accelerator& dst,
 }
 
 void AccelFlowEngine::admit(accel::Accelerator& dst, const QueueEntry& e) {
-  ++stats_.attempts_by_type[accel::index_of(dst.type())];
+  ++s_.stats.attempts_by_type[accel::index_of(dst.type())];
   const SlotId slot = dst.try_enqueue(e);
   if (slot != accel::kInvalidSlot) {
     dst.deliver_data(slot);
@@ -470,8 +467,8 @@ void AccelFlowEngine::admit(accel::Accelerator& dst, const QueueEntry& e) {
   // to be drained into the queue later by the accelerator; a full
   // overflow area falls back to the CPU (Section IV-A).
   if (!dst.overflow_enqueue(e)) {
-    ++stats_.overflow_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(dst.type())];
+    ++s_.stats.overflow_fallbacks;
+    ++s_.stats.fallbacks_by_type[accel::index_of(dst.type())];
     // The CPU runs the about-to-run op itself, then the rest.
     continue_chain_on_cpu(e.ctx, e.trace_word, e.position_mark,
                           e.payload.size_bytes, dst.type());
@@ -486,7 +483,7 @@ void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
   // The CPU path cannot lose a chain (every branch below completes it or
   // re-enters the ensemble, which re-arms): the watchdog stands down.
   disarm_hop(ctx);
-  ++tenant_count(stats_.fallback_by_tenant, ctx->tenant);
+  ++tenant_count(s_.stats.fallback_by_tenant, ctx->tenant);
   if (obs::Tracer* t = trc()) {
     t->instant(obs::Subsys::kCpu, obs::SpanKind::kCpuFallback,
                static_cast<std::uint32_t>(ctx->core), machine_.sim().now(),
@@ -568,7 +565,7 @@ void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
                     machine_.accel(recv),
                     make_queue_entry(*ctx, recv, word, next_pm, resp));
               });
-          if (w.kind == ResponseWait::Kind::kTimeout) ++stats_.timeouts;
+          if (w.kind == ResponseWait::Kind::kTimeout) ++s_.stats.timeouts;
         });
         return;
       }
@@ -591,7 +588,7 @@ void AccelFlowEngine::finish_to_cpu(accel::Accelerator& from, QueueEntry e,
     arrive = move_entry(e, from.location(), machine_.core_location(ctx->core),
                         ready);
   }
-  ++stats_.notifications;
+  ++s_.stats.notifications;
   if (obs::Tracer* t = trc()) {
     t->complete(obs::Subsys::kEngine, obs::SpanKind::kNotify,
                 static_cast<std::uint32_t>(ctx->core), ready, arrive,
@@ -623,7 +620,7 @@ sim::TimePs AccelFlowEngine::move_entry(const QueueEntry& e,
 
 sim::TimePs AccelFlowEngine::manager_round_trip(
     const accel::Accelerator& at, sim::TimePs ready) {
-  ++stats_.manager_fallbacks;
+  ++s_.stats.manager_fallbacks;
   const sim::TimePs go = machine_.net().transfer(
       at.location(), machine_.manager_location(), 64, ready);
   const sim::TimePs handled = machine_.manager().submit_at(
@@ -639,58 +636,59 @@ sim::TimePs AccelFlowEngine::manager_round_trip(
 
 void AccelFlowEngine::snapshot_metrics(obs::MetricsRegistry& reg) const {
   using Kind = obs::MetricsRegistry::Kind;
-  reg.set("engine.chains_started", static_cast<double>(stats_.chains_started));
+  reg.set("engine.chains_started",
+          static_cast<double>(s_.stats.chains_started));
   reg.set("engine.chains_completed",
-          static_cast<double>(stats_.chains_completed));
+          static_cast<double>(s_.stats.chains_completed));
   reg.set("engine.enqueue_fallbacks",
-          static_cast<double>(stats_.enqueue_fallbacks));
+          static_cast<double>(s_.stats.enqueue_fallbacks));
   reg.set("engine.overflow_fallbacks",
-          static_cast<double>(stats_.overflow_fallbacks));
-  reg.set("engine.timeouts", static_cast<double>(stats_.timeouts));
-  reg.set("engine.deferred_arms", static_cast<double>(stats_.deferred_arms));
+          static_cast<double>(s_.stats.overflow_fallbacks));
+  reg.set("engine.timeouts", static_cast<double>(s_.stats.timeouts));
+  reg.set("engine.deferred_arms", static_cast<double>(s_.stats.deferred_arms));
   reg.set("engine.manager_fallbacks",
-          static_cast<double>(stats_.manager_fallbacks));
-  reg.set("engine.atm_loads", static_cast<double>(stats_.atm_loads));
-  reg.set("engine.notifications", static_cast<double>(stats_.notifications));
+          static_cast<double>(s_.stats.manager_fallbacks));
+  reg.set("engine.atm_loads", static_cast<double>(s_.stats.atm_loads));
+  reg.set("engine.notifications", static_cast<double>(s_.stats.notifications));
   reg.set("engine.tenant_throttled",
-          static_cast<double>(stats_.tenant_throttled));
+          static_cast<double>(s_.stats.tenant_throttled));
   reg.set("engine.quota_throttled",
-          static_cast<double>(stats_.quota_throttled));
+          static_cast<double>(s_.stats.quota_throttled));
   // Per-tenant families (DESIGN.md §19): one series per tenant that ever
   // completed a chain, so single-tenant runs add no cardinality.
-  for (std::size_t t = 0; t < stats_.completed_by_tenant.size(); ++t) {
+  for (std::size_t t = 0; t < s_.stats.completed_by_tenant.size(); ++t) {
     const std::string base = "engine.tenant." + std::to_string(t);
     reg.set(base + ".completed",
-            static_cast<double>(stats_.completed_by_tenant[t]));
-    if (t < stats_.faulted_by_tenant.size()) {
+            static_cast<double>(s_.stats.completed_by_tenant[t]));
+    if (t < s_.stats.faulted_by_tenant.size()) {
       reg.set(base + ".faulted",
-              static_cast<double>(stats_.faulted_by_tenant[t]));
+              static_cast<double>(s_.stats.faulted_by_tenant[t]));
     }
-    if (t < stats_.fallback_by_tenant.size()) {
+    if (t < s_.stats.fallback_by_tenant.size()) {
       reg.set(base + ".fallbacks",
-              static_cast<double>(stats_.fallback_by_tenant[t]));
+              static_cast<double>(s_.stats.fallback_by_tenant[t]));
     }
   }
-  reg.set("engine.hop_timeouts", static_cast<double>(stats_.hop_timeouts));
-  reg.set("engine.hop_retries", static_cast<double>(stats_.hop_retries));
-  reg.set("engine.hop_probes", static_cast<double>(stats_.hop_probes));
+  reg.set("engine.hop_timeouts", static_cast<double>(s_.stats.hop_timeouts));
+  reg.set("engine.hop_retries", static_cast<double>(s_.stats.hop_retries));
+  reg.set("engine.hop_probes", static_cast<double>(s_.stats.hop_probes));
   reg.set("engine.retry_exhausted_fallbacks",
-          static_cast<double>(stats_.retry_exhausted_fallbacks));
+          static_cast<double>(s_.stats.retry_exhausted_fallbacks));
   reg.set("engine.health_fallbacks",
-          static_cast<double>(stats_.health_fallbacks));
+          static_cast<double>(s_.stats.health_fallbacks));
   reg.set("engine.unhealthy_transitions",
-          static_cast<double>(stats_.unhealthy_transitions));
+          static_cast<double>(s_.stats.unhealthy_transitions));
   reg.set("engine.probation_recoveries",
-          static_cast<double>(stats_.probation_recoveries));
+          static_cast<double>(s_.stats.probation_recoveries));
   reg.set("engine.chains_faulted",
-          static_cast<double>(stats_.chains_faulted));
-  reg.set("engine.glue.mean_instrs", stats_.glue_instrs.mean(), Kind::kGauge);
-  reg.set("engine.glue.ops", static_cast<double>(stats_.glue_instrs.count()));
+          static_cast<double>(s_.stats.chains_faulted));
+  reg.set("engine.glue.mean_instrs", s_.stats.glue_instrs.mean(), Kind::kGauge);
+  reg.set("engine.glue.ops", static_cast<double>(s_.stats.glue_instrs.count()));
   for (const AccelType t : accel::kAllAccelTypes) {
     const std::size_t i = accel::index_of(t);
     const std::string p = obs::metric_path("engine.fallbacks",
                                            accel::name_of(t));
-    reg.set(p, static_cast<double>(stats_.fallbacks_by_type[i]));
+    reg.set(p, static_cast<double>(s_.stats.fallbacks_by_type[i]));
   }
 }
 
@@ -705,11 +703,11 @@ void AccelFlowEngine::complete_chain(ChainContext* ctx, ChainResult res) {
   res.completed_at = machine_.sim().now();
   if (ctx->faulted) {
     res.faulted = true;
-    ++stats_.chains_faulted;
-    ++tenant_count(stats_.faulted_by_tenant, ctx->tenant);
+    ++s_.stats.chains_faulted;
+    ++tenant_count(s_.stats.faulted_by_tenant, ctx->tenant);
   }
-  ++stats_.chains_completed;
-  ++tenant_count(stats_.completed_by_tenant, ctx->tenant);
+  ++s_.stats.chains_completed;
+  ++tenant_count(s_.stats.completed_by_tenant, ctx->tenant);
   if (ValidationHooks* c = chk()) c->on_chain_finish(*ctx, res);
   if (obs::Tracer* t = trc()) {
     const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);
@@ -730,8 +728,8 @@ void AccelFlowEngine::complete_chain(ChainContext* ctx, ChainResult res) {
   // skips blocked entries (rather than stopping at the head) so one
   // capped tenant cannot head-block every other tenant's waiting starts
   // — per-tenant FIFO order is still preserved.
-  for (std::size_t i = 0; i < throttled_.size();) {
-    const PendingStart next = throttled_[i];
+  for (std::size_t i = 0; i < s_.throttled.size();) {
+    const PendingStart next = s_.throttled[i];
     const std::uint32_t cap =
         std::min(config_.tenant_max_active,
                  config_.qos.tenant(next.ctx->tenant).max_active_chains);
@@ -739,7 +737,7 @@ void AccelFlowEngine::complete_chain(ChainContext* ctx, ChainResult res) {
       ++i;
       continue;
     }
-    throttled_.erase(throttled_.begin() + static_cast<std::ptrdiff_t>(i));
+    s_.throttled.erase(s_.throttled.begin() + static_cast<std::ptrdiff_t>(i));
     start_chain(next.ctx, next.first);
   }
 }
@@ -828,7 +826,7 @@ void AccelFlowEngine::on_hop_timeout(ChainContext* ctx) {
   HopWatch& w = ctx->hop;
   const sim::TimePs now = machine_.sim().now();
   auto rearm = [&](sim::TimePs delay) {
-    ++stats_.hop_probes;
+    ++s_.stats.hop_probes;
     set_watchdog(ctx, delay);
   };
   // A known future delivery (remote response, DMA arrival) means the hop
@@ -849,18 +847,18 @@ void AccelFlowEngine::on_hop_timeout(ChainContext* ctx) {
     }
   }
   // Lost: a hard-failed PE consumed the entry without producing output.
-  ++stats_.hop_timeouts;
+  ++s_.stats.hop_timeouts;
   ctx->faulted = true;
   record_hop_failure(w.target);
   if (w.retries >= config_.resilience.hop_retries) {
     // Retry budget spent: the CPU finishes the chain — it always can.
-    ++stats_.retry_exhausted_fallbacks;
-    ++stats_.fallbacks_by_type[accel::index_of(w.target)];
+    ++s_.stats.retry_exhausted_fallbacks;
+    ++s_.stats.fallbacks_by_type[accel::index_of(w.target)];
     continue_chain_on_cpu(ctx, w.word, w.pm, w.bytes, w.target);  // Disarms.
     return;
   }
   ++w.retries;
-  ++stats_.hop_retries;
+  ++s_.stats.hop_retries;
   if (obs::Tracer* t = trc()) {
     t->instant(obs::Subsys::kEngine, obs::SpanKind::kHopRetry,
                static_cast<std::uint32_t>(ctx->core), now,
@@ -889,7 +887,7 @@ void AccelFlowEngine::retry_hop(ChainContext* ctx) {
 }
 
 void AccelFlowEngine::record_hop_failure(AccelType t) {
-  Health& hs = health_[accel::index_of(t)];
+  Health& hs = s_.health[accel::index_of(t)];
   ++hs.consecutive_losses;
   const sim::TimePs until =
       machine_.sim().now() +
@@ -898,13 +896,13 @@ void AccelFlowEngine::record_hop_failure(AccelType t) {
     // One loss during probation sends it straight back to quarantine.
     hs.state = Health::State::kUnhealthy;
     hs.quarantine_until = until;
-    ++stats_.unhealthy_transitions;
+    ++s_.stats.unhealthy_transitions;
   } else if (hs.state == Health::State::kHealthy &&
              hs.consecutive_losses >=
                  config_.resilience.unhealthy_threshold) {
     hs.state = Health::State::kUnhealthy;
     hs.quarantine_until = until;
-    ++stats_.unhealthy_transitions;
+    ++s_.stats.unhealthy_transitions;
   } else if (hs.state == Health::State::kUnhealthy) {
     // Stragglers dispatched before the quarantine keep failing: extend it.
     hs.quarantine_until = until;
@@ -912,19 +910,19 @@ void AccelFlowEngine::record_hop_failure(AccelType t) {
 }
 
 void AccelFlowEngine::record_hop_success(AccelType t) {
-  Health& hs = health_[accel::index_of(t)];
+  Health& hs = s_.health[accel::index_of(t)];
   hs.consecutive_losses = 0;
   if (hs.state == Health::State::kProbation &&
       ++hs.probation_successes >= config_.resilience.probation_successes) {
     hs.state = Health::State::kHealthy;
     hs.probation_successes = 0;
-    ++stats_.probation_recoveries;
+    ++s_.stats.probation_recoveries;
   }
 }
 
 bool AccelFlowEngine::reroute_unhealthy(ChainContext* ctx, AccelType t) {
   if (!resilience_active()) return false;
-  Health& hs = health_[accel::index_of(t)];
+  Health& hs = s_.health[accel::index_of(t)];
   if (hs.state != Health::State::kUnhealthy) return false;
   if (machine_.sim().now() >= hs.quarantine_until) {
     // Quarantine served: probation admits work again, watched closely.
@@ -933,8 +931,8 @@ bool AccelFlowEngine::reroute_unhealthy(ChainContext* ctx, AccelType t) {
     hs.consecutive_losses = 0;
     return false;
   }
-  ++stats_.health_fallbacks;
-  ++stats_.fallbacks_by_type[accel::index_of(t)];
+  ++s_.stats.health_fallbacks;
+  ++s_.stats.fallbacks_by_type[accel::index_of(t)];
   ctx->faulted = true;
   return true;
 }

@@ -190,7 +190,7 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
     run_dispatcher_fsm(acc, slot);
   }
 
-  const EngineStats& stats() const { return stats_; }
+  const EngineStats& stats() const { return s_.stats; }
   const EngineConfig& config() const { return config_; }
 
   /** Active traces for `tenant` (Section IV-D counter). */
@@ -220,7 +220,7 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
 
   /** Health of `t` (tests / benches inspect quarantine behaviour). */
   const Health& health(accel::AccelType t) const {
-    return health_[accel::index_of(t)];
+    return s_.health[accel::index_of(t)];
   }
 
  private:
@@ -346,63 +346,62 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
 
   /** Grow-on-demand slot of the flat per-tenant active-trace counter. */
   std::uint32_t& tenant_slot(accel::TenantId tenant) {
-    if (tenant >= tenant_active_.size()) {
-      tenant_active_.resize(static_cast<std::size_t>(tenant) + 1, 0);
+    if (tenant >= s_.tenant_active.size()) {
+      s_.tenant_active.resize(static_cast<std::size_t>(tenant) + 1, 0);
     }
-    return tenant_active_[tenant];
+    return s_.tenant_active[tenant];
   }
 
   std::string_view name_;
   Machine& machine_;
   const TraceLibrary& lib_;
   EngineConfig config_;
-  EngineStats stats_;
-  /** Per-tenant active-trace counts, indexed by tenant id. Tenant ids are
-   *  small and dense (request-engine services), so a flat array replaces
-   *  the old hash map: the Section IV-D throttle check on every chain
-   *  start/finish becomes one indexed load. */
-  std::vector<std::uint32_t> tenant_active_;
   struct PendingStart {
     ChainContext* ctx;
     AtmAddr first;
   };
-  std::deque<PendingStart> throttled_;
+
+ public:
+  /**
+   * The engine's own orchestration state, copied whole by checkpoint()
+   * (DESIGN.md §13). `throttled` holds raw ChainContext pointers, so a
+   * checkpoint is only meaningful at a quiescent point (no chain in
+   * flight), where the deque is empty — workload::SweepSession
+   * guarantees that.
+   */
+  struct State {
+    EngineStats stats;  ///< Counters.
+    /** Per-tenant active-trace counts, indexed by tenant id. Tenant ids
+     *  are small and dense (request-engine services), so a flat array
+     *  replaces the old hash map: the Section IV-D throttle check on
+     *  every chain start/finish becomes one indexed load. */
+    std::vector<std::uint32_t> tenant_active;
+    std::deque<PendingStart> throttled;  ///< Waiting starts (empty).
+    /** Per-accelerator health (indexed by accel::index_of; §14). */
+    std::array<Health, accel::kNumAccelTypes> health{};
+  };
+
+  /** State plus the limiter's and the entry pool's checkpoints. */
+  struct Checkpoint : OrchCheckpoint, State {
+    TenantBandwidthLimiter::Checkpoint mba;                 ///< Buckets.
+    sim::TicketPool<accel::QueueEntry>::Checkpoint parked;  ///< In-flight.
+  };
+
+  Checkpoint checkpoint() const;
+
+  void restore(const Checkpoint& c) {
+    s_ = c;
+    mba_.restore(c.mba);
+    parked_.restore(c.parked);
+  }
+
+ private:
+  State s_;
   TenantBandwidthLimiter mba_;
   /** Entries in flight between kernel callbacks (DMA arrivals, enqueue
    *  retries, deferred wait-arms): callbacks capture the 4-byte ticket,
    *  not the ~100-byte entry (see sim/callback.h's capture budget). */
   sim::TicketPool<accel::QueueEntry> parked_;
-  /** Per-accelerator health (indexed by accel::index_of). */
-  std::array<Health, accel::kNumAccelTypes> health_{};
-
- public:
-  /**
-   * Deep copy of the engine's orchestration state (DESIGN.md §13).
-   * `throttled` holds raw ChainContext pointers, so a checkpoint is only
-   * meaningful at a quiescent point (no chain in flight), where the deque
-   * is empty — workload::SweepSession guarantees that.
-   */
-  struct Checkpoint : OrchCheckpoint {
-    EngineStats stats;                        ///< Counters.
-    std::vector<std::uint32_t> tenant_active; ///< Per-tenant live traces.
-    std::deque<PendingStart> throttled;       ///< Waiting starts (empty).
-    TenantBandwidthLimiter::Checkpoint mba;   ///< Token buckets.
-    sim::TicketPool<accel::QueueEntry>::Checkpoint parked;  ///< In-flight.
-    std::array<Health, accel::kNumAccelTypes> health{};     ///< §14 state.
-  };
-
-  /** Captures the engine's orchestration state. */
-  Checkpoint checkpoint() const;
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    stats_ = c.stats;
-    tenant_active_ = c.tenant_active;
-    throttled_ = c.throttled;
-    mba_.restore(c.mba);
-    parked_.restore(c.parked);
-    health_ = c.health;
-  }
 };
 
 }  // namespace accelflow::core

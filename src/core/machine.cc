@@ -51,46 +51,46 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
   }
 }
 
-Machine::Machine(const MachineConfig& config) : config_(config) {
-  require_positive(config_.pes_per_accel, "pes_per_accel");
-  require_positive(config_.accel_queue_entries, "accel_queue_entries");
-  require_positive(config_.speedup_scale, "speedup_scale");
-  require_positive(config_.inter_chiplet_gbps, "inter_chiplet_gbps");
-  mem_ = std::make_unique<mem::MemorySystem>(sim_, config_.mem,
-                                             config_.seed ^ 0x11);
-  iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, config_.walk,
+Machine::Machine(const MachineConfig& config) : s_{config} {
+  require_positive(s_.config.pes_per_accel, "pes_per_accel");
+  require_positive(s_.config.accel_queue_entries, "accel_queue_entries");
+  require_positive(s_.config.speedup_scale, "speedup_scale");
+  require_positive(s_.config.inter_chiplet_gbps, "inter_chiplet_gbps");
+  mem_ = std::make_unique<mem::MemorySystem>(sim_, s_.config.mem,
+                                             s_.config.seed ^ 0x11);
+  iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, s_.config.walk,
                                         /*concurrent_walkers=*/4,
-                                        config_.seed ^ 0x22);
+                                        s_.config.seed ^ 0x22);
 
   // Chiplet 0 carries the 36 cores on a 7x6 mesh (the seventh column hosts
   // LdB, the ATM access port, and the edge router); accelerator chiplets
   // use a compact 3x3 mesh.
   noc::InterconnectParams np;
-  np.clock_ghz = config_.cpu.clock_ghz;
-  np.inter_chiplet_cycles = config_.inter_chiplet_cycles;
-  np.inter_chiplet_gbps = config_.inter_chiplet_gbps;
+  np.clock_ghz = s_.config.cpu.clock_ghz;
+  np.inter_chiplet_cycles = s_.config.inter_chiplet_cycles;
+  np.inter_chiplet_gbps = s_.config.inter_chiplet_gbps;
   {
     noc::MeshParams core_mesh;
     // The single-chiplet organization hosts all nine accelerators plus the
     // ATM and manager next to the cores, needing two extra columns.
-    core_mesh.width = config_.num_chiplets == 1 ? 8 : 7;
+    core_mesh.width = s_.config.num_chiplets == 1 ? 8 : 7;
     core_mesh.height = 6;
-    core_mesh.clock_ghz = config_.cpu.clock_ghz;
+    core_mesh.clock_ghz = s_.config.cpu.clock_ghz;
     np.chiplet_meshes.push_back(core_mesh);
     noc::MeshParams accel_mesh;
     accel_mesh.width = 3;
     accel_mesh.height = 3;
-    accel_mesh.clock_ghz = config_.cpu.clock_ghz;
-    for (int c = 1; c < config_.num_chiplets; ++c) {
+    accel_mesh.clock_ghz = s_.config.cpu.clock_ghz;
+    for (int c = 1; c < s_.config.num_chiplets; ++c) {
       np.chiplet_meshes.push_back(accel_mesh);
     }
   }
   net_ = std::make_unique<noc::Interconnect>(sim_, np);
-  dma_ = std::make_unique<accel::DmaPool>(sim_, *net_, config_.dma);
-  cores_ = std::make_unique<cpu::CoreCluster>(sim_, config_.cpu);
+  dma_ = std::make_unique<accel::DmaPool>(sim_, *net_, s_.config.dma);
+  cores_ = std::make_unique<cpu::CoreCluster>(sim_, s_.config.cpu);
 
   // Place the accelerators.
-  const auto chiplet_of = accel_chiplet_assignment(config_.num_chiplets);
+  const auto chiplet_of = accel_chiplet_assignment(s_.config.num_chiplets);
   std::array<int, 8> placed_on_chiplet{};  // Next mesh slot per chiplet.
   for (const AccelType t : accel::kAllAccelTypes) {
     const std::size_t i = accel::index_of(t);
@@ -107,36 +107,36 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
     }
     accel::AccelParams ap;
     ap.type = t;
-    ap.num_pes = config_.pes_per_accel;
-    ap.input_queue_entries = config_.accel_queue_entries;
-    ap.output_queue_entries = config_.accel_queue_entries;
-    ap.speedup = accel::default_speedup(t) * config_.speedup_scale;
-    ap.clock_ghz = config_.cpu.clock_ghz;
-    ap.overflow_capacity = config_.overflow_capacity;
-    ap.policy = config_.policy;
-    ap.reserved_input_slots = config_.reserved_input_slots;
-    ap.aging_quantum_us = config_.sched_aging_quantum_us;
+    ap.num_pes = s_.config.pes_per_accel;
+    ap.input_queue_entries = s_.config.accel_queue_entries;
+    ap.output_queue_entries = s_.config.accel_queue_entries;
+    ap.speedup = accel::default_speedup(t) * s_.config.speedup_scale;
+    ap.clock_ghz = s_.config.cpu.clock_ghz;
+    ap.overflow_capacity = s_.config.overflow_capacity;
+    ap.policy = s_.config.policy;
+    ap.reserved_input_slots = s_.config.reserved_input_slots;
+    ap.aging_quantum_us = s_.config.sched_aging_quantum_us;
     accels_[i] =
         std::make_unique<accel::Accelerator>(sim_, ap, *mem_, *iommu_, loc);
   }
 
   // The ATM and the RELIEF manager live on the first accelerator chiplet
   // (or the single chiplet): next to the accelerators they serve.
-  const int service_chiplet = config_.num_chiplets > 1 ? 1 : 0;
+  const int service_chiplet = s_.config.num_chiplets > 1 ? 1 : 0;
   const noc::Coord service_coord =
       service_chiplet == 0 ? noc::Coord{7, 4} : noc::Coord{2, 2};
   atm_ = std::make_unique<Atm>(
-      config_.cpu.clock_ghz, config_.atm_read_cycles,
+      s_.config.cpu.clock_ghz, s_.config.atm_read_cycles,
       noc::Location{service_chiplet, service_coord});
   manager_loc_ = noc::Location{
       service_chiplet,
       service_chiplet == 0 ? noc::Coord{7, 5} : noc::Coord{2, 1}};
   manager_ = std::make_unique<sim::FifoServer>(
-      sim_, static_cast<std::size_t>(config_.manager_contexts));
+      sim_, static_cast<std::size_t>(s_.config.manager_contexts));
 }
 
 noc::Location Machine::core_location(int core) const {
-  assert(core >= 0 && core < config_.cpu.num_cores);
+  assert(core >= 0 && core < s_.config.cpu.num_cores);
   return noc::Location{0, {core % 6, core / 6}};
 }
 
@@ -169,7 +169,7 @@ void Machine::set_tracer(obs::Tracer* tracer) {
     const auto i = static_cast<std::uint32_t>(accel::index_of(t));
     const std::uint32_t base = i * accel::Accelerator::kTidStride;
     const std::string name(accel::name_of(t));
-    for (int pe = 0; pe < config_.pes_per_accel; ++pe) {
+    for (int pe = 0; pe < s_.config.pes_per_accel; ++pe) {
       tracer->name_thread(Subsys::kAccel,
                           base + static_cast<std::uint32_t>(pe),
                           name + ".pe" + std::to_string(pe));
@@ -192,7 +192,7 @@ void Machine::set_tracer(obs::Tracer* tracer) {
   }
   tracer->name_thread(Subsys::kNoc, noc::Interconnect::kLinkTid,
                       "package-links");
-  for (int c = 0; c < config_.cpu.num_cores; ++c) {
+  for (int c = 0; c < s_.config.cpu.num_cores; ++c) {
     tracer->name_thread(Subsys::kEngine, static_cast<std::uint32_t>(c),
                         "core" + std::to_string(c));
     tracer->name_thread(Subsys::kCpu, static_cast<std::uint32_t>(c),
@@ -212,6 +212,7 @@ void Machine::set_fault_hooks(sim::FaultHooks* hooks) {
 }
 
 void Machine::checkpoint(Checkpoint& out) const {
+  static_cast<State&>(out) = s_;
   sim_.checkpoint(out.kernel);
   out.mem = mem_->checkpoint();
   out.iommu = iommu_->checkpoint();
@@ -223,10 +224,10 @@ void Machine::checkpoint(Checkpoint& out) const {
   for (const AccelType t : accel::kAllAccelTypes) {
     out.accels[accel::index_of(t)] = accel(t).checkpoint();
   }
-  out.config = config_;
 }
 
 void Machine::restore(const Checkpoint& c) {
+  s_ = c;
   sim_.restore(c.kernel);
   mem_->restore(c.mem);
   iommu_->restore(c.iommu);
@@ -238,7 +239,6 @@ void Machine::restore(const Checkpoint& c) {
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->restore(c.accels[accel::index_of(t)]);
   }
-  config_ = c.config;
 }
 
 void Machine::set_pes_per_accel(int pes) {
@@ -246,7 +246,7 @@ void Machine::set_pes_per_accel(int pes) {
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->set_num_pes(pes);
   }
-  config_.pes_per_accel = pes;
+  s_.config.pes_per_accel = pes;
 }
 
 void Machine::set_pes_for(accel::AccelType type, int pes) {
@@ -259,12 +259,12 @@ void Machine::set_accel_queue_entries(std::size_t entries) {
   for (const AccelType t : accel::kAllAccelTypes) {
     accels_[accel::index_of(t)]->set_queue_capacity(entries);
   }
-  config_.accel_queue_entries = entries;
+  s_.config.accel_queue_entries = entries;
 }
 
 void Machine::set_dma_engines(int engines) {
   dma_->set_num_engines(engines);
-  config_.dma.num_engines = engines;
+  s_.config.dma.num_engines = engines;
 }
 
 void Machine::set_speedup_scale(double scale) {
@@ -273,12 +273,12 @@ void Machine::set_speedup_scale(double scale) {
     accels_[accel::index_of(t)]->set_speedup(accel::default_speedup(t) *
                                              scale);
   }
-  config_.speedup_scale = scale;
+  s_.config.speedup_scale = scale;
 }
 
 void Machine::set_generation(Generation g) {
-  config_.apply_generation(g);
-  cores_->set_speeds(config_.cpu.app_speed, config_.cpu.tax_speed);
+  s_.config.apply_generation(g);
+  cores_->set_speeds(s_.config.cpu.app_speed, s_.config.cpu.tax_speed);
 }
 
 void Machine::snapshot_metrics(obs::MetricsRegistry& reg) const {

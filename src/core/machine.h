@@ -153,7 +153,7 @@ class Machine {
   noc::Location core_location(int core) const;
   noc::Location manager_location() const { return manager_loc_; }
 
-  const MachineConfig& config() const { return config_; }
+  const MachineConfig& config() const { return s_.config; }
 
   /** Installs every trace of `lib` into the ATM. */
   void load_traces(const TraceLibrary& lib);
@@ -210,14 +210,20 @@ class Machine {
 
   // --- Checkpoint / fork (DESIGN.md §13) --------------------------------
 
+  /** The machine's own state: the knobs at capture time, copied whole
+   *  by checkpoint() (divergence knobs below edit them). */
+  struct State {
+    MachineConfig config;
+  };
+
   /**
-   * Deep copy of the machine's full deterministic state: the event-kernel
-   * snapshot plus every hardware component's Checkpoint. Captured once
-   * after a shared warmup and restored per sweep point by
+   * Deep copy of the machine's full deterministic state: State plus the
+   * event-kernel snapshot and every hardware component's Checkpoint.
+   * Captured once after a shared warmup and restored per sweep point by
    * workload::SweepSession. Move-only (the kernel snapshot owns cloned
    * callbacks) but restorable any number of times.
    */
-  struct Checkpoint {
+  struct Checkpoint : State {
     sim::Snapshot kernel;                       ///< Event calendar + pool.
     mem::MemorySystem::Checkpoint mem;          ///< LLC/DRAM channels.
     mem::Iommu::Checkpoint iommu;               ///< Walkers + fault RNG.
@@ -228,7 +234,6 @@ class Machine {
     sim::FifoServer::Checkpoint manager;        ///< RELIEF manager.
     std::array<accel::Accelerator::Checkpoint, accel::kNumAccelTypes>
         accels;                                 ///< Per-accelerator state.
-    MachineConfig config;                       ///< Knobs at capture time.
   };
 
   /**
@@ -287,7 +292,7 @@ class Machine {
   void set_generation(Generation g);
 
  private:
-  MachineConfig config_;
+  State s_;
   sim::Simulator sim_;
   std::unique_ptr<mem::MemorySystem> mem_;
   std::unique_ptr<mem::Iommu> iommu_;

@@ -22,7 +22,7 @@ BaselineOrchestrator::BaselineOrchestrator(BaselineMode mode,
       central_queue_(relief_central_queue && mode == BaselineMode::kRelief),
       costs_(costs),
       cohort_links_(default_cohort_links()) {
-  central_tokens_ =
+  s_.central_tokens =
       static_cast<std::size_t>(machine.config().relief_inflight_cap);
   cpu_exec_ = std::make_unique<CpuChainExecutor>(
       machine_, sim::milliseconds(costs_.response_timeout_ms));
@@ -81,20 +81,14 @@ const std::vector<LogicalOp>& BaselineOrchestrator::walk_ops(
 
 BaselineOrchestrator::Checkpoint BaselineOrchestrator::checkpoint() const {
   Checkpoint c;
-  c.rng = rng_.state();
-  c.stats = stats_;
+  static_cast<State&>(c) = s_;
   c.cpu_exec = cpu_exec_->stats();
-  c.central_tokens = central_tokens_;
-  c.central_pump_scheduled = central_pump_scheduled_;
   return c;
 }
 
 void BaselineOrchestrator::restore(const Checkpoint& c) {
-  rng_.set_state(c.rng);
-  stats_ = c.stats;
+  s_ = c;
   cpu_exec_->restore_stats(c.cpu_exec);
-  central_tokens_ = c.central_tokens;
-  central_pump_scheduled_ = c.central_pump_scheduled;
   chains_.clear();
   central_fifo_.clear();
 }
@@ -111,12 +105,12 @@ void BaselineOrchestrator::restore_checkpoint(const OrchCheckpoint& c) {
 }
 
 void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
-  ++stats_.chains;
+  ++s_.stats.chains;
   if (ValidationHooks* v = machine_.checker()) v->on_chain_start(*ctx, first);
   if (mode_ == BaselineMode::kNonAcc) {
     cpu_exec_->run(ctx, walk_ops(first, ctx->flags), ctx->initial_bytes,
                    [this, ctx](bool timed_out) {
-                     ++stats_.completed;
+                     ++s_.stats.completed;
                      const ChainResult r{.ok = !timed_out,
                                          .timeout = timed_out,
                                          .completed_at = machine_.sim().now()};
@@ -165,17 +159,17 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
         ++ctx->branches;
         if (mode_ == BaselineMode::kRelief) {
           // The manager resolves the condition: one more manager event.
-          ++stats_.manager_events;
+          ++s_.stats.manager_events;
           const sim::TimePs t = machine_.manager().submit_at(
               ready,
               sim::microseconds(machine_.config().manager_event_us));
-          stats_.orchestration_time += t - ready;
+          s_.stats.orchestration_time += t - ready;
           ready = t;
         } else {
           // The core checks a couple of payload fields.
           const sim::TimePs t = cores.cycles(20);
           cores.run_on(ctx->core, t);
-          stats_.orchestration_time += t;
+          s_.stats.orchestration_time += t;
           ready += t;
         }
         ++c->i;
@@ -186,7 +180,7 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
         if (mode_ == BaselineMode::kRelief) {
           // Manager-mediated transformation: control event plus moving the
           // payload to the manager and back.
-          ++stats_.manager_events;
+          ++s_.stats.manager_events;
           sim::TimePs t = machine_.manager().submit_at(
               ready,
               sim::microseconds(machine_.config().manager_event_us));
@@ -198,7 +192,7 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
             t = machine_.net().transfer(machine_.manager_location(), at,
                                         c->bytes, t);
           }
-          stats_.orchestration_time += t - ready;
+          s_.stats.orchestration_time += t - ready;
           ready = t;
         } else {
           const sim::TimePs t = cpu_exec_->cpu_transform_time(c->bytes);
@@ -228,7 +222,7 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
   }
   // Chain complete: control returns to the core.
   if (mode_ == BaselineMode::kRelief) {
-    ++stats_.interrupts;
+    ++s_.stats.interrupts;
     machine_.cores().interrupt(ctx->core, 0, [this, c] {
       finish(c, false, false);
     });
@@ -252,17 +246,17 @@ void BaselineOrchestrator::issue_invoke(Chain* c, sim::TimePs ready,
       machine_.cores().charge_enqueue(ctx->core);
       break;
     case BaselineMode::kRelief: {
-      ++stats_.manager_events;
+      ++s_.stats.manager_events;
       const sim::TimePs t = machine_.manager().submit_at(
           ready, sim::microseconds(machine_.config().manager_dispatch_us));
-      stats_.orchestration_time += t - ready;
+      s_.stats.orchestration_time += t - ready;
       ready = t;
       if (c->has_last_accel) src = machine_.accel(c->last_accel).location();
       break;
     }
     case BaselineMode::kCohort:
       if (direct_hop) {
-        ++stats_.linked_hops;
+        ++s_.stats.linked_hops;
         ready += sim::nanoseconds(costs_.cohort_link_ns);
         src = machine_.accel(c->last_accel).location();
       } else {
@@ -300,23 +294,23 @@ void BaselineOrchestrator::issue_invoke(Chain* c, sim::TimePs ready,
 }
 
 void BaselineOrchestrator::pump_central_queue() {
-  if (central_pump_scheduled_) return;
+  if (s_.central_pump_scheduled) return;
   while (!central_fifo_.empty()) {
     const std::shared_ptr<Issue>& head = central_fifo_.front();
     SlotId slot = accel::kInvalidSlot;
-    if (central_tokens_ > 0) slot = head->dst->try_enqueue(head->entry);
+    if (s_.central_tokens > 0) slot = head->dst->try_enqueue(head->entry);
     if (slot == accel::kInvalidSlot) {
       // Head-of-line blocking: everything behind this op waits until its
       // accelerator frees a slot.
-      ++stats_.central_queue_waits;
-      central_pump_scheduled_ = true;
+      ++s_.stats.central_queue_waits;
+      s_.central_pump_scheduled = true;
       machine_.sim().schedule_after(sim::nanoseconds(500), [this] {
-        central_pump_scheduled_ = false;
+        s_.central_pump_scheduled = false;
         pump_central_queue();
       });
       return;
     }
-    --central_tokens_;  // Returned when the op's result is handled.
+    --s_.central_tokens;  // Returned when the op's result is handled.
     launch(*head, slot, machine_.sim().now());
     central_fifo_.pop_front();
   }
@@ -329,7 +323,7 @@ void BaselineOrchestrator::try_issue(std::shared_ptr<Issue> issue,
   const SlotId slot = issue->dst->try_enqueue(issue->entry);
   if (slot == accel::kInvalidSlot) {
     if (++issue->attempts >= costs_.enqueue_retries) {
-      ++stats_.fallbacks;
+      ++s_.stats.fallbacks;
       std::vector<LogicalOp> rest(
           c->ops->begin() + static_cast<std::ptrdiff_t>(c->i),
           c->ops->end());
@@ -386,7 +380,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
   c->last_accel = acc.type();
   c->has_last_accel = true;
   if (central_queue_) {
-    ++central_tokens_;  // The shared queue entry is free again.
+    ++s_.central_tokens;  // The shared queue entry is free again.
     pump_central_queue();
   }
   ++c->i;  // Past the completed invoke.
@@ -396,9 +390,9 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
       // The accelerator interrupts the initiating core, which then issues
       // the next operation. A fraction of interrupts land behind other
       // kernel work and cost several times more.
-      ++stats_.interrupts;
+      ++s_.stats.interrupts;
       double handler_cycles = costs_.interrupt_handler_cycles;
-      if (rng_.bernoulli(costs_.interrupt_tail_prob)) {
+      if (s_.rng.bernoulli(costs_.interrupt_tail_prob)) {
         handler_cycles *= costs_.interrupt_tail_factor;
       }
       const sim::TimePs handler = machine_.cores().cycles(handler_cycles);
@@ -413,19 +407,19 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
       }
       // Includes the wait for the busy core: orchestration contention
       // grows with load (Figure 3).
-      stats_.orchestration_time += done - machine_.sim().now();
+      s_.stats.orchestration_time += done - machine_.sim().now();
       break;
     }
     case BaselineMode::kRelief: {
       // The manager takes the completion interrupt (~1.5us, Section VII-A).
-      ++stats_.manager_events;
+      ++s_.stats.manager_events;
       const sim::TimePs ev =
           sim::microseconds(machine_.config().manager_event_us);
       const sim::TimePs done =
           machine_.manager().submit_at(fsm_done, ev, [this, c] {
             step(c, machine_.sim().now());
           });
-      stats_.orchestration_time += done - fsm_done;
+      s_.stats.orchestration_time += done - fsm_done;
       if (obs::Tracer* t = machine_.tracer()) {
         t->complete(obs::Subsys::kEngine, obs::SpanKind::kManagerEvent,
                     obs::kManagerTid, fsm_done, done);
@@ -440,7 +434,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
           cohort_links_.count({acc.type(), (*c->ops)[c->i].accel}) > 0) {
         issue_invoke(c, fsm_done, /*direct_hop=*/true);
       } else {
-        ++stats_.polls;
+        ++s_.stats.polls;
         // The completion sits in the software queue until the core's next
         // poll sweep; when the polling core is deep in application work,
         // the sweep is much later (Cohort's tail weakness). Stall odds
@@ -449,14 +443,14 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
             costs_.cohort_stall_prob *
             std::min(1.0, machine_.cores().utilization() / 0.40);
         const double wait_us =
-            rng_.bernoulli(stall_p)
-                ? rng_.uniform(costs_.cohort_stall_min_us,
-                               costs_.cohort_stall_max_us)
-                : rng_.uniform(0.0, costs_.cohort_poll_interval_us);
+            s_.rng.bernoulli(stall_p)
+                ? s_.rng.uniform(costs_.cohort_stall_min_us,
+                                 costs_.cohort_stall_max_us)
+                : s_.rng.uniform(0.0, costs_.cohort_poll_interval_us);
         const auto sweep_wait = static_cast<sim::TimePs>(wait_us * 1e6);
         const sim::TimePs poll =
             machine_.cores().cycles(costs_.cohort_poll_cycles);
-        stats_.orchestration_time += sweep_wait + poll;
+        s_.stats.orchestration_time += sweep_wait + poll;
         machine_.sim().schedule_after(sweep_wait, [this, c, poll] {
           machine_.cores().run_on(c->ctx->core, poll, [this, c] {
             step(c, machine_.sim().now());
@@ -472,7 +466,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
 }
 
 void BaselineOrchestrator::finish(Chain* c, bool timed_out, bool fell_back) {
-  ++stats_.completed;
+  ++s_.stats.completed;
   ChainContext* ctx = c->ctx;
   if (obs::Tracer* t = machine_.tracer()) {
     const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);

@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_CORE_ORCH_BASELINES_H_
 #define ACCELFLOW_CORE_ORCH_BASELINES_H_
 
-#include <array>
 #include <deque>
 #include <memory>
 #include <set>
@@ -104,27 +103,31 @@ class BaselineOrchestrator : public Orchestrator,
   std::unique_ptr<OrchCheckpoint> save_checkpoint() const override;
   void restore_checkpoint(const OrchCheckpoint& c) override;
 
-  const BaselineStats& stats() const { return stats_; }
+  const BaselineStats& stats() const { return s_.stats; }
 
   /** Cohort's statically linked producer->consumer accelerator pairs. */
   static const std::set<std::pair<accel::AccelType, accel::AccelType>>&
   default_cohort_links();
 
   /**
-   * Deep copy of the orchestrator's mutable state (DESIGN.md §13). Only
-   * meaningful at a quiescent point: in-flight chains and central-queue
-   * issues hold raw pointers and are cleared on restore rather than
-   * captured (workload::SweepSession checkpoints with none in flight).
+   * The orchestrator's own mutable state, copied whole by checkpoint()
+   * (DESIGN.md §13). Only meaningful at a quiescent point: in-flight
+   * chains and central-queue issues hold raw pointers and are cleared on
+   * restore rather than captured (workload::SweepSession checkpoints with
+   * none in flight).
    */
-  struct Checkpoint : OrchCheckpoint {
-    std::array<std::uint64_t, 4> rng{};     ///< Tail/stall draw stream.
-    BaselineStats stats;                    ///< Counters.
-    CpuExecStats cpu_exec;                  ///< CPU-executor counters.
-    std::size_t central_tokens = 64;        ///< RELIEF in-flight budget.
-    bool central_pump_scheduled = false;    ///< Pump event pending.
+  struct State {
+    sim::Rng rng{0xC0408};               ///< Tail/stall draw stream.
+    BaselineStats stats;                 ///< Counters.
+    std::size_t central_tokens = 64;     ///< RELIEF in-flight budget.
+    bool central_pump_scheduled = false; ///< Pump event pending.
   };
 
-  /** Captures the orchestrator's counters and RNG stream. */
+  /** State plus the CPU executor's counters. */
+  struct Checkpoint : OrchCheckpoint, State {
+    CpuExecStats cpu_exec;  ///< CPU-executor counters.
+  };
+
   Checkpoint checkpoint() const;
 
   /** Restores state captured by checkpoint(); drops in-flight chains. */
@@ -186,8 +189,7 @@ class BaselineOrchestrator : public Orchestrator,
   BaselineMode mode_;
   bool central_queue_;
   BaselineCosts costs_;
-  sim::Rng rng_{0xC0408};
-  BaselineStats stats_;
+  State s_;
   std::unique_ptr<CpuChainExecutor> cpu_exec_;
   std::unordered_map<ChainContext*, std::unique_ptr<Chain>> chains_;
   /** walk_chain memo: key packs (start address, payload-flag bits). Not
@@ -197,10 +199,8 @@ class BaselineOrchestrator : public Orchestrator,
       walk_cache_;
   std::set<std::pair<accel::AccelType, accel::AccelType>> cohort_links_;
   // RELIEF central queue (base design): FIFO of pending issues sharing
-  // one 64-entry budget across all accelerator types.
+  // one budget (s_.central_tokens) across all accelerator types.
   std::deque<std::shared_ptr<Issue>> central_fifo_;
-  bool central_pump_scheduled_ = false;
-  std::size_t central_tokens_ = 64;
 };
 
 }  // namespace accelflow::core

@@ -1,8 +1,22 @@
 #include "core/tenant_mba.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace accelflow::core {
+
+TenantBandwidthLimiter::TenantBandwidthLimiter(sim::Simulator& sim,
+                                               MbaConfig config)
+    : sim_(sim), config_(std::move(config)) {
+  // A NaN burst reaches the picosecond cast in acquire() as a NaN wait;
+  // an infinite or negative one is no credit allowance at all.
+  if (!std::isfinite(config_.burst_seconds) || config_.burst_seconds < 0) {
+    throw std::invalid_argument(
+        "MbaConfig::burst_seconds must be finite and >= 0");
+  }
+}
 
 sim::TimePs TenantBandwidthLimiter::acquire(accel::TenantId tenant,
                                             std::uint64_t bytes) {
@@ -11,11 +25,11 @@ sim::TimePs TenantBandwidthLimiter::acquire(accel::TenantId tenant,
   if (limit_it == config_.limit_bytes_per_sec.end()) return now;
 
   const double rate = limit_it->second;  // Bytes per second.
-  // A non-positive configured rate cannot refill a bucket: treat it as
-  // "no limit" instead of dividing by zero below (which produced an
-  // inf/NaN start time before the validation subsystem caught it).
-  if (rate <= 0) return now;
-  Bucket& b = tenants_[tenant];
+  // A rate that is not > 0 (NaN included) cannot refill a bucket: treat
+  // it as "no limit", as throttles() does, instead of dividing by it below
+  // and casting an inf/NaN wait into picoseconds.
+  if (!(rate > 0)) return now;
+  Bucket& b = s_.tenants[tenant];
   if (!b.initialized) {
     b.tokens = rate * config_.burst_seconds;
     b.refilled = now;

@@ -40,9 +40,10 @@ struct MbaTenantStats {
 /** Token-bucket bandwidth allocator over the A-DMA / memory path. */
 class TenantBandwidthLimiter {
  public:
-  /** Creates a limiter enforcing `config`'s per-tenant rates. */
-  TenantBandwidthLimiter(sim::Simulator& sim, MbaConfig config)
-      : sim_(sim), config_(std::move(config)) {}
+  /** Creates a limiter enforcing `config`'s per-tenant rates. Throws
+   *  std::invalid_argument unless MbaConfig::burst_seconds is finite and
+   *  >= 0. */
+  TenantBandwidthLimiter(sim::Simulator& sim, MbaConfig config);
 
   /**
    * Accounts a transfer of `bytes` for `tenant` and returns the earliest
@@ -52,8 +53,9 @@ class TenantBandwidthLimiter {
   sim::TimePs acquire(accel::TenantId tenant, std::uint64_t bytes);
 
   /** True when `tenant` has a configured *positive* bandwidth limit.
-   *  Entries with rate <= 0 are inert (acquire() passes them through), so
-   *  they do not count as throttled. */
+   *  Entries with a rate that is not > 0 (NaN included) are inert
+   *  (acquire() passes them through), so they do not count as
+   *  throttled. */
   bool throttles(accel::TenantId tenant) const {
     const auto it = config_.limit_bytes_per_sec.find(tenant);
     return it != config_.limit_bytes_per_sec.end() && it->second > 0;
@@ -65,8 +67,8 @@ class TenantBandwidthLimiter {
    *  diverge the checkpointed tenant map across a fork. */
   const MbaTenantStats& stats(accel::TenantId tenant) const {
     static const MbaTenantStats kNone{};
-    const auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? kNone : it->second.stats;
+    const auto it = s_.tenants.find(tenant);
+    return it == s_.tenants.end() ? kNone : it->second.stats;
   }
 
  private:
@@ -78,23 +80,21 @@ class TenantBandwidthLimiter {
   };
 
  public:
-  /** Deep copy of every tenant's bucket (DESIGN.md §13). Only keyed
-   *  lookups touch the map, so unordered iteration cannot leak into
-   *  results. */
-  struct Checkpoint {
+  /** Every tenant's bucket, copied whole by checkpoint() (DESIGN.md §13).
+   *  Only keyed lookups touch the map, so unordered iteration cannot leak
+   *  into results. */
+  struct State {
     std::unordered_map<accel::TenantId, Bucket> tenants;  ///< Buckets.
   };
+  using Checkpoint = State;
 
-  /** Captures all token buckets. */
-  Checkpoint checkpoint() const { return Checkpoint{tenants_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) { tenants_ = c.tenants; }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   sim::Simulator& sim_;
   MbaConfig config_;
-  std::unordered_map<accel::TenantId, Bucket> tenants_;
+  State s_;
 };
 
 }  // namespace accelflow::core

@@ -57,8 +57,8 @@ class CoreCluster {
 
   CoreCluster(sim::Simulator& sim, const CpuParams& params);
 
-  int num_cores() const { return static_cast<int>(free_at_.size()); }
-  const CpuParams& params() const { return params_; }
+  int num_cores() const { return static_cast<int>(s_.free_at.size()); }
+  const CpuParams& params() const { return s_.params; }
 
   /**
    * Runs a segment of `duration` on `core` (FIFO behind earlier work).
@@ -86,7 +86,7 @@ class CoreCluster {
   int least_loaded() const;
 
   sim::TimePs core_free_at(int core) const {
-    return free_at_[static_cast<std::size_t>(core)];
+    return s_.free_at[static_cast<std::size_t>(core)];
   }
 
   /** Converts a cycle count at the core clock into time. */
@@ -95,7 +95,7 @@ class CoreCluster {
   /** Mean core utilization over [0, now]. */
   double utilization() const;
 
-  const CpuStats& stats() const { return stats_; }
+  const CpuStats& stats() const { return s_.stats; }
 
   /**
    * Adjusts the generation speed factors (Section VII-C.4). Used by
@@ -103,35 +103,28 @@ class CoreCluster {
    * shared warmup checkpoint; already-scheduled segments are unaffected.
    */
   void set_speeds(double app_speed, double tax_speed) {
-    params_.app_speed = app_speed;
-    params_.tax_speed = tax_speed;
+    s_.params.app_speed = app_speed;
+    s_.params.tax_speed = tax_speed;
   }
 
-  /** Deep copy of core occupancy + counters (DESIGN.md §13). */
-  struct Checkpoint {
+  /** Core occupancy, counters and the (divergable) params, copied whole
+   *  by checkpoint() (DESIGN.md §13). */
+  struct State {
+    CpuParams params;                  ///< Speed factors (divergable).
     std::vector<sim::TimePs> free_at;  ///< Per-core next-free times.
     CpuStats stats;                    ///< Counters.
-    CpuParams params;                  ///< Speed factors (divergable).
   };
+  using Checkpoint = State;
 
-  /** Captures core occupancy, counters, and the (divergable) params. */
-  Checkpoint checkpoint() const { return Checkpoint{free_at_, stats_, params_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    free_at_ = c.free_at;
-    stats_ = c.stats;
-    params_ = c.params;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   sim::TimePs occupy(int core, sim::TimePs duration, Callback done);
 
   sim::Simulator& sim_;
-  CpuParams params_;
+  State s_;
   sim::Clock clock_;
-  std::vector<sim::TimePs> free_at_;
-  CpuStats stats_;
 };
 
 }  // namespace accelflow::cpu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace accelflow::fault {
 
@@ -28,7 +29,7 @@ FaultInjector::FaultInjector(sim::Simulator& sim, FaultPlan plan)
 
 sim::Rng& FaultInjector::stream(FaultSite site, int unit) {
   assert(unit >= 0);
-  std::vector<Stream>& row = streams_[static_cast<std::size_t>(site)];
+  std::vector<Stream>& row = s_.streams[static_cast<std::size_t>(site)];
   const auto u = static_cast<std::size_t>(unit);
   if (u >= row.size()) row.resize(u + 1);
   Stream& s = row[u];
@@ -65,8 +66,8 @@ sim::TimePs FaultInjector::pe_stall(int unit) {
     t = std::max(t, sim::microseconds(us));
   }
   if (t > 0) {
-    ++stats_.pe_stalls;
-    stats_.stall_time += t;
+    ++s_.stats.pe_stalls;
+    s_.stats.stall_time += t;
   }
   return t;
 }
@@ -77,7 +78,7 @@ bool FaultInjector::pe_kill(int unit) {
   bool kill = r.pe_kill_prob > 0 &&
               stream(FaultSite::kPeKill, unit).bernoulli(r.pe_kill_prob);
   kill = kill || window_active(FaultSite::kPeKill, unit, nullptr);
-  if (kill) ++stats_.pe_kills;
+  if (kill) ++s_.stats.pe_kills;
   return kill;
 }
 
@@ -88,7 +89,7 @@ bool FaultInjector::queue_reject(int unit) {
       r.queue_reject_prob > 0 &&
       stream(FaultSite::kQueueReject, unit).bernoulli(r.queue_reject_prob);
   reject = reject || window_active(FaultSite::kQueueReject, unit, nullptr);
-  if (reject) ++stats_.queue_rejects;
+  if (reject) ++s_.stats.queue_rejects;
   return reject;
 }
 
@@ -97,7 +98,7 @@ bool FaultInjector::iommu_fault(int unit) {
       plan_.iommu_fault_prob > 0 &&
       stream(FaultSite::kIommuFault, unit).bernoulli(plan_.iommu_fault_prob);
   fault = fault || window_active(FaultSite::kIommuFault, unit, nullptr);
-  if (fault) ++stats_.iommu_faults;
+  if (fault) ++s_.stats.iommu_faults;
   return fault;
 }
 
@@ -112,8 +113,8 @@ sim::TimePs FaultInjector::dma_error_penalty(int unit) {
     t = std::max(t, sim::microseconds(us));
   }
   if (t > 0) {
-    ++stats_.dma_errors;
-    stats_.dma_penalty += t;
+    ++s_.stats.dma_errors;
+    s_.stats.dma_penalty += t;
   }
   return t;
 }
@@ -129,53 +130,20 @@ double FaultInjector::link_degradation(int unit) {
   if (window_active(FaultSite::kLinkDegrade, unit, &wf)) {
     factor = std::max(factor, wf);
   }
-  if (factor > 1.0) ++stats_.degraded_transfers;
+  if (factor > 1.0) ++s_.stats.degraded_transfers;
   return factor;
 }
 
 void FaultInjector::snapshot_metrics(obs::MetricsRegistry& reg) const {
-  reg.set("fault.pe_stalls", static_cast<double>(stats_.pe_stalls));
-  reg.set("fault.pe_kills", static_cast<double>(stats_.pe_kills));
-  reg.set("fault.queue_rejects", static_cast<double>(stats_.queue_rejects));
-  reg.set("fault.iommu_faults", static_cast<double>(stats_.iommu_faults));
-  reg.set("fault.dma_errors", static_cast<double>(stats_.dma_errors));
+  reg.set("fault.pe_stalls", static_cast<double>(s_.stats.pe_stalls));
+  reg.set("fault.pe_kills", static_cast<double>(s_.stats.pe_kills));
+  reg.set("fault.queue_rejects", static_cast<double>(s_.stats.queue_rejects));
+  reg.set("fault.iommu_faults", static_cast<double>(s_.stats.iommu_faults));
+  reg.set("fault.dma_errors", static_cast<double>(s_.stats.dma_errors));
   reg.set("fault.degraded_transfers",
-          static_cast<double>(stats_.degraded_transfers));
-  reg.set("fault.stall_time_ps", static_cast<double>(stats_.stall_time));
-  reg.set("fault.dma_penalty_ps", static_cast<double>(stats_.dma_penalty));
-}
-
-FaultInjector::Checkpoint FaultInjector::checkpoint() const {
-  Checkpoint c;
-  // Site-major, unit-minor: ascending stream keys, so the checkpoint
-  // itself is comparable across runs.
-  for (std::size_t site = 0; site < kNumFaultSites; ++site) {
-    for (std::size_t u = 0; u < streams_[site].size(); ++u) {
-      const Stream& s = streams_[site][u];
-      if (!s.touched) continue;
-      c.streams.emplace_back(
-          stream_key(static_cast<FaultSite>(site), static_cast<int>(u)),
-          s.rng.state());
-    }
-  }
-  c.stats = stats_;
-  return c;
-}
-
-void FaultInjector::restore(const Checkpoint& c) {
-  // Streams first touched after the checkpoint fall back to untouched:
-  // their next draw re-seeds them exactly as the first one did.
-  for (std::vector<Stream>& row : streams_) {
-    for (Stream& s : row) s.touched = false;
-  }
-  for (const auto& [key, state] : c.streams) {
-    std::vector<Stream>& row = streams_[key >> 32];
-    const auto u = static_cast<std::size_t>(key & 0xFFFFFFFFu);
-    if (u >= row.size()) row.resize(u + 1);
-    row[u].rng.set_state(state);
-    row[u].touched = true;
-  }
-  stats_ = c.stats;
+          static_cast<double>(s_.stats.degraded_transfers));
+  reg.set("fault.stall_time_ps", static_cast<double>(s_.stats.stall_time));
+  reg.set("fault.dma_penalty_ps", static_cast<double>(s_.stats.dma_penalty));
 }
 
 }  // namespace accelflow::fault

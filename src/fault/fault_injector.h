@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -53,10 +52,10 @@ class FaultInjector final : public sim::FaultHooks {
   /** The plan this injector evaluates. */
   const FaultPlan& plan() const { return plan_; }
   /** Counters of every fault injected so far. */
-  const FaultStats& stats() const { return stats_; }
+  const FaultStats& stats() const { return s_.stats; }
 
   /** Zeroes the injection counters (end of warmup). */
-  void reset_stats() { stats_ = FaultStats{}; }
+  void reset_stats() { s_.stats = FaultStats{}; }
 
   /** Exports injection counters under "fault.*" dotted names. */
   void snapshot_metrics(obs::MetricsRegistry& reg) const;
@@ -71,28 +70,6 @@ class FaultInjector final : public sim::FaultHooks {
 
   // --- Checkpoint / fork (DESIGN.md §13) ---------------------------------
 
-  /**
-   * Deep copy of the injector's deterministic state: every materialized
-   * (site, unit) stream plus the counters. Streams first touched *after*
-   * a checkpoint are simply dropped by restore() — recreating one on
-   * demand reseeds it identically, so forked timelines stay bit-exact.
-   */
-  struct Checkpoint {
-    /** (stream key, RNG state) for every stream drawn from so far. */
-    std::vector<std::pair<std::uint64_t, std::array<std::uint64_t, 4>>>
-        streams;
-    FaultStats stats;  ///< Injection counters at capture time.
-  };
-
-  /** Captures the injector's deterministic state. */
-  Checkpoint checkpoint() const;
-  /** Restores a previously captured state (drops newer streams). */
-  void restore(const Checkpoint& c);
-
- private:
-  /** The lazily seeded random stream of one (site, unit) pair. */
-  sim::Rng& stream(FaultSite site, int unit);
-
   /** One (site, unit) stream slot. Untouched slots are seeded on first
    *  use, so a slot reset to untouched re-seeds identically. */
   struct Stream {
@@ -100,17 +77,36 @@ class FaultInjector final : public sim::FaultHooks {
     bool touched = false;  ///< Seeded and drawn from since the last reset.
   };
 
+  /**
+   * The injector's deterministic state, copied whole by checkpoint(): the
+   * stream table plus the counters. A stream first touched *after* a
+   * checkpoint is untouched (or absent) in it, so after restore() its
+   * next draw re-seeds it exactly as the first one did and forked
+   * timelines stay bit-exact.
+   */
+  struct State {
+    FaultStats stats;  ///< Injection counters.
+    /** Dense stream table: one row per FaultSite, indexed by unit and
+     *  grown on first touch. Units are small: accelerator, DMA-engine
+     *  and chiplet indices. */
+    std::array<std::vector<Stream>, kNumFaultSites> streams;
+  };
+  using Checkpoint = State;
+
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
+
+ private:
+  /** The lazily seeded random stream of one (site, unit) pair. */
+  sim::Rng& stream(FaultSite site, int unit);
+
   /** True if a scheduled window for (site, unit) covers the current time;
    *  `param` receives the window magnitude. */
   bool window_active(FaultSite site, int unit, double* param) const;
 
   sim::Simulator& sim_;
   FaultPlan plan_;
-  FaultStats stats_;
-  /** Dense stream table: one row per FaultSite, indexed by unit and
-   *  grown on first touch. Units are small: accelerator, DMA-engine and
-   *  chiplet indices. */
-  std::array<std::vector<Stream>, kNumFaultSites> streams_;
+  State s_;
 };
 
 }  // namespace accelflow::fault

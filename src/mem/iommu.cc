@@ -8,11 +8,11 @@ Iommu::Iommu(sim::Simulator& sim, MemorySystem& mem, const WalkParams& params,
       mem_(mem),
       params_(params),
       walkers_(sim, concurrent_walkers),
-      rng_(seed) {}
+      s_{sim::Rng(seed), {}} {}
 
 Iommu::Result Iommu::translate(std::uint32_t /*process_id*/, PageNum /*vpn*/) {
-  ++stats_.translations;
-  ++stats_.walks;
+  ++s_.stats.translations;
+  ++s_.stats.walks;
   // A radix walk is `levels` dependent accesses; sample them up front and
   // occupy one walker for the whole duration.
   sim::TimePs walk = 0;
@@ -20,12 +20,12 @@ Iommu::Result Iommu::translate(std::uint32_t /*process_id*/, PageNum /*vpn*/) {
     walk += mem_.dependent_access_latency(params_.ptw_llc_hit_prob);
   }
   Result out;
-  out.faulted = rng_.bernoulli(params_.page_fault_prob);
+  out.faulted = s_.rng.bernoulli(params_.page_fault_prob);
   // Injected translation fault: same service path as an organic one.
   if (fault_hooks_ != nullptr && fault_hooks_->iommu_fault(0)) {
     out.faulted = true;
   }
-  if (out.faulted) ++stats_.faults;
+  if (out.faulted) ++s_.stats.faults;
   out.complete_at = walkers_.submit(walk);
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kMem, obs::SpanKind::kIommuWalk,

@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_MEM_IOMMU_H_
 #define ACCELFLOW_MEM_IOMMU_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -62,7 +61,7 @@ class Iommu {
   Result translate(std::uint32_t process_id, PageNum vpn);
 
   /** Translation/walk/fault counters. */
-  const IommuStats& stats() const { return stats_; }
+  const IommuStats& stats() const { return s_.stats; }
   /** The configured walk parameters. */
   const WalkParams& params() const { return params_; }
 
@@ -83,23 +82,23 @@ class Iommu {
    */
   void set_fault_hooks(sim::FaultHooks* hooks) { fault_hooks_ = hooks; }
 
-  /** Deep copy of the walker occupancy + RNG + counters (DESIGN.md §13). */
-  struct Checkpoint {
-    sim::FifoServer::Checkpoint walkers;        ///< Walk state machines.
-    std::array<std::uint64_t, 4> rng{};         ///< Fault/LLC draw stream.
-    IommuStats stats;                           ///< Counters.
+  /** The IOMMU's own mutable state, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
+    sim::Rng rng;       ///< Fault/LLC draw stream.
+    IommuStats stats;   ///< Counters.
   };
 
-  /** Captures walker occupancy, RNG stream, and counters. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{walkers_.checkpoint(), rng_.state(), stats_};
-  }
+  /** State plus the walkers' checkpoint. */
+  struct Checkpoint : State {
+    sim::FifoServer::Checkpoint walkers;  ///< Walk state machines.
+  };
 
-  /** Restores state captured by checkpoint(). */
+  Checkpoint checkpoint() const { return {s_, walkers_.checkpoint()}; }
+
   void restore(const Checkpoint& c) {
+    s_ = c;
     walkers_.restore(c.walkers);
-    rng_.set_state(c.rng);
-    stats_ = c.stats;
   }
 
  private:
@@ -107,8 +106,7 @@ class Iommu {
   MemorySystem& mem_;
   WalkParams params_;
   sim::FifoServer walkers_;
-  sim::Rng rng_;
-  IommuStats stats_;
+  State s_;
   obs::Tracer* tracer_ = nullptr;
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.
 };

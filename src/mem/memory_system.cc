@@ -9,7 +9,7 @@ MemorySystem::MemorySystem(sim::Simulator& sim, const MemParams& params,
     : sim_(sim),
       params_(params),
       clock_(params.core_ghz),
-      rng_(seed),
+      s_{sim::Rng(seed), {}},
       llc_(sim, params.llc_bandwidth_gbps * 1e9,
            clock_.cycles_to_ps(params.llc_round_trip_cycles)) {
   controllers_.reserve(static_cast<std::size_t>(params.num_controllers));
@@ -22,19 +22,19 @@ MemorySystem::MemorySystem(sim::Simulator& sim, const MemParams& params,
 MemAccess MemorySystem::transfer(std::uint64_t bytes, double llc_hit_prob,
                                  bool is_read) {
   MemAccess out;
-  out.llc_hit = rng_.bernoulli(llc_hit_prob);
+  out.llc_hit = s_.rng.bernoulli(llc_hit_prob);
   if (is_read) {
-    ++stats_.reads;
+    ++s_.stats.reads;
   } else {
-    ++stats_.writes;
+    ++s_.stats.writes;
   }
   if (out.llc_hit) {
-    ++stats_.llc_hits;
+    ++s_.stats.llc_hits;
     out.complete_at = llc_.transfer(bytes);
     return out;
   }
-  ++stats_.llc_misses;
-  stats_.bytes_from_dram += bytes;
+  ++s_.stats.llc_misses;
+  s_.stats.bytes_from_dram += bytes;
   // LLC lookup happens first, then the miss goes to the least-busy
   // controller (approximating address interleaving under load).
   const sim::TimePs llc_lookup =
@@ -59,11 +59,11 @@ MemAccess MemorySystem::write(std::uint64_t bytes, double llc_hit_prob) {
 sim::TimePs MemorySystem::dependent_access_latency(double llc_hit_prob) {
   const sim::TimePs llc_lat =
       clock_.cycles_to_ps(params_.llc_round_trip_cycles);
-  if (rng_.bernoulli(llc_hit_prob)) {
-    ++stats_.llc_hits;
+  if (s_.rng.bernoulli(llc_hit_prob)) {
+    ++s_.stats.llc_hits;
     return llc_lat;
   }
-  ++stats_.llc_misses;
+  ++s_.stats.llc_misses;
   return llc_lat + sim::nanoseconds(params_.dram_latency_ns);
 }
 

@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_MEM_MEMORY_SYSTEM_H_
 #define ACCELFLOW_MEM_MEMORY_SYSTEM_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -74,41 +73,37 @@ class MemorySystem {
   /** Latency of one dependent (pointer-chase) access, e.g. a PTW level. */
   sim::TimePs dependent_access_latency(double llc_hit_prob);
 
-  const MemStats& stats() const { return stats_; }
+  const MemStats& stats() const { return s_.stats; }
   const MemParams& params() const { return params_; }
 
   /** Aggregate DRAM bandwidth utilization in [0,1]. */
   double dram_utilization() const;
 
-  /** Deep copy of channel occupancy + RNG + counters (DESIGN.md §13). */
-  struct Checkpoint {
-    std::vector<sim::Channel::Checkpoint> controllers;  ///< Per controller.
-    sim::Channel::Checkpoint llc;                       ///< LLC channel.
-    std::array<std::uint64_t, 4> rng{};                 ///< Hit-draw stream.
-    std::size_t next_controller = 0;                    ///< Round-robin cursor.
-    MemStats stats;                                     ///< Counters.
+  /** The system's own mutable state, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
+    sim::Rng rng;    ///< Hit-draw stream.
+    MemStats stats;  ///< Counters.
   };
 
-  /** Captures channel occupancy, RNG stream, and counters. */
+  /** State plus the channels' checkpoints. */
+  struct Checkpoint : State {
+    std::vector<sim::Channel::Checkpoint> controllers;  ///< Per controller.
+    sim::Channel::Checkpoint llc;                       ///< LLC channel.
+  };
+
   Checkpoint checkpoint() const {
-    Checkpoint c;
+    Checkpoint c{s_, {}, llc_.checkpoint()};
     for (const auto& ch : controllers_) c.controllers.push_back(ch.checkpoint());
-    c.llc = llc_.checkpoint();
-    c.rng = rng_.state();
-    c.next_controller = next_controller_;
-    c.stats = stats_;
     return c;
   }
 
-  /** Restores state captured by checkpoint(). */
   void restore(const Checkpoint& c) {
+    s_ = c;
     for (std::size_t i = 0; i < controllers_.size(); ++i) {
       controllers_[i].restore(c.controllers[i]);
     }
     llc_.restore(c.llc);
-    rng_.set_state(c.rng);
-    next_controller_ = c.next_controller;
-    stats_ = c.stats;
   }
 
  private:
@@ -117,11 +112,9 @@ class MemorySystem {
   sim::Simulator& sim_;
   MemParams params_;
   sim::Clock clock_;
-  sim::Rng rng_;
+  State s_;
   std::vector<sim::Channel> controllers_;
   sim::Channel llc_;
-  std::size_t next_controller_ = 0;
-  MemStats stats_;
 };
 
 }  // namespace accelflow::mem

@@ -7,7 +7,7 @@ namespace accelflow::mem {
 Tlb::Tlb(std::size_t entries, std::size_t ways) : ways_(ways) {
   assert(entries > 0 && ways > 0 && entries % ways == 0);
   sets_ = entries / ways;
-  entries_.resize(entries);
+  s_.entries.resize(entries);
 }
 
 std::size_t Tlb::set_index(std::uint32_t process_id, PageNum vpn) const {
@@ -19,17 +19,17 @@ std::size_t Tlb::set_index(std::uint32_t process_id, PageNum vpn) const {
 Tlb::Entry* Tlb::find(std::uint32_t process_id, PageNum vpn) {
   const std::size_t base = set_index(process_id, vpn) * ways_;
   for (std::size_t w = 0; w < ways_; ++w) {
-    Entry& e = entries_[base + w];
+    Entry& e = s_.entries[base + w];
     if (e.valid && e.process_id == process_id && e.vpn == vpn) return &e;
   }
   return nullptr;
 }
 
 bool Tlb::lookup(std::uint32_t process_id, PageNum vpn) {
-  ++stats_.lookups;
+  ++s_.stats.lookups;
   if (Entry* e = find(process_id, vpn)) {
-    e->last_use = ++tick_;
-    ++stats_.hits;
+    e->last_use = ++s_.tick;
+    ++s_.stats.hits;
     return true;
   }
   if (tracer_ != nullptr) {
@@ -41,21 +41,21 @@ bool Tlb::lookup(std::uint32_t process_id, PageNum vpn) {
 
 void Tlb::fill(std::uint32_t process_id, PageNum vpn) {
   const std::size_t base = set_index(process_id, vpn) * ways_;
-  Entry* victim = &entries_[base];
+  Entry* victim = &s_.entries[base];
   for (std::size_t w = 0; w < ways_; ++w) {
-    Entry& e = entries_[base + w];
+    Entry& e = s_.entries[base + w];
     if (!e.valid) {
       victim = &e;
       break;
     }
     if (e.last_use < victim->last_use) victim = &e;
   }
-  if (victim->valid) ++stats_.evictions;
+  if (victim->valid) ++s_.stats.evictions;
   victim->valid = true;
   victim->process_id = process_id;
   victim->vpn = vpn;
-  victim->last_use = ++tick_;
-  ++stats_.fills;
+  victim->last_use = ++s_.tick;
+  ++s_.stats.fills;
 }
 
 bool Tlb::access(std::uint32_t process_id, PageNum vpn) {
@@ -65,13 +65,13 @@ bool Tlb::access(std::uint32_t process_id, PageNum vpn) {
 }
 
 void Tlb::flush_process(std::uint32_t process_id) {
-  for (Entry& e : entries_) {
+  for (Entry& e : s_.entries) {
     if (e.valid && e.process_id == process_id) e.valid = false;
   }
 }
 
 void Tlb::flush_all() {
-  for (Entry& e : entries_) e.valid = false;
+  for (Entry& e : s_.entries) e.valid = false;
 }
 
 }  // namespace accelflow::mem

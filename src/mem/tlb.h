@@ -63,7 +63,7 @@ class Tlb {
   void flush_all();
 
   /** Lookup/hit/fill/eviction counters. */
-  const TlbStats& stats() const { return stats_; }
+  const TlbStats& stats() const { return s_.stats; }
   /** Total entry capacity. */
   std::size_t entries() const { return sets_ * ways_; }
   /** Set associativity. */
@@ -90,33 +90,25 @@ class Tlb {
   };
 
  public:
-  /** Deep copy of the cache contents + counters (DESIGN.md §13). */
-  struct Checkpoint {
+  /** The cache contents and counters, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
     std::vector<Entry> entries;  ///< All ways of all sets.
     std::uint64_t tick = 0;      ///< LRU age counter.
     TlbStats stats;              ///< Lookup counters.
   };
+  using Checkpoint = State;
 
-  /** Captures cache contents and counters. */
-  Checkpoint checkpoint() const { return Checkpoint{entries_, tick_, stats_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    entries_ = c.entries;
-    tick_ = c.tick;
-    stats_ = c.stats;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
-
   std::size_t set_index(std::uint32_t process_id, PageNum vpn) const;
   Entry* find(std::uint32_t process_id, PageNum vpn);
 
   std::size_t sets_;
   std::size_t ways_;
-  std::vector<Entry> entries_;
-  std::uint64_t tick_ = 0;
-  TlbStats stats_;
+  State s_;
   obs::Tracer* tracer_ = nullptr;
   const sim::Simulator* tracer_sim_ = nullptr;
   std::uint32_t tracer_tid_ = 0;

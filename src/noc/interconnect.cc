@@ -50,10 +50,10 @@ sim::TimePs Interconnect::transfer(Location src, Location dst,
                                    sim::TimePs ready_at) {
   const sim::TimePs start = std::max(ready_at, sim_.now());
   if (src.chiplet == dst.chiplet) {
-    ++stats_.intra_transfers;
+    ++s_.stats.intra_transfers;
     const auto hops =
         static_cast<std::uint64_t>(mesh(src.chiplet).hops(src.coord, dst.coord));
-    stats_.hops += hops;
+    s_.stats.hops += hops;
     sim::TimePs done =
         mesh(src.chiplet).transfer(src.coord, dst.coord, bytes, ready_at);
     done = apply_degradation(src.chiplet, start, done);
@@ -64,8 +64,8 @@ sim::TimePs Interconnect::transfer(Location src, Location dst,
     }
     return done;
   }
-  ++stats_.inter_transfers;
-  stats_.inter_bytes += bytes;
+  ++s_.stats.inter_transfers;
+  s_.stats.inter_bytes += bytes;
   // Source mesh to the chiplet edge router at (0, 0), then across the
   // package link, then edge router to destination on the target mesh.
   const Coord edge{0, 0};
@@ -79,7 +79,7 @@ sim::TimePs Interconnect::transfer(Location src, Location dst,
   const std::uint64_t hops =
       static_cast<std::uint64_t>(mesh(src.chiplet).hops(src.coord, edge) +
                                  mesh(dst.chiplet).hops(edge, dst.coord));
-  stats_.hops += hops;
+  s_.stats.hops += hops;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kNoc, obs::SpanKind::kNocTransfer,
                       static_cast<std::uint32_t>(src.chiplet), start, done,
@@ -97,7 +97,7 @@ sim::TimePs Interconnect::apply_degradation(int chiplet, sim::TimePs start,
   if (factor <= 1.0) return done;
   // The message is stretched in flight (CRC retries); router/link
   // occupancy bookkeeping is untouched — only this message is delayed.
-  ++stats_.degraded_transfers;
+  ++s_.stats.degraded_transfers;
   return start + static_cast<sim::TimePs>(
                      static_cast<double>(done - start) * factor + 0.5);
 }

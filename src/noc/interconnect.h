@@ -80,7 +80,7 @@ class Interconnect {
   /** The mesh of `chiplet`. */
   Mesh& mesh(int chiplet) { return *meshes_[static_cast<std::size_t>(chiplet)]; }
   /** Transfer counters. */
-  const InterconnectStats& stats() const { return stats_; }
+  const InterconnectStats& stats() const { return s_.stats; }
   /** The configured parameters. */
   const InterconnectParams& params() const { return params_; }
 
@@ -101,20 +101,33 @@ class Interconnect {
    */
   void set_fault_hooks(sim::FaultHooks* hooks) { fault_hooks_ = hooks; }
 
-  /** Deep copy of mesh + link occupancy + counters (DESIGN.md §13). */
-  struct Checkpoint {
-    std::vector<Mesh::Checkpoint> meshes;        ///< Per-chiplet meshes.
-    std::vector<sim::Channel::Checkpoint> links; ///< Inter-chiplet links.
-    InterconnectStats stats;                     ///< Counters.
+  /** The interconnect's own counters, copied whole by checkpoint()
+   *  (DESIGN.md §13). */
+  struct State {
+    InterconnectStats stats;  ///< Counters.
   };
 
-  /** Captures all mesh/link occupancy and counters. */
+  /** State plus every mesh's and link's checkpoint. */
+  struct Checkpoint : State {
+    std::vector<Mesh::Checkpoint> meshes;        ///< Per-chiplet meshes.
+    std::vector<sim::Channel::Checkpoint> links; ///< Inter-chiplet links.
+  };
+
   Checkpoint checkpoint() const {
-    Checkpoint c;
+    Checkpoint c{s_, {}, {}};
     for (const auto& m : meshes_) c.meshes.push_back(m->checkpoint());
     for (const auto& l : links_) c.links.push_back(l.checkpoint());
-    c.stats = stats_;
     return c;
+  }
+
+  void restore(const Checkpoint& c) {
+    s_ = c;
+    for (std::size_t i = 0; i < meshes_.size(); ++i) {
+      meshes_[i]->restore(c.meshes[i]);
+    }
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      links_[i].restore(c.links[i]);
+    }
   }
 
   /**
@@ -125,17 +138,6 @@ class Interconnect {
    * triangular pair indexing (symmetry, distinctness).
    */
   const sim::Channel& link(int a, int b) const;
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    for (std::size_t i = 0; i < meshes_.size(); ++i) {
-      meshes_[i]->restore(c.meshes[i]);
-    }
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      links_[i].restore(c.links[i]);
-    }
-    stats_ = c.stats;
-  }
 
  private:
   sim::Channel& link(int a, int b);
@@ -149,7 +151,7 @@ class Interconnect {
   std::vector<std::unique_ptr<Mesh>> meshes_;
   // Fully connected: one channel per unordered chiplet pair.
   std::vector<sim::Channel> links_;
-  InterconnectStats stats_;
+  State s_;
   obs::Tracer* tracer_ = nullptr;
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.
 };

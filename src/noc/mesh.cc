@@ -13,7 +13,7 @@ Mesh::Mesh(sim::Simulator& sim, const MeshParams& params)
       hop_latency_(clock_.cycles_to_ps(params.hop_cycles)),
       link_bytes_per_ps_(params.link_bytes_per_cycle * params.clock_ghz /
                          1000.0) {
-  link_free_at_.assign(
+  s_.link_free_at.assign(
       static_cast<std::size_t>(params_.width) * params_.height * 4, 0);
 }
 
@@ -51,11 +51,11 @@ sim::TimePs Mesh::zero_load_latency(Coord src, Coord dst,
 sim::TimePs Mesh::transfer(Coord src, Coord dst, std::uint64_t bytes,
                            sim::TimePs ready_at) {
   assert(contains(src) && contains(dst));
-  ++stats_.transfers;
-  stats_.bytes += bytes;
+  ++s_.stats.transfers;
+  s_.stats.bytes += bytes;
   const sim::TimePs ready = std::max(sim_.now(), ready_at);
   const int h = hops(src, dst);
-  stats_.total_hops += static_cast<std::uint64_t>(h);
+  s_.stats.total_hops += static_cast<std::uint64_t>(h);
   if (h == 0) return ready;  // Same node: local queue move, free.
 
   route_scratch_.clear();
@@ -65,14 +65,14 @@ sim::TimePs Mesh::transfer(Coord src, Coord dst, std::uint64_t bytes,
   // approximation: the worm occupies the whole path while serializing).
   sim::TimePs start = ready;
   for (const std::size_t li : route_scratch_) {
-    start = std::max(start, link_free_at_[li]);
+    start = std::max(start, s_.link_free_at[li]);
   }
-  stats_.contention_time += start - ready;
+  s_.stats.contention_time += start - ready;
 
   const auto ser =
       static_cast<sim::TimePs>(static_cast<double>(bytes) / link_bytes_per_ps_ + 0.5);
   for (const std::size_t li : route_scratch_) {
-    link_free_at_[li] = start + ser;
+    s_.link_free_at[li] = start + ser;
   }
   return start + static_cast<sim::TimePs>(h) * hop_latency_ + ser;
 }

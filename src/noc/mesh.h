@@ -64,25 +64,21 @@ class Mesh {
 
   int hops(Coord src, Coord dst) const;
   const MeshParams& params() const { return params_; }
-  const MeshStats& stats() const { return stats_; }
+  const MeshStats& stats() const { return s_.stats; }
   bool contains(Coord c) const {
     return c.x >= 0 && c.x < params_.width && c.y >= 0 && c.y < params_.height;
   }
 
-  /** Deep copy of link occupancy + counters (DESIGN.md §13). */
-  struct Checkpoint {
+  /** Link occupancy and counters, copied whole by checkpoint() (route
+   *  scratch excluded; DESIGN.md §13). */
+  struct State {
     std::vector<sim::TimePs> link_free_at;  ///< Per-directional-link times.
     MeshStats stats;                        ///< Counters.
   };
+  using Checkpoint = State;
 
-  /** Captures link occupancy and counters (route scratch excluded). */
-  Checkpoint checkpoint() const { return Checkpoint{link_free_at_, stats_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    link_free_at_ = c.link_free_at;
-    stats_ = c.stats;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   // Links are directional; index encodes (node, direction).
@@ -96,8 +92,7 @@ class Mesh {
   sim::Clock clock_;
   sim::TimePs hop_latency_;
   double link_bytes_per_ps_;
-  std::vector<sim::TimePs> link_free_at_;
-  MeshStats stats_;
+  State s_;
   std::vector<std::size_t> route_scratch_;
 };
 

@@ -7,7 +7,7 @@ namespace accelflow::qos {
 AdmissionController::AdmissionController(sim::Simulator& sim,
                                          QosPolicy policy)
     : sim_(sim), policy_(std::move(policy)) {
-  tenants_.resize(policy_.tenants.size());
+  s_.tenants.resize(policy_.tenants.size());
 }
 
 void AdmissionController::refill(TenantState& s, const TenantSlo& slo) {
@@ -60,7 +60,7 @@ bool AdmissionController::admit(std::size_t tenant) {
   }
   // Work-conserving: over-quota arrivals ride along while every
   // latency-sensitive tenant is within SLO.
-  if (!shedding_) {
+  if (!s_.shedding) {
     ++s.stats.admitted;
     return true;
   }
@@ -87,54 +87,54 @@ void AdmissionController::update_pressure() {
   // have decayed below shed_exit.
   bool any_hot = false;
   bool all_calm = true;
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
+  for (std::size_t t = 0; t < s_.tenants.size(); ++t) {
     const TenantSlo& slo = policy_.tenant(static_cast<accel::TenantId>(t));
     if (slo.cls != TenantClass::kLatencySensitive ||
         slo.p99_target == sim::kTimeNever) {
       continue;
     }
-    const double ewma = tenants_[t].violation_ewma;
+    const double ewma = s_.tenants[t].violation_ewma;
     if (ewma > policy_.shed_enter) any_hot = true;
     if (ewma > policy_.shed_exit) all_calm = false;
   }
-  if (!shedding_ && any_hot) {
-    shedding_ = true;
-    ++shed_entries_;
-  } else if (shedding_ && all_calm) {
-    shedding_ = false;
+  if (!s_.shedding && any_hot) {
+    s_.shedding = true;
+    ++s_.shed_entries;
+  } else if (s_.shedding && all_calm) {
+    s_.shedding = false;
   }
 }
 
 std::vector<TenantAdmissionStats> AdmissionController::tenant_stats() const {
   std::vector<TenantAdmissionStats> out;
-  out.reserve(tenants_.size());
-  for (const TenantState& s : tenants_) out.push_back(s.stats);
+  out.reserve(s_.tenants.size());
+  for (const TenantState& s : s_.tenants) out.push_back(s.stats);
   return out;
 }
 
 std::uint64_t AdmissionController::total_shed() const {
   std::uint64_t n = 0;
-  for (const TenantState& s : tenants_) n += s.stats.shed;
+  for (const TenantState& s : s_.tenants) n += s.stats.shed;
   return n;
 }
 
 std::uint64_t AdmissionController::total_admitted() const {
   std::uint64_t n = 0;
-  for (const TenantState& s : tenants_) n += s.stats.admitted;
+  for (const TenantState& s : s_.tenants) n += s.stats.admitted;
   return n;
 }
 
 void AdmissionController::reset_stats() {
-  for (TenantState& s : tenants_) s.stats = TenantAdmissionStats{};
+  for (TenantState& s : s_.tenants) s.stats = TenantAdmissionStats{};
 }
 
 void AdmissionController::snapshot_metrics(obs::MetricsRegistry& reg) const {
-  reg.set("qos.admission.shedding", shedding_ ? 1.0 : 0.0,
+  reg.set("qos.admission.shedding", s_.shedding ? 1.0 : 0.0,
           obs::MetricsRegistry::Kind::kGauge);
   reg.set("qos.admission.shed_entries",
-          static_cast<double>(shed_entries_));
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    const TenantAdmissionStats& s = tenants_[t].stats;
+          static_cast<double>(s_.shed_entries));
+  for (std::size_t t = 0; t < s_.tenants.size(); ++t) {
+    const TenantAdmissionStats& s = s_.tenants[t].stats;
     const std::string p = "qos.tenant." + std::to_string(t) + ".";
     reg.set(p + "offered", static_cast<double>(s.offered));
     reg.set(p + "admitted", static_cast<double>(s.admitted));
@@ -142,7 +142,7 @@ void AdmissionController::snapshot_metrics(obs::MetricsRegistry& reg) const {
     reg.set(p + "over_quota", static_cast<double>(s.over_quota));
     reg.set(p + "completions", static_cast<double>(s.completions));
     reg.set(p + "slo_violations", static_cast<double>(s.slo_violations));
-    reg.set(p + "violation_ewma", tenants_[t].violation_ewma,
+    reg.set(p + "violation_ewma", s_.tenants[t].violation_ewma,
             obs::MetricsRegistry::Kind::kGauge);
   }
 }

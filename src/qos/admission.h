@@ -54,14 +54,14 @@ class AdmissionController {
   void record_latency(std::size_t tenant, sim::TimePs latency);
 
   /** True while over-quota arrivals are being shed. */
-  bool shedding() const { return shedding_; }
+  bool shedding() const { return s_.shedding; }
 
   const QosPolicy& policy() const { return policy_; }
 
   /** Accounting for `tenant`; zeroed sentinel for tenants never seen. */
   const TenantAdmissionStats& stats(std::size_t tenant) const {
     static const TenantAdmissionStats kNone{};
-    return tenant < tenants_.size() ? tenants_[tenant].stats : kNone;
+    return tenant < s_.tenants.size() ? s_.tenants[tenant].stats : kNone;
   }
 
   /** Per-tenant accounting, indexed by tenant id. */
@@ -90,30 +90,22 @@ class AdmissionController {
   };
 
  public:
-  /** Deep copy of the controller state (DESIGN.md §13). */
-  struct Checkpoint {
+  /** The controller state, copied whole by checkpoint() (DESIGN.md §13). */
+  struct State {
     std::vector<TenantState> tenants;  ///< Buckets, EWMAs, accounting.
     bool shedding = false;             ///< Hysteresis state.
     std::uint64_t shed_entries = 0;    ///< Shedding-state entries.
   };
+  using Checkpoint = State;
 
-  /** Captures buckets, EWMAs and the hysteresis state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{tenants_, shedding_, shed_entries_};
-  }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    tenants_ = c.tenants;
-    shedding_ = c.shedding;
-    shed_entries_ = c.shed_entries;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   /** Grow-on-demand per-tenant slot. */
   TenantState& state(std::size_t tenant) {
-    if (tenant >= tenants_.size()) tenants_.resize(tenant + 1);
-    return tenants_[tenant];
+    if (tenant >= s_.tenants.size()) s_.tenants.resize(tenant + 1);
+    return s_.tenants[tenant];
   }
 
   /** Refills both buckets, clamped at the burst allowance (the same
@@ -126,9 +118,7 @@ class AdmissionController {
 
   sim::Simulator& sim_;
   QosPolicy policy_;
-  std::vector<TenantState> tenants_;
-  bool shedding_ = false;
-  std::uint64_t shed_entries_ = 0;
+  State s_;
 };
 
 }  // namespace accelflow::qos

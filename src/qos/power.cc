@@ -9,8 +9,13 @@ PowerGovernor::PowerGovernor(core::Machine& machine, PowerCapConfig config)
     : machine_(machine), config_(std::move(config)) {
   // Inertness guards: a non-positive budget, a degenerate epoch, or an
   // unusable ladder leaves the governor attached but doing nothing — no
-  // events, no speed changes, no division anywhere.
+  // events, no speed changes, no division anywhere. The epoch must be
+  // finite and its picosecond length must fit in TimePs, since
+  // sim::microseconds casts it.
+  const double epoch_ps =
+      config_.epoch_us * static_cast<double>(sim::kPsPerUs);
   active_ = config_.budget_w > 0 && config_.epoch_us > 0 &&
+            std::isfinite(epoch_ps) && epoch_ps < 0x1p64 &&
             !config_.ladder.empty() && config_.ladder.front() > 0;
   if (!active_) return;
   for (double s : config_.ladder) {
@@ -29,8 +34,8 @@ PowerGovernor::PowerGovernor(core::Machine& machine, PowerCapConfig config)
 void PowerGovernor::start(sim::TimePs until) {
   if (!active_) return;
   until_ = until;
-  prev_ = snapshot_busy();
-  epoch_start_ = machine_.sim().now();
+  s_.prev = snapshot_busy();
+  s_.epoch_start = machine_.sim().now();
   const auto epoch = static_cast<sim::TimePs>(
       sim::microseconds(config_.epoch_us));
   const sim::TimePs next = machine_.sim().now() + epoch;
@@ -78,36 +83,36 @@ void PowerGovernor::on_epoch() {
   const BusySnapshot cur = snapshot_busy();
 
   energy::Activity act;
-  act.elapsed = now - epoch_start_;
-  act.core_busy = cur.core_busy - prev_.core_busy;
+  act.elapsed = now - s_.epoch_start;
+  act.core_busy = cur.core_busy - s_.prev.core_busy;
   for (std::size_t i = 0; i < act.accel_busy.size(); ++i) {
-    act.accel_busy[i] = cur.accel_busy[i] - prev_.accel_busy[i];
+    act.accel_busy[i] = cur.accel_busy[i] - s_.prev.accel_busy[i];
   }
-  act.dispatcher_busy = cur.dispatcher_busy - prev_.dispatcher_busy;
-  act.dma_busy = cur.dma_busy - prev_.dma_busy;
+  act.dispatcher_busy = cur.dispatcher_busy - s_.prev.dispatcher_busy;
+  act.dma_busy = cur.dma_busy - s_.prev.dma_busy;
   act.pes_per_accel = machine_.config().pes_per_accel;
-  prev_ = cur;
-  epoch_start_ = now;
+  s_.prev = cur;
+  s_.epoch_start = now;
 
-  const double power_w = estimate_power_w(act, config_.ladder[level_]);
-  ++stats_.epochs;
-  stats_.last_power_w = power_w;
-  stats_.sum_power_w += power_w;
-  stats_.max_power_w = std::max(stats_.max_power_w, power_w);
+  const double power_w = estimate_power_w(act, config_.ladder[s_.level]);
+  ++s_.stats.epochs;
+  s_.stats.last_power_w = power_w;
+  s_.stats.sum_power_w += power_w;
+  s_.stats.max_power_w = std::max(s_.stats.max_power_w, power_w);
 
-  if (power_w > config_.budget_w && level_ + 1 < config_.ladder.size()) {
-    ++level_;
-    ++stats_.steps_down;
-    apply_level(level_);
-  } else if (level_ > 0 &&
-             estimate_power_w(act, config_.ladder[level_ - 1]) <
+  if (power_w > config_.budget_w && s_.level + 1 < config_.ladder.size()) {
+    ++s_.level;
+    ++s_.stats.steps_down;
+    apply_level(s_.level);
+  } else if (s_.level > 0 &&
+             estimate_power_w(act, config_.ladder[s_.level - 1]) <
                  config_.step_up_headroom * config_.budget_w) {
-    --level_;
-    ++stats_.steps_up;
-    apply_level(level_);
+    --s_.level;
+    ++s_.stats.steps_up;
+    apply_level(s_.level);
   }
-  if (level_ > 0) ++stats_.capped_epochs;
-  stats_.min_scale = std::min(stats_.min_scale, config_.ladder[level_]);
+  if (s_.level > 0) ++s_.stats.capped_epochs;
+  s_.stats.min_scale = std::min(s_.stats.min_scale, config_.ladder[s_.level]);
 
   const auto epoch = static_cast<sim::TimePs>(
       sim::microseconds(config_.epoch_us));
@@ -117,24 +122,21 @@ void PowerGovernor::on_epoch() {
 }
 
 void PowerGovernor::restore(const Checkpoint& c) {
-  level_ = c.level;
-  prev_ = c.prev;
-  epoch_start_ = c.epoch_start;
-  stats_ = c.stats;
-  if (active_) apply_level(level_);
+  s_ = c;
+  if (active_) apply_level(s_.level);
 }
 
 void PowerGovernor::snapshot_metrics(obs::MetricsRegistry& reg) const {
   using Kind = obs::MetricsRegistry::Kind;
   reg.set("qos.power.budget_w", config_.budget_w, Kind::kGauge);
   reg.set("qos.power.scale", scale(), Kind::kGauge);
-  reg.set("qos.power.epochs", static_cast<double>(stats_.epochs));
+  reg.set("qos.power.epochs", static_cast<double>(s_.stats.epochs));
   reg.set("qos.power.capped_epochs",
-          static_cast<double>(stats_.capped_epochs));
-  reg.set("qos.power.steps_down", static_cast<double>(stats_.steps_down));
-  reg.set("qos.power.steps_up", static_cast<double>(stats_.steps_up));
-  reg.set("qos.power.avg_w", stats_.avg_power_w(), Kind::kGauge);
-  reg.set("qos.power.max_w", stats_.max_power_w, Kind::kGauge);
+          static_cast<double>(s_.stats.capped_epochs));
+  reg.set("qos.power.steps_down", static_cast<double>(s_.stats.steps_down));
+  reg.set("qos.power.steps_up", static_cast<double>(s_.stats.steps_up));
+  reg.set("qos.power.avg_w", s_.stats.avg_power_w(), Kind::kGauge);
+  reg.set("qos.power.max_w", s_.stats.max_power_w, Kind::kGauge);
 }
 
 }  // namespace accelflow::qos

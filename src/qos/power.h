@@ -45,7 +45,8 @@ namespace accelflow::qos {
 struct PowerCapConfig {
   /** Package power budget in watts; <= 0 disables the governor. */
   double budget_w = 0.0;
-  /** Governor epoch. */
+  /** Governor epoch; one that is not positive, finite and within TimePs
+   *  range in picoseconds leaves the governor inert. */
   double epoch_us = 100.0;
   /** Fraction of the budget the *faster* level's estimate must fit under
    *  before stepping back up (headroom against level flapping). */
@@ -80,7 +81,8 @@ struct PowerStats {
 class PowerGovernor {
  public:
   /** Attaches to `machine`; call start() to begin governing. An invalid
-   *  config (budget <= 0, empty ladder) leaves the governor inert. */
+   *  config (budget <= 0, bad epoch, empty ladder) leaves the governor
+   *  inert. */
   PowerGovernor(core::Machine& machine, PowerCapConfig config);
 
   /** Schedules epoch evaluations from now until `until` (the issue+drain
@@ -95,18 +97,18 @@ class PowerGovernor {
 
   bool active() const { return active_; }
   /** Current ladder index (0 = nominal frequency). */
-  std::size_t level() const { return level_; }
+  std::size_t level() const { return s_.level; }
   /** Current frequency scale applied to every accelerator. */
   double scale() const {
-    return active_ ? config_.ladder[level_] : 1.0;
+    return active_ ? config_.ladder[s_.level] : 1.0;
   }
 
-  const PowerStats& stats() const { return stats_; }
+  const PowerStats& stats() const { return s_.stats; }
   const PowerCapConfig& config() const { return config_; }
 
   /** Zeroes the accounting (end of warmup). The ladder level carries
    *  over: it is the operating point, not a measurement. */
-  void reset_stats() { stats_ = PowerStats{}; }
+  void reset_stats() { s_.stats = PowerStats{}; }
 
   /** Exports "qos.power.*" gauges and counters (OBSERVABILITY.md). */
   void snapshot_metrics(obs::MetricsRegistry& reg) const;
@@ -121,19 +123,18 @@ class PowerGovernor {
   };
 
  public:
-  /** Deep copy of the governor state (DESIGN.md §13). The speedups the
-   *  level implies are captured by the accelerators' own checkpoints. */
-  struct Checkpoint {
-    std::size_t level = 0;     ///< Ladder index.
-    BusySnapshot prev;         ///< Busy-time anchor of the next epoch.
-    sim::TimePs epoch_start = 0;
-    PowerStats stats;
+  /** The governor state, copied whole by checkpoint() (DESIGN.md §13).
+   *  The speedups the level implies are captured by the accelerators'
+   *  own checkpoints. */
+  struct State {
+    std::size_t level = 0;        ///< Ladder index (0 = nominal).
+    BusySnapshot prev;            ///< Busy-time anchor of the next epoch.
+    sim::TimePs epoch_start = 0;  ///< Start of the current epoch.
+    PowerStats stats;             ///< Accounting.
   };
+  using Checkpoint = State;
 
-  /** Captures level, accumulators and counters. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{level_, prev_, epoch_start_, stats_};
-  }
+  Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint() and re-applies the level's
    *  speed scale (idempotent against a paired Machine::restore(), which
@@ -152,15 +153,13 @@ class PowerGovernor {
 
   core::Machine& machine_;
   PowerCapConfig config_;
-  bool active_ = false;       ///< Valid config (budget > 0, ladder sane).
-  std::size_t level_ = 0;
+  /** Valid config (budget > 0, epoch fits in TimePs, ladder sane). */
+  bool active_ = false;
   /** Nominal per-type speedups captured at attach; level scales apply
    *  multiplicatively on top. */
   std::array<double, accel::kNumAccelTypes> base_speedup_{};
-  BusySnapshot prev_;
-  sim::TimePs epoch_start_ = 0;
   sim::TimePs until_ = 0;
-  PowerStats stats_;
+  State s_;
 };
 
 }  // namespace accelflow::qos

@@ -34,22 +34,22 @@ class TicketPool {
   /** Parks `value`; the returned ticket redeems it exactly once. */
   Ticket park(T value) {
     Ticket t;
-    if (!free_.empty()) {
-      t = free_.back();
-      free_.pop_back();
-      slab_[t] = std::move(value);
+    if (!s_.free_list.empty()) {
+      t = s_.free_list.back();
+      s_.free_list.pop_back();
+      s_.slab[t] = std::move(value);
     } else {
-      t = static_cast<Ticket>(slab_.size());
-      slab_.push_back(std::move(value));
+      t = static_cast<Ticket>(s_.slab.size());
+      s_.slab.push_back(std::move(value));
     }
-    ++parked_;
+    ++s_.parked;
     return t;
   }
 
   /** Redeems a ticket, moving the value out and freeing the slot. */
   T take(Ticket t) {
-    assert(t < slab_.size());
-    T out = std::move(slab_[t]);
+    assert(t < s_.slab.size());
+    T out = std::move(s_.slab[t]);
     release(t);
     return out;
   }
@@ -57,41 +57,34 @@ class TicketPool {
   /** Abandons a parked value (e.g. a timed-out path that no longer needs
    *  the payload). */
   void drop(Ticket t) {
-    assert(t < slab_.size());
-    slab_[t] = T{};  // Release any resources the value held.
+    assert(t < s_.slab.size());
+    s_.slab[t] = T{};  // Release any resources the value held.
     release(t);
   }
 
   /** Values currently parked (for leak checks in tests). */
-  std::size_t parked() const { return parked_; }
+  std::size_t parked() const { return s_.parked; }
 
-  /** Deep copy of the pool (requires T copyable; DESIGN.md §13). */
-  struct Checkpoint {
+  /** The pool's slots and free list, copied whole by checkpoint()
+   *  (requires T copyable; DESIGN.md §13). */
+  struct State {
     std::vector<T> slab;            ///< Slot values (live and free).
     std::vector<Ticket> free_list;  ///< Recycled-ticket stack.
     std::size_t parked = 0;         ///< Live-value count.
   };
+  using Checkpoint = State;
 
-  /** Captures the pool's slots and free list. */
-  Checkpoint checkpoint() const { return Checkpoint{slab_, free_, parked_}; }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    slab_ = c.slab;
-    free_ = c.free_list;
-    parked_ = c.parked;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   void release(Ticket t) {
-    assert(parked_ > 0);
-    --parked_;
-    free_.push_back(t);
+    assert(s_.parked > 0);
+    --s_.parked;
+    s_.free_list.push_back(t);
   }
 
-  std::vector<T> slab_;
-  std::vector<Ticket> free_;
-  std::size_t parked_ = 0;
+  State s_;
 };
 
 }  // namespace accelflow::sim

@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_SIM_RANDOM_H_
 #define ACCELFLOW_SIM_RANDOM_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -76,19 +75,6 @@ class Rng {
 
   /** Derives an independent child generator (stable given parent seed). */
   Rng fork();
-
-  /** The raw xoshiro256** state, for checkpointing (sim/snapshot.h). */
-  std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-
-  /** Restores raw state captured by state(). */
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    s_[0] = s[0];
-    s_[1] = s[1];
-    s_[2] = s[2];
-    s_[3] = s[3];
-  }
 
  private:
   std::uint64_t s_[4];

@@ -7,44 +7,44 @@ namespace accelflow::sim {
 
 TimePs FifoServer::submit_at(TimePs ready, TimePs service_time,
                              Callback done) {
-  assert(!free_at_.empty());
+  assert(!s_.free_at.empty());
   ready = std::max(ready, sim_.now());
   // Pick the earliest-free server (linear scan: server counts are small).
-  auto it = std::min_element(free_at_.begin(), free_at_.end());
+  auto it = std::min_element(s_.free_at.begin(), s_.free_at.end());
   const TimePs start = std::max(ready, *it);
   const TimePs end = start + service_time;
   *it = end;
-  busy_time_ += service_time;
-  wait_time_ += start - ready;
-  ++jobs_;
+  s_.busy_time += service_time;
+  s_.wait_time += start - ready;
+  ++s_.jobs;
   if (done) sim_.schedule_at(end, std::move(done));
   return end;
 }
 
 TimePs FifoServer::earliest_free() const {
-  return *std::min_element(free_at_.begin(), free_at_.end());
+  return *std::min_element(s_.free_at.begin(), s_.free_at.end());
 }
 
 double FifoServer::utilization() const {
   const TimePs elapsed = sim_.now();
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(busy_time_) /
-         (static_cast<double>(elapsed) * static_cast<double>(free_at_.size()));
+  return static_cast<double>(s_.busy_time) /
+         (static_cast<double>(elapsed) * static_cast<double>(num_servers()));
 }
 
 TimePs Channel::transfer(std::uint64_t bytes, TimePs ready_at) {
-  const TimePs start = std::max({sim_.now(), ready_at, busy_until_});
+  const TimePs start = std::max({sim_.now(), ready_at, s_.busy_until});
   const TimePs ser = serialization_time(bytes);
-  busy_until_ = start + ser;
-  busy_time_ += ser;
-  bytes_ += bytes;
-  return busy_until_ + latency_;
+  s_.busy_until = start + ser;
+  s_.busy_time += ser;
+  s_.bytes += bytes;
+  return s_.busy_until + latency_;
 }
 
 double Channel::utilization() const {
   const TimePs elapsed = sim_.now();
   if (elapsed == 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(elapsed);
+  return static_cast<double>(s_.busy_time) / static_cast<double>(elapsed);
 }
 
 }  // namespace accelflow::sim

@@ -32,7 +32,7 @@ class FifoServer {
 
   /** Creates a bank of `num_servers` servers, all free at time 0. */
   FifoServer(Simulator& sim, std::size_t num_servers)
-      : sim_(sim), free_at_(num_servers, 0) {}
+      : sim_(sim), s_{std::vector<TimePs>(num_servers, 0)} {}
 
   /**
    * Enqueues a job.
@@ -59,16 +59,16 @@ class FifoServer {
   bool idle_server_available() const { return earliest_free() <= sim_.now(); }
 
   /** The number of servers in the bank. */
-  std::size_t num_servers() const { return free_at_.size(); }
+  std::size_t num_servers() const { return s_.free_at.size(); }
 
   /** Total busy (service) time accumulated across all servers. */
-  TimePs total_busy_time() const { return busy_time_; }
+  TimePs total_busy_time() const { return s_.busy_time; }
 
   /** Total time jobs spent waiting for a server. */
-  TimePs total_wait_time() const { return wait_time_; }
+  TimePs total_wait_time() const { return s_.wait_time; }
 
   /** Jobs whose service has been scheduled to completion. */
-  std::uint64_t jobs_completed() const { return jobs_; }
+  std::uint64_t jobs_completed() const { return s_.jobs; }
 
   /**
    * Mean utilization over [0, now]: busy time / (servers * elapsed).
@@ -76,33 +76,22 @@ class FifoServer {
    */
   double utilization() const;
 
-  /** Deep copy of the bank's mutable state (DESIGN.md §13). */
-  struct Checkpoint {
+  /** The bank's mutable state, copied whole by checkpoint() (DESIGN.md
+   *  §13). */
+  struct State {
     std::vector<TimePs> free_at;  ///< Per-server next-free times.
     TimePs busy_time = 0;         ///< Accumulated busy time.
     TimePs wait_time = 0;         ///< Accumulated queueing time.
     std::uint64_t jobs = 0;       ///< Jobs completed.
   };
+  using Checkpoint = State;
 
-  /** Captures the bank's mutable state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{free_at_, busy_time_, wait_time_, jobs_};
-  }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    free_at_ = c.free_at;
-    busy_time_ = c.busy_time;
-    wait_time_ = c.wait_time;
-    jobs_ = c.jobs;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   Simulator& sim_;
-  std::vector<TimePs> free_at_;
-  TimePs busy_time_ = 0;
-  TimePs wait_time_ = 0;
-  std::uint64_t jobs_ = 0;
+  State s_;
 };
 
 /**
@@ -132,40 +121,31 @@ class Channel {
   /** The per-transfer fixed latency. */
   TimePs fixed_latency() const { return latency_; }
   /** Time the last reserved transfer finishes serializing. */
-  TimePs busy_until() const { return busy_until_; }
+  TimePs busy_until() const { return s_.busy_until; }
 
   /** Total bytes moved. */
-  std::uint64_t bytes_transferred() const { return bytes_; }
+  std::uint64_t bytes_transferred() const { return s_.bytes; }
 
   /** Mean utilization over [0, now]. */
   double utilization() const;
 
-  /** Deep copy of the channel's mutable state (DESIGN.md §13). */
-  struct Checkpoint {
+  /** The channel's mutable state, copied whole by checkpoint() (DESIGN.md
+   *  §13). */
+  struct State {
     TimePs busy_until = 0;     ///< End of the last reserved transfer.
     TimePs busy_time = 0;      ///< Accumulated serialization time.
     std::uint64_t bytes = 0;   ///< Total bytes moved.
   };
+  using Checkpoint = State;
 
-  /** Captures the channel's mutable state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{busy_until_, busy_time_, bytes_};
-  }
-
-  /** Restores state captured by checkpoint(). */
-  void restore(const Checkpoint& c) {
-    busy_until_ = c.busy_until;
-    busy_time_ = c.busy_time;
-    bytes_ = c.bytes;
-  }
+  Checkpoint checkpoint() const { return s_; }
+  void restore(const Checkpoint& c) { s_ = c; }
 
  private:
   Simulator& sim_;
   double bytes_per_ps_;
   TimePs latency_;
-  TimePs busy_until_ = 0;
-  TimePs busy_time_ = 0;
-  std::uint64_t bytes_ = 0;
+  State s_;
 };
 
 }  // namespace accelflow::sim

@@ -20,9 +20,12 @@
  * The design is in-place restore, not serialization: restore() rebuilds
  * the pool and heap inside the *same* Simulator object, so raw pointers
  * captured by model callbacks (accelerators, engines, contexts) remain
- * valid. Higher layers follow the same pattern — every component exposes a
- * nested `Checkpoint` struct with `checkpoint()`/`restore()` methods, and
- * core::Machine::Checkpoint aggregates them (DESIGN.md §13).
+ * valid. Higher layers restore in place too, with one state struct per
+ * component: its checkpointed members live in one nested `State`,
+ * checkpoint() returns a copy and restore() assigns it, composites add
+ * one sub-component checkpoint per line, and caches derived from the
+ * state are rebuilt by restore(). core::Machine::Checkpoint aggregates
+ * the hardware (DESIGN.md §13).
  *
  * Snapshots are move-only (they own cloned callbacks) but a single
  * snapshot can be restored any number of times: restore() clones the

@@ -30,10 +30,10 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, RequestEngine& engine,
     : sim_(sim),
       engine_(engine),
       service_(service),
-      model_(model),
-      rps_(checked_rps(rps)),
-      until_(until),
-      rng_(seed) {
+      model_(model) {
+  s_.rps = checked_rps(rps);
+  s_.until = until;
+  s_.rng = sim::Rng(seed);
   schedule_next();
 }
 
@@ -48,34 +48,34 @@ double LoadGenerator::checked_rps(double rps) {
 double LoadGenerator::current_rate() {
   switch (model_) {
     case Model::kPoisson:
-      return rps_;
+      return s_.rps;
     case Model::kTrace: {
       // Redraw the rate multiplier every 10ms window: sustained bursts and
       // lulls like the production traces exhibit (Alibaba's inter-service
       // rates are strongly bursty at small time scales).
-      if (sim_.now() >= window_end_) {
-        rate_multiplier_ = rng_.lognormal_mean_cv(1.0, 0.70);
-        window_end_ = sim_.now() + sim::milliseconds(10);
+      if (sim_.now() >= s_.window_end) {
+        s_.rate_multiplier = s_.rng.lognormal_mean_cv(1.0, 0.70);
+        s_.window_end = sim_.now() + sim::milliseconds(10);
       }
-      return rps_ * rate_multiplier_;
+      return s_.rps * s_.rate_multiplier;
     }
     case Model::kBursty: {
       // Serverless invocations: ON bursts at ~4x the mean separated by
-      // quiet periods. Duty cycle ~28% keeps the mean at rps_.
-      if (sim_.now() >= phase_end_) {
-        on_ = !on_;
-        const double mean_ms = on_ ? 12.0 : 30.0;
+      // quiet periods. Duty cycle ~28% keeps the mean at rps.
+      if (sim_.now() >= s_.phase_end) {
+        s_.on = !s_.on;
+        const double mean_ms = s_.on ? 12.0 : 30.0;
         // Clamp the draw: a single pathological phase must not silence a
         // function for a whole measurement window.
         const double dur =
-            std::clamp(rng_.exponential(mean_ms), 1.0,
-                       (on_ ? 4.0 : 2.5) * mean_ms);
-        phase_end_ = sim_.now() + sim::milliseconds(dur);
+            std::clamp(s_.rng.exponential(mean_ms), 1.0,
+                       (s_.on ? 4.0 : 2.5) * mean_ms);
+        s_.phase_end = sim_.now() + sim::milliseconds(dur);
       }
-      return on_ ? rps_ * 3.5 : rps_ * 0.0;
+      return s_.on ? s_.rps * 3.5 : s_.rps * 0.0;
     }
   }
-  return rps_;
+  return s_.rps;
 }
 
 void LoadGenerator::schedule_next() {
@@ -83,20 +83,20 @@ void LoadGenerator::schedule_next() {
   sim::TimePs gap;
   if (rate <= 0.0) {
     // OFF phase: re-evaluate at the phase boundary.
-    gap = phase_end_ > sim_.now() ? phase_end_ - sim_.now()
-                                  : sim::milliseconds(1);
+    gap = s_.phase_end > sim_.now() ? s_.phase_end - sim_.now()
+                                    : sim::milliseconds(1);
   } else {
     gap = static_cast<sim::TimePs>(
-        std::max(1.0, rng_.exponential(1e12 / rate)));
+        std::max(1.0, s_.rng.exponential(1e12 / rate)));
   }
   const sim::TimePs next = sim_.now() + gap;
-  if (next >= until_) return;
+  if (next >= s_.until) return;
   sim_.schedule_at(next, [this, rate] {
     if (rate > 0.0) {
       // With a router attached, every arrival advances the replicated
       // stream but only the owned subset is injected; without one, this
       // is exactly the single-machine path (inject everything).
-      const std::uint64_t seq = generated_++;
+      const std::uint64_t seq = s_.generated++;
       if (router_ == nullptr ||
           router_->route(service_, seq, sim_.now()) == self_shard_) {
         // Shed decision strictly after the ownership decision: replicated
@@ -104,9 +104,9 @@ void LoadGenerator::schedule_next() {
         if (admission_ == nullptr ||
             admission_->admit(static_cast<accel::TenantId>(service_))) {
           engine_.inject(service_);
-          ++admitted_;
+          ++s_.admitted;
         } else {
-          ++shed_;
+          ++s_.shed;
         }
       }
     }

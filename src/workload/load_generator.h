@@ -1,7 +1,6 @@
 #ifndef ACCELFLOW_WORKLOAD_LOAD_GENERATOR_H_
 #define ACCELFLOW_WORKLOAD_LOAD_GENERATOR_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -75,14 +74,14 @@ class LoadGenerator {
                 std::size_t service, Model model, double rps,
                 sim::TimePs until, std::uint64_t seed);
 
-  std::uint64_t generated() const { return generated_; }
+  std::uint64_t generated() const { return s_.generated; }
 
   /** Arrivals this generator actually injected (== generated() without a
    *  router; the owned subset of the replicated stream with one). */
-  std::uint64_t admitted() const { return admitted_; }
+  std::uint64_t admitted() const { return s_.admitted; }
 
   /** Owned arrivals refused by the admission controller (DESIGN.md §19). */
-  std::uint64_t shed() const { return shed_; }
+  std::uint64_t shed() const { return s_.shed; }
 
   /**
    * Attaches a QoS admission controller (DESIGN.md §19): from now on each
@@ -107,46 +106,33 @@ class LoadGenerator {
   }
 
   /**
-   * Deep copy of the generator's arrival-process state (DESIGN.md §13).
-   * The pending self-scheduling event lives in the simulator calendar and
-   * is captured by sim::Snapshot, not here; a *stopped* generator (one
-   * whose last event fell past `until_`) is revived via resume().
+   * The generator's arrival-process state, copied whole by checkpoint()
+   * (DESIGN.md §13). The pending self-scheduling event lives in the
+   * simulator calendar and is captured by sim::Snapshot, not here; a
+   * *stopped* generator (one whose last event fell past `until`) is
+   * revived via resume().
    */
-  struct Checkpoint {
-    double rps = 0;                        ///< Mean arrival rate.
-    sim::TimePs until = 0;                 ///< Issue cutoff.
-    std::array<std::uint64_t, 4> rng{};    ///< Arrival stream state.
-    std::uint64_t generated = 0;           ///< Invocations issued so far.
-    std::uint64_t admitted = 0;            ///< Owned arrivals injected.
-    std::uint64_t shed = 0;                ///< Owned arrivals refused (QoS).
-    double rate_multiplier = 1.0;          ///< kTrace window multiplier.
-    sim::TimePs window_end = 0;            ///< kTrace window boundary.
-    bool on = false;                       ///< kBursty ON/OFF state.
-    sim::TimePs phase_end = 0;             ///< kBursty phase boundary.
+  struct State {
+    double rps = 0;                ///< Mean arrival rate.
+    sim::TimePs until = 0;         ///< Issue cutoff.
+    sim::Rng rng;                  ///< Arrival stream.
+    std::uint64_t generated = 0;   ///< Invocations issued so far.
+    std::uint64_t admitted = 0;    ///< Owned arrivals injected.
+    std::uint64_t shed = 0;        ///< Owned arrivals refused (QoS).
+    double rate_multiplier = 1.0;  ///< kTrace window multiplier.
+    sim::TimePs window_end = 0;    ///< kTrace window boundary.
+    /** kBursty ON/OFF state (starts OFF so the first toggle opens a
+     *  burst). */
+    bool on = false;
+    sim::TimePs phase_end = 0;     ///< kBursty phase boundary.
   };
+  using Checkpoint = State;
 
-  /** Captures the arrival-process state. */
-  Checkpoint checkpoint() const {
-    return Checkpoint{rps_,        until_,    rng_.state(),
-                      generated_,  admitted_, shed_,
-                      rate_multiplier_,       window_end_,
-                      on_,         phase_end_};
-  }
+  Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint(). Does not schedule events:
    *  pair with resume() (or a simulator-calendar restore). */
-  void restore(const Checkpoint& c) {
-    rps_ = c.rps;
-    until_ = c.until;
-    rng_.set_state(c.rng);
-    generated_ = c.generated;
-    admitted_ = c.admitted;
-    shed_ = c.shed;
-    rate_multiplier_ = c.rate_multiplier;
-    window_end_ = c.window_end;
-    on_ = c.on;
-    phase_end_ = c.phase_end;
-  }
+  void restore(const Checkpoint& c) { s_ = c; }
 
   /**
    * Revives a stopped generator at the current simulated time: sets a new
@@ -156,8 +142,8 @@ class LoadGenerator {
    * Throws std::invalid_argument unless `rps` is finite and > 0.
    */
   void resume(double rps, sim::TimePs until) {
-    rps_ = checked_rps(rps);
-    until_ = until;
+    s_.rps = checked_rps(rps);
+    s_.until = until;
     schedule_next();
   }
 
@@ -172,21 +158,10 @@ class LoadGenerator {
   RequestEngine& engine_;
   std::size_t service_;
   Model model_;
-  double rps_;
-  sim::TimePs until_;
-  sim::Rng rng_;
-  std::uint64_t generated_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t shed_ = 0;                 ///< Arrivals the QoS layer refused.
+  State s_;
   const ArrivalRouter* router_ = nullptr;  ///< Shard-ownership filter.
   std::size_t self_shard_ = 0;             ///< Shard this generator feeds.
   qos::AdmissionController* admission_ = nullptr;  ///< QoS shed decision.
-  // kTrace: piecewise-constant rate multiplier, redrawn every window.
-  double rate_multiplier_ = 1.0;
-  sim::TimePs window_end_ = 0;
-  // kBursty: ON/OFF state (starts OFF so the first toggle opens a burst).
-  bool on_ = false;
-  sim::TimePs phase_end_ = 0;
 };
 
 }  // namespace accelflow::workload

@@ -22,8 +22,9 @@ RequestEngine::RequestEngine(core::Machine& machine, core::Orchestrator& orch,
     : machine_(machine),
       orch_(orch),
       services_(std::move(services)),
-      stats_(services_.size()),
       seed_(seed) {
+  s_.stats.resize(services_.size());
+  s_.pool_next.assign(services_.size(), 0);
   pools_.resize(services_.size());
   for (std::size_t s = 0; s < services_.size(); ++s) {
     pools_[s].space = std::make_unique<mem::AddressSpace>(
@@ -62,9 +63,10 @@ RequestEngine::RequestEngine(core::Machine& machine, core::Orchestrator& orch,
 
 mem::VirtAddr RequestEngine::buffer_for(std::size_t service,
                                         std::uint64_t /*bytes*/) {
-  BufferPool& pool = pools_[service];
-  const mem::VirtAddr va = pool.buffers[pool.next];
-  pool.next = (pool.next + 1) % pool.buffers.size();
+  const std::vector<mem::VirtAddr>& buffers = pools_[service].buffers;
+  std::size_t& next = s_.pool_next[service];
+  const mem::VirtAddr va = buffers[next];
+  next = (next + 1) % buffers.size();
   return va;
 }
 
@@ -72,13 +74,13 @@ RequestEngine::ActiveRequest* RequestEngine::create_request(std::size_t s) {
   assert(s < services_.size());
   ActiveRequest* req = request_arena_.create();
   req->service = s;
-  req->id = next_id_++;
+  req->id = s_.next_id++;
   req->arrived = machine_.sim().now();
   req->rng.reseed(mix(mix(seed_, s), req->id));
   // The LdB accelerator's effect: the request handler lands on the
   // least-loaded core.
   req->core = machine_.cores().least_loaded();
-  ++stats_[s].issued;
+  ++s_.stats[s].issued;
   active_[req->id] = req;
   return req;
 }
@@ -146,8 +148,8 @@ void RequestEngine::launch_chains(ActiveRequest* r, const StageSpec& stage) {
       ctx->buffer_va = buffer_for(r->service, ctx->initial_bytes);
       ctx->env = &svc;
       ctx->rng.reseed(mix(mix(seed_ ^ 0xC4A1, r->id), ctx->chain));
-      ctx->step_deadline_budget = r->service < step_budgets_.size()
-                                      ? step_budgets_[r->service]
+      ctx->step_deadline_budget = r->service < s_.step_budgets.size()
+                                      ? s_.step_budgets[r->service]
                                       : sim::kTimeNever;
       ctx->on_done = [this, r](const core::ChainResult& res) {
         if (!res.ok || res.timeout) r->failed = true;
@@ -162,7 +164,7 @@ void RequestEngine::launch_chains(ActiveRequest* r, const StageSpec& stage) {
 }
 
 void RequestEngine::complete(ActiveRequest* r) {
-  ServiceStats& st = stats_[r->service];
+  ServiceStats& st = s_.stats[r->service];
   ++st.completed;
   if (r->failed) ++st.failed;
   if (r->fell_back) ++st.fallbacks;
@@ -197,25 +199,9 @@ void RequestEngine::release_chains(ActiveRequest* r) {
   r->chains.clear();
 }
 
-RequestEngine::Checkpoint RequestEngine::checkpoint() const {
-  Checkpoint c;
-  c.stats = stats_;
-  c.next_id = next_id_;
-  c.step_budgets = step_budgets_;
-  c.pool_next.reserve(pools_.size());
-  for (const BufferPool& p : pools_) c.pool_next.push_back(p.next);
-  return c;
-}
-
 void RequestEngine::restore(const Checkpoint& c) {
-  assert(c.stats.size() == stats_.size());
-  assert(c.pool_next.size() == pools_.size());
-  stats_ = c.stats;
-  next_id_ = c.next_id;
-  step_budgets_ = c.step_budgets;
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i].next = c.pool_next[i];
-  }
+  assert(c.stats.size() == s_.stats.size());
+  s_ = c;
   // Any in-flight requests belong to the timeline being abandoned; their
   // calendar events are replaced wholesale by the simulator restore.
   active_.clear();
@@ -224,7 +210,7 @@ void RequestEngine::restore(const Checkpoint& c) {
 }
 
 void RequestEngine::reset_stats() {
-  for (ServiceStats& s : stats_) {
+  for (ServiceStats& s : s_.stats) {
     s.latency.reset();
     s.issued = 0;
     s.completed = 0;
@@ -236,13 +222,13 @@ void RequestEngine::reset_stats() {
 
 std::uint64_t RequestEngine::total_completed() const {
   std::uint64_t n = 0;
-  for (const ServiceStats& s : stats_) n += s.completed;
+  for (const ServiceStats& s : s_.stats) n += s.completed;
   return n;
 }
 
 std::uint64_t RequestEngine::total_issued() const {
   std::uint64_t n = 0;
-  for (const ServiceStats& s : stats_) n += s.issued;
+  for (const ServiceStats& s : s_.stats) n += s.issued;
   return n;
 }
 

@@ -63,7 +63,7 @@ class RequestEngine {
   std::size_t num_services() const { return services_.size(); }
   const Service& service(std::size_t s) const { return *services_[s]; }
 
-  const ServiceStats& stats(std::size_t s) const { return stats_[s]; }
+  const ServiceStats& stats(std::size_t s) const { return s_.stats[s]; }
 
   /** Resets the per-service recorders (end of warmup). */
   void reset_stats();
@@ -78,10 +78,10 @@ class RequestEngine {
    * services carry tighter step deadlines than long chains.
    */
   void set_step_deadline_budget(sim::TimePs budget) {
-    step_budgets_.assign(services_.size(), budget);
+    s_.step_budgets.assign(services_.size(), budget);
   }
   void set_step_deadline_budgets(std::vector<sim::TimePs> budgets) {
-    step_budgets_ = std::move(budgets);
+    s_.step_budgets = std::move(budgets);
   }
 
   /**
@@ -95,22 +95,23 @@ class RequestEngine {
   }
 
   /**
-   * Deep copy of the engine's measurement and determinism state
-   * (DESIGN.md §13). In-flight requests hold raw pointers into the
-   * simulator calendar and are *not* captured: restore() drops them
-   * (workload::SweepSession only checkpoints at a quiescent point where
-   * none exist). The request-id cursor is captured so forked runs draw
-   * the same per-request RNG streams as a straight-through run.
+   * The engine's measurement and determinism state, copied whole by
+   * checkpoint() (DESIGN.md §13). In-flight requests hold raw pointers
+   * into the simulator calendar and are *not* part of it: restore() drops
+   * them (workload::SweepSession only checkpoints at a quiescent point
+   * where none exist). The request-id cursor is included so forked runs
+   * draw the same per-request RNG streams as a straight-through run.
    */
-  struct Checkpoint {
+  struct State {
     std::vector<ServiceStats> stats;       ///< Per-service recorders.
     accel::RequestId next_id = 1;          ///< Request-id cursor.
     std::vector<sim::TimePs> step_budgets; ///< SLO step budgets.
-    std::vector<std::size_t> pool_next;    ///< Buffer-pool cursors.
+    /** Per-service cursor into its rotating buffer pool. */
+    std::vector<std::size_t> pool_next;
   };
+  using Checkpoint = State;
 
-  /** Captures stats, cursors, and SLO budgets. */
-  Checkpoint checkpoint() const;
+  Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint(); drops in-flight requests
    *  and bulk-frees their arena storage. */
@@ -146,10 +147,8 @@ class RequestEngine {
   core::Machine& machine_;
   core::Orchestrator& orch_;
   std::vector<Service*> services_;
-  std::vector<ServiceStats> stats_;
+  State s_;
   std::uint64_t seed_;
-  accel::RequestId next_id_ = 1;
-  std::vector<sim::TimePs> step_budgets_;
   qos::AdmissionController* admission_ = nullptr;  ///< SLO latency feedback.
   std::unordered_map<accel::RequestId, ActiveRequest*> active_;
   // Hot-path arenas: requests and chain contexts churn at the arrival
@@ -161,7 +160,6 @@ class RequestEngine {
   struct BufferPool {
     std::unique_ptr<mem::AddressSpace> space;
     std::vector<mem::VirtAddr> buffers;
-    std::size_t next = 0;
   };
   std::vector<BufferPool> pools_;
 };

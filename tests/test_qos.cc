@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -496,14 +497,21 @@ TEST(PowerCap, NonPositiveBudgetIsFullyInert) {
   zero.power.budget_w = 0.0;
   ExperimentConfig negative = plain;
   negative.power.budget_w = -25.0;
+  // A positive budget with an epoch that cannot be cast to picoseconds.
+  ExperimentConfig inf_epoch = plain;
+  inf_epoch.power.budget_w = 50.0;
+  inf_epoch.power.epoch_us = std::numeric_limits<double>::infinity();
 
   const ExperimentResult a = run_experiment(plain);
   const ExperimentResult b = run_experiment(zero);
   const ExperimentResult c = run_experiment(negative);
+  const ExperimentResult d = run_experiment(inf_epoch);
   expect_identical(a, b, "budget 0 vs no power config");
   expect_identical(a, c, "negative budget vs no power config");
+  expect_identical(a, d, "infinite epoch vs no power config");
   EXPECT_EQ(b.power.epochs, 0u);
   EXPECT_EQ(c.power.epochs, 0u);
+  EXPECT_EQ(d.power.epochs, 0u);
 }
 
 TEST(PowerCap, CritpathAttributesLongerPeServiceUnderTheCap) {

@@ -187,25 +187,32 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b,
 TEST(SweepSession, ForkedPointMatchesFreshSessionBitForBit) {
   // Session A runs [X, Y, X]; session B runs only [X]. All three X results
   // must be identical: earlier points must leave no residue, and forking
-  // must equal straight-through.
+  // must equal straight-through. Every orchestrator kind restores its own
+  // state (RELIEF's central-queue budget, Cohort's draw stream, ...).
   const SweepPoint x{1.0, {}};
   const SweepPoint y{1.6, {}};
 
-  SweepSession a(fork_config());
-  a.prepare();
-  const ExperimentResult ax1 = a.run_point(x);
-  const ExperimentResult ay = a.run_point(y);
-  const ExperimentResult ax2 = a.run_point(x);
+  for (std::size_t k = 0; k < core::kNumOrchKinds; ++k) {
+    const auto kind = static_cast<core::OrchKind>(k);
+    const std::string name(core::name_of(kind));
+    SweepSession a(fork_config(kind));
+    a.prepare();
+    const ExperimentResult ax1 = a.run_point(x);
+    const ExperimentResult ay = a.run_point(y);
+    const ExperimentResult ax2 = a.run_point(x);
 
-  SweepSession b(fork_config());
-  b.prepare();
-  const ExperimentResult bx = b.run_point(x);
+    SweepSession b(fork_config(kind));
+    b.prepare();
+    const ExperimentResult bx = b.run_point(x);
 
-  expect_identical(ax1, ax2, "same session, point re-run after divergence");
-  expect_identical(ax1, bx, "forked vs fresh session");
-  // Sanity that the measurement is non-trivial and the load points differ.
-  EXPECT_GT(ax1.services[0].completed, 0u);
-  EXPECT_NE(ay.services[0].completed, ax1.services[0].completed);
+    expect_identical(ax1, ax2,
+                     name + ": same session, point re-run after divergence");
+    expect_identical(ax1, bx, name + ": forked vs fresh session");
+    // Sanity that the measurement is non-trivial and the load points
+    // differ.
+    EXPECT_GT(ax1.services[0].completed, 0u) << name;
+    EXPECT_NE(ay.services[0].completed, ax1.services[0].completed) << name;
+  }
 }
 
 TEST(SweepSession, MachineMutationIsUndoneByTheNextRestore) {

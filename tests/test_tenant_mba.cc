@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/engine.h"
@@ -40,24 +43,52 @@ TEST(TenantMba, BurstThenThrottle) {
 }
 
 TEST(TenantMba, NonPositiveRatesAreInert) {
-  // A configured rate of zero (or below) cannot refill a bucket; it used
-  // to divide by zero and produce an inf/NaN start time. Such entries now
-  // behave exactly like unthrottled tenants.
+  // A configured rate of zero (or below, or NaN) cannot refill a bucket; it
+  // used to divide by zero and produce an inf/NaN start time. Such entries
+  // now behave exactly like unthrottled tenants.
   sim::Simulator sim;
   MbaConfig cfg;
   cfg.limit_bytes_per_sec[3] = 0.0;
   cfg.limit_bytes_per_sec[4] = -1e9;
+  cfg.limit_bytes_per_sec[5] = std::numeric_limits<double>::quiet_NaN();
   TenantBandwidthLimiter mba(sim, cfg);
   EXPECT_FALSE(mba.throttles(3));
   EXPECT_FALSE(mba.throttles(4));
+  EXPECT_FALSE(mba.throttles(5));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(mba.acquire(3, 1 << 20), sim.now());
     EXPECT_EQ(mba.acquire(4, 1 << 20), sim.now());
+    EXPECT_EQ(mba.acquire(5, 1 << 20), sim.now());
   }
   // Inert entries never accumulate accounting or delay.
   EXPECT_EQ(mba.stats(3).transfers, 0u);
   EXPECT_EQ(mba.stats(3).throttle_delay, 0u);
   EXPECT_EQ(mba.stats(4).transfers, 0u);
+  EXPECT_EQ(mba.stats(5).transfers, 0u);
+  EXPECT_EQ(mba.stats(5).throttle_delay, 0u);
+}
+
+TEST(TenantMba, RejectsInvalidBurst) {
+  // A NaN burst made acquire() cast a NaN wait into picoseconds; an
+  // infinite or negative one is no credit allowance at all.
+  sim::Simulator sim;
+  for (const double burst : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1e-3}) {
+    MbaConfig cfg;
+    cfg.limit_bytes_per_sec[1] = 1e9;
+    cfg.burst_seconds = burst;
+    try {
+      TenantBandwidthLimiter mba(sim, cfg);
+      ADD_FAILURE() << "burst " << burst << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MbaConfig::burst_seconds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  MbaConfig zero;
+  zero.burst_seconds = 0.0;
+  EXPECT_NO_THROW({ TenantBandwidthLimiter ok(sim, zero); });
 }
 
 TEST(TenantMba, StatsQueryIsReadOnlyAcrossFork) {
