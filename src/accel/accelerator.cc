@@ -28,23 +28,27 @@ Accelerator::Accelerator(sim::Simulator& sim, const AccelParams& params,
   }
 }
 
+bool Accelerator::idle() const {
+  reclaim_released();
+  return std::none_of(s_.pes.begin(), s_.pes.end(),
+                      [](const Pe& p) { return p.busy; }) &&
+         s_.blocked.empty() && input_.empty() && output_.empty() &&
+         s_.overflow.empty();
+}
+
 void Accelerator::set_num_pes(int num_pes) {
   assert(num_pes > 0);
-  for (const Pe& p : s_.pes) {
-    assert(!p.busy && "set_num_pes requires an idle accelerator");
-    (void)p;
-  }
-  assert(s_.blocked.empty() && "set_num_pes requires an idle accelerator");
+  assert(idle() && "set_num_pes requires an idle accelerator");
   s_.pes.assign(static_cast<std::size_t>(num_pes), Pe{});
   free_pes_ = num_pes;
   s_.params.num_pes = num_pes;
 }
 
 void Accelerator::set_queue_capacity(std::size_t entries) {
-  assert(s_.overflow.empty() && "set_queue_capacity requires an idle overflow");
+  assert(idle() && "set_queue_capacity requires an idle accelerator");
   reclaim_released();
-  input_.set_capacity(entries);   // Asserts the queue is empty.
-  output_.set_capacity(entries);  // Likewise.
+  input_.set_capacity(entries);
+  output_.set_capacity(entries);
   s_.params.input_queue_entries = entries;
   s_.params.output_queue_entries = entries;
 }
@@ -241,15 +245,6 @@ SlotId Accelerator::pick_ready_entry() {
     }
   });
   return best;
-}
-
-void Accelerator::rebuild_ready_index() {
-  ready_fifo_.clear();
-  if (s_.params.policy != SchedPolicy::kFifo) return;
-  input_.for_each_occupied([&](SlotId s, QueueEntry& e) {
-    if (e.ready) ready_fifo_.emplace_back(e.seq, s);
-  });
-  std::make_heap(ready_fifo_.begin(), ready_fifo_.end(), std::greater<>{});
 }
 
 void Accelerator::try_dispatch() {

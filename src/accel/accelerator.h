@@ -1,6 +1,7 @@
 #ifndef ACCELFLOW_ACCEL_ACCELERATOR_H_
 #define ACCELFLOW_ACCEL_ACCELERATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -270,9 +271,9 @@ class Accelerator {
 
   /**
    * Resizes the PE array (Section VII-C.3 sensitivity sweeps). Only legal
-   * while the accelerator is idle (no busy PE, no blocked deposit): asserts
-   * otherwise. Used by Machine::set_pes_per_accel to diverge a forked
-   * sweep point from a shared warmup checkpoint.
+   * while the accelerator is idle(): asserts otherwise. Used by
+   * Machine::set_pes_per_accel to diverge a forked sweep point from a
+   * shared warmup checkpoint.
    */
   void set_num_pes(int num_pes);
 
@@ -281,10 +282,9 @@ class Accelerator {
 
   /**
    * Re-sizes the input and output SRAM queues (queue-depth sweeps and the
-   * auto-tuner's queue knob). Only legal while both queues and the
-   * overflow area are empty: asserts otherwise, like set_num_pes. A
-   * Machine::restore undoes it (queue capacity is part of the captured
-   * state).
+   * auto-tuner's queue knob). Only legal while the accelerator is idle():
+   * asserts otherwise, like set_num_pes. A Machine::restore undoes it
+   * (queue capacity is part of the captured state).
    */
   void set_queue_capacity(std::size_t entries);
 
@@ -343,32 +343,36 @@ class Accelerator {
     SramQueue::Checkpoint output;  ///< Output queue.
   };
 
+  /** Captures the state of an idle() accelerator (asserted): forks
+   *  happen only at quiescence. */
   Checkpoint checkpoint() const {
     reclaim_released();
+    assert(idle() && "checkpoint requires an idle accelerator");
     return {s_, tlb_.checkpoint(), input_.checkpoint(), output_.checkpoint()};
   }
 
-  /** Restores state captured by checkpoint() and rebuilds the derived
-   *  free-PE count and ready index. */
+  /** Restores state captured by checkpoint(). The capture was idle, so
+   *  every PE is free and no entry is ready; work in flight on the
+   *  abandoned timeline is dropped. */
   void restore(const Checkpoint& c) {
     s_ = c;
     tlb_.restore(c.tlb);
     input_.restore(c.input);
     output_.restore(c.output);
-    free_pes_ = 0;
-    for (const Pe& p : s_.pes) free_pes_ += !p.busy;
-    rebuild_ready_index();
+    free_pes_ = s_.params.num_pes;
+    ready_fifo_.clear();
   }
 
  private:
+  /** No work in flight: no busy PE, no blocked deposit, and empty queues
+   *  and overflow area. */
+  bool idle() const;
+
   /** Dispatches ready entries to free PEs until one side runs out. */
   void try_dispatch();
 
   /** Chooses the next ready input slot per the scheduling policy. */
   SlotId pick_ready_entry();
-
-  /** Recomputes ready_fifo_ from the input queue (after a restore). */
-  void rebuild_ready_index();
 
   /** PE finished computing: deposit its entry (or block on a full output
    *  queue). */

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -137,14 +138,12 @@ class SramQueue {
   Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint(), including its capacity
-   *  (undoing a later set_capacity()). The occupancy bitmap is derived
-   *  state: rebuilt from the slots, not stored in the snapshot. */
+   *  (undoing a later set_capacity()). Checkpoints are taken at
+   *  quiescence, so the queue is empty and so is its occupancy bitmap. */
   void restore(const Checkpoint& c) {
+    assert(c.occupancy == 0 && "checkpoint of a non-empty queue");
     s_ = c;
     occupied_words_.assign((s_.slots.size() + 63) / 64, 0);
-    for (SlotId s = 0; s < s_.slots.size(); ++s) {
-      if (s_.slots[s].has_value()) set_occupied(s);
-    }
   }
 
  private:

@@ -212,8 +212,8 @@ void Machine::set_fault_hooks(sim::FaultHooks* hooks) {
 }
 
 void Machine::checkpoint(Checkpoint& out) const {
+  out.kernel = sim_.checkpoint();  // Throws unless quiescent.
   static_cast<State&>(out) = s_;
-  sim_.checkpoint(out.kernel);
   out.mem = mem_->checkpoint();
   out.iommu = iommu_->checkpoint();
   out.net = net_->checkpoint();

@@ -17,7 +17,6 @@
 #include "obs/tracer.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
-#include "sim/snapshot.h"
 
 /**
  * @file
@@ -217,14 +216,13 @@ class Machine {
   };
 
   /**
-   * Deep copy of the machine's full deterministic state: State plus the
-   * event-kernel snapshot and every hardware component's Checkpoint.
+   * Copy of the machine's full deterministic state at quiescence: State
+   * plus the kernel scalars and every hardware component's Checkpoint.
    * Captured once after a shared warmup and restored per sweep point by
-   * workload::SweepSession. Move-only (the kernel snapshot owns cloned
-   * callbacks) but restorable any number of times.
+   * workload::SweepSession; restorable any number of times.
    */
   struct Checkpoint : State {
-    sim::Snapshot kernel;                       ///< Event calendar + pool.
+    sim::Simulator::Checkpoint kernel;          ///< Clock, stamps, counters.
     mem::MemorySystem::Checkpoint mem;          ///< LLC/DRAM channels.
     mem::Iommu::Checkpoint iommu;               ///< Walkers + fault RNG.
     noc::Interconnect::Checkpoint net;          ///< Meshes + links.
@@ -237,15 +235,16 @@ class Machine {
   };
 
   /**
-   * Captures the machine's full state into `out`. Pending kernel callbacks
-   * must be clonable (see Simulator::checkpoint); SweepSession avoids the
-   * issue by checkpointing at quiescence, when the calendar is empty.
+   * Captures the machine's full state into `out`. Only at quiescence:
+   * throws std::logic_error while events are pending (see
+   * Simulator::checkpoint), and every accelerator must be idle (asserted).
    */
   void checkpoint(Checkpoint& out) const;
 
   /**
    * Restores state captured by checkpoint(), in place — the fork
-   * operation. Component objects are reused (raw pointers held by model
+   * operation. Events still pending on the abandoned timeline are
+   * discarded. Component objects are reused (raw pointers held by model
    * callbacks stay valid); divergence knobs (PE counts, speed factors)
    * reset to their captured values. Tracer/checker attachments are
    * orthogonal run-scoped wiring and are left as-is.

@@ -25,10 +25,11 @@ sim::TimePs TenantBandwidthLimiter::acquire(accel::TenantId tenant,
   if (limit_it == config_.limit_bytes_per_sec.end()) return now;
 
   const double rate = limit_it->second;  // Bytes per second.
-  // A rate that is not > 0 (NaN included) cannot refill a bucket: treat
-  // it as "no limit", as throttles() does, instead of dividing by it below
-  // and casting an inf/NaN wait into picoseconds.
-  if (!(rate > 0)) return now;
+  // A rate that is not finite and > 0 (NaN included) cannot refill a
+  // bucket: treat it as "no limit", as throttles() does, instead of
+  // dividing by it below (or forming inf * 0 tokens) and casting an
+  // inf/NaN wait into picoseconds.
+  if (!limits(rate)) return now;
   Bucket& b = s_.tenants[tenant];
   if (!b.initialized) {
     b.tokens = rate * config_.burst_seconds;

@@ -1,6 +1,7 @@
 #ifndef ACCELFLOW_CORE_TENANT_MBA_H_
 #define ACCELFLOW_CORE_TENANT_MBA_H_
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 
@@ -24,7 +25,9 @@ namespace accelflow::core {
 
 /** Per-tenant bandwidth limits. */
 struct MbaConfig {
-  /** Limits in bytes/second; tenants not present are unthrottled. */
+  /** Limits in bytes/second; tenants not present are unthrottled, and so
+   *  are rates that are not finite and > 0 (an infinite rate means "no
+   *  limit"). */
   std::unordered_map<accel::TenantId, double> limit_bytes_per_sec;
   /** Burst allowance as seconds of credit at the configured rate. */
   double burst_seconds = 0.0005;  // 500us of line-rate burst.
@@ -52,13 +55,13 @@ class TenantBandwidthLimiter {
    */
   sim::TimePs acquire(accel::TenantId tenant, std::uint64_t bytes);
 
-  /** True when `tenant` has a configured *positive* bandwidth limit.
-   *  Entries with a rate that is not > 0 (NaN included) are inert
+  /** True when `tenant` has a configured finite, positive bandwidth
+   *  limit. Other entries (NaN and infinite rates included) are inert
    *  (acquire() passes them through), so they do not count as
    *  throttled. */
   bool throttles(accel::TenantId tenant) const {
     const auto it = config_.limit_bytes_per_sec.find(tenant);
-    return it != config_.limit_bytes_per_sec.end() && it->second > 0;
+    return it != config_.limit_bytes_per_sec.end() && limits(it->second);
   }
 
   /** Accounting for `tenant`; a zeroed sentinel for tenants that never
@@ -72,6 +75,9 @@ class TenantBandwidthLimiter {
   }
 
  private:
+  /** True when `rate` (bytes/s) can refill a bucket: finite and > 0. */
+  static bool limits(double rate) { return rate > 0 && std::isfinite(rate); }
+
   struct Bucket {
     double tokens = 0;          ///< Bytes of credit.
     sim::TimePs refilled = 0;   ///< Last refill timestamp.

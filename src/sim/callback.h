@@ -106,39 +106,12 @@ class InlineCallback {
     }
   }
 
-  /**
-   * True when the stored callable (or emptiness) can be clone()d: empty
-   * wrappers and copy-constructible callables qualify. Callables with
-   * move-only captures (e.g. a moved-in InlineCallback) do not.
-   */
-  bool clonable() const noexcept {
-    return ops_ == nullptr || ops_->copy != nullptr;
-  }
-
-  /**
-   * Deep-copies the stored callable into a new wrapper (used by
-   * Simulator::checkpoint to capture pending calendar entries). The caller
-   * must check clonable() first: cloning a move-only callable is a
-   * programming error (asserts in debug builds, returns empty otherwise).
-   */
-  InlineCallback clone() const {
-    InlineCallback out;
-    if (ops_ != nullptr) {
-      if (ops_->copy == nullptr) return out;  // Not clonable (asserted up-stack).
-      ops_->copy(storage_, out.storage_);
-      out.ops_ = ops_;
-    }
-    return out;
-  }
-
  private:
   struct Ops {
     void (*invoke)(void*);
     /** Move-constructs dst from src, then destroys src. */
     void (*relocate)(void* src, void* dst);
     void (*destroy)(void*);
-    /** Copy-constructs dst from src; nullptr when Fn is move-only. */
-    void (*copy)(const void* src, void* dst);
   };
 
   template <typename Fn>
@@ -150,17 +123,7 @@ class InlineCallback {
       from->~Fn();
     }
     static void destroy(void* p) { static_cast<Fn*>(p)->~Fn(); }
-    static void copy(const void* src, void* dst) {
-      if constexpr (std::is_copy_constructible_v<Fn>) {
-        ::new (dst) Fn(*static_cast<const Fn*>(src));
-      } else {
-        (void)src;
-        (void)dst;
-      }
-    }
-    static constexpr Ops kOps = {
-        &invoke, &relocate, &destroy,
-        std::is_copy_constructible_v<Fn> ? &copy : nullptr};
+    static constexpr Ops kOps = {&invoke, &relocate, &destroy};
   };
 
   void move_from(InlineCallback& other) noexcept {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "sim/snapshot.h"
 
 namespace accelflow::sim {
 
@@ -195,65 +195,31 @@ std::uint64_t Simulator::run_until(TimePs t) {
   return n;
 }
 
-void Simulator::checkpoint(Snapshot& out) const {
-  out.heap.clear();
-  out.heap.reserve(heap_.size());
-  for (const HeapEntry& he : heap_) {
-    out.heap.push_back(Snapshot::CalendarEntry{he.time, he.seq, he.slot});
+Simulator::Checkpoint Simulator::checkpoint() const {
+  if (!heap_.empty()) {
+    throw std::logic_error(
+        "Simulator::checkpoint: " + std::to_string(heap_.size()) +
+        " events pending; checkpoint only at quiescence (empty calendar)");
   }
-  out.pool.clear();
-  out.pool.reserve(pool_.size());
-  for (const Event& ev : pool_) {
-    Snapshot::EventRecord rec;
-    rec.gen = ev.gen;
-    rec.heap_pos = ev.heap_pos;
-    rec.next_free = ev.next_free;
-    if (rec.heap_pos != kNoSlot) {
-      assert(ev.cb.clonable() &&
-             "pending callback is move-only: checkpoint at quiescence "
-             "(empty calendar) or make the capture copyable");
-      rec.cb = ev.cb.clone();
-    }
-    out.pool.push_back(std::move(rec));
-  }
-  out.now = now_;
-  out.next_seq = next_seq_;
-  out.executed = executed_;
-  out.free_head = free_head_;
-  out.stats_scheduled = kstats_.scheduled;
-  out.stats_cancelled = kstats_.cancelled;
-  out.stats_clamped = kstats_.clamped_past;
-  out.stats_pool_grown = kstats_.pool_grown;
-  out.stats_pending_high = kstats_.pending_high_water;
+  return {now_, next_seq_, executed_, kstats_};
 }
 
-void Simulator::restore(const Snapshot& snap) {
-  pool_.clear();
-  pool_.resize(snap.pool.size());
-  for (std::size_t i = 0; i < snap.pool.size(); ++i) {
-    const Snapshot::EventRecord& rec = snap.pool[i];
-    Event& ev = pool_[i];
-    ev.gen = rec.gen;
-    ev.heap_pos = rec.heap_pos;
-    ev.next_free = rec.next_free;
-    if (rec.heap_pos != kNoSlot) ev.cb = rec.cb.clone();
+void Simulator::restore(const Checkpoint& c) {
+  for (const HeapEntry& he : heap_) {
+    Event& ev = pool_[he.slot];
+    ev.cb.reset();
+    ev.heap_pos = kNoSlot;
+    recycle(he.slot);
   }
   heap_.clear();
-  heap_.reserve(snap.heap.size());
-  for (const Snapshot::CalendarEntry& ce : snap.heap) {
-    heap_.push_back(HeapEntry{ce.time, ce.seq, ce.slot});
-  }
-  now_ = snap.now;
-  next_seq_ = snap.next_seq;
-  executed_ = snap.executed;
-  free_head_ = snap.free_head;
+  now_ = c.now;
+  next_seq_ = c.next_seq;
+  executed_ = c.executed;
   cur_seq_ = kIdleSeq;
   stopped_ = false;
-  kstats_.scheduled = snap.stats_scheduled;
-  kstats_.cancelled = snap.stats_cancelled;
-  kstats_.clamped_past = snap.stats_clamped;
-  kstats_.pool_grown = snap.stats_pool_grown;
-  kstats_.pending_high_water = snap.stats_pending_high;
+  const std::uint64_t grown = kstats_.pool_grown;
+  kstats_ = c.stats;
+  kstats_.pool_grown = grown;
 }
 
 }  // namespace accelflow::sim

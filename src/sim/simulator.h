@@ -31,8 +31,6 @@
 
 namespace accelflow::sim {
 
-struct Snapshot;  // sim/snapshot.h
-
 /**
  * Handle to a scheduled event, usable for cancellation.
  *
@@ -55,7 +53,12 @@ struct KernelStats {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;       ///< Successful cancel() evictions.
   std::uint64_t clamped_past = 0;    ///< schedule_at with t < now (clamped).
-  std::uint64_t pool_grown = 0;      ///< Event records ever allocated.
+  /**
+   * Event records this Simulator object ever allocated. The only counter
+   * that tracks the object's slab rather than the timeline: restore()
+   * keeps the slab, so it keeps this count too.
+   */
+  std::uint64_t pool_grown = 0;
   std::size_t pending_high_water = 0;  ///< Max simultaneous pending events.
 
   /**
@@ -211,21 +214,34 @@ class Simulator {
   EventProbe* probe() const { return probe_; }
 
   /**
-   * Deep-copies the calendar, event pool, and kernel scalars into `out`
-   * (see sim/snapshot.h). Every pending callback must be clonable
-   * (InlineCallback::clonable()); debug builds assert, release builds
-   * capture such callbacks as empty. The probe pointer is not captured:
-   * observers are attached per run, not per state.
+   * The kernel's state at quiescence (DESIGN.md §13): with the calendar
+   * empty, the clock, the next insertion stamp, the executed-event count
+   * and the throughput counters are all there is to resume from.
    */
-  void checkpoint(Snapshot& out) const;
+  struct Checkpoint {
+    TimePs now = 0;               ///< Simulated time at capture.
+    std::uint64_t next_seq = 0;   ///< Next insertion stamp.
+    std::uint64_t executed = 0;   ///< Events executed so far.
+    KernelStats stats;            ///< Throughput counters.
+  };
 
   /**
-   * Restores state captured by checkpoint(), in place. The snapshot is
-   * not consumed: callbacks are cloned again on every restore, so one
-   * snapshot can seed any number of forked runs. After restore the next
-   * run_until() continues bit-identically to the original run.
+   * Captures the kernel scalars. Forks happen only at quiescence: throws
+   * std::logic_error naming the pending-event count unless the calendar
+   * is empty. The probe pointer is not captured: observers are attached
+   * per run, not per state.
    */
-  void restore(const Snapshot& snap);
+  Checkpoint checkpoint() const;
+
+  /**
+   * Restores a checkpoint in place, any number of times. The abandoned
+   * timeline's pending events are discarded: their callbacks are
+   * destroyed and their slots recycled. Generations only grow, so an id
+   * minted before the restore can never cancel an event scheduled after
+   * it. After restore, the run continues bit-identically to the one the
+   * checkpoint was taken from.
+   */
+  void restore(const Checkpoint& c);
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;

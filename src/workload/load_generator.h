@@ -107,10 +107,9 @@ class LoadGenerator {
 
   /**
    * The generator's arrival-process state, copied whole by checkpoint()
-   * (DESIGN.md §13). The pending self-scheduling event lives in the
-   * simulator calendar and is captured by sim::Snapshot, not here; a
-   * *stopped* generator (one whose last event fell past `until`) is
-   * revived via resume().
+   * (DESIGN.md §13). Checkpoints are taken at quiescence, when the
+   * generator has stopped (its last event fell past `until`) and no
+   * self-scheduling event is pending; resume() revives it.
    */
   struct State {
     double rps = 0;                ///< Mean arrival rate.
@@ -131,7 +130,7 @@ class LoadGenerator {
   Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint(). Does not schedule events:
-   *  pair with resume() (or a simulator-calendar restore). */
+   *  pair with resume(). */
   void restore(const Checkpoint& c) { s_ = c; }
 
   /**

@@ -203,7 +203,7 @@ void RequestEngine::restore(const Checkpoint& c) {
   assert(c.stats.size() == s_.stats.size());
   s_ = c;
   // Any in-flight requests belong to the timeline being abandoned; their
-  // calendar events are replaced wholesale by the simulator restore.
+  // calendar events are discarded by the simulator restore.
   active_.clear();
   chain_arena_.clear();
   request_arena_.clear();

@@ -17,9 +17,9 @@ SweepSession::SweepSession(const ExperimentConfig& config)
 void SweepSession::prepare() {
   assert(!dep_.has_checkpoint() && "prepare() already called");
   dep_.machine().sim().run_until(config_.warmup);
-  // Drain every in-flight request: an empty calendar is what makes the
-  // checkpoint cheap (no pending callbacks to clone) and exact (no
-  // component holds a raw pointer into a half-finished flow).
+  // Drain every in-flight request: the kernel checkpoints only an empty
+  // calendar (it throws otherwise), and at quiescence no component holds
+  // a raw pointer into a half-finished flow.
   dep_.machine().sim().run();
   t_fork_ = dep_.machine().sim().now();
   dep_.checkpoint();

@@ -28,8 +28,8 @@
  * warmup arrival processes and the power governor stop at `warmup` and the
  * machine drains before the fork, so measurement starts from an idle
  * machine with warm caches, pools and RNG streams rather than mid-flight —
- * figure benches therefore keep the legacy path for their golden snapshots
- * and use fork mode for the (much longer) full-scale sweeps.
+ * so fork mode has its own golden snapshot (tests/golden/fig14_fork.json)
+ * next to the straight-through ones.
  */
 
 namespace accelflow::workload {

@@ -557,6 +557,27 @@ TEST(DmaPool, EnginesSerializeWhenExhausted) {
   EXPECT_EQ(dma.stats().transfers, 2u);
 }
 
+TEST(DmaPool, NoEngineWaitUntilEveryEngineIsBusy) {
+  // N transfers issued at one instant take N distinct engines and wait for
+  // none; transfer N+1 is the first to queue for an engine.
+  sim::Simulator sim;
+  noc::InterconnectParams np;
+  noc::MeshParams mp;
+  mp.width = 2;
+  mp.height = 1;
+  np.chiplet_meshes = {mp};
+  noc::Interconnect net(sim, np);
+  DmaParams dp;
+  dp.num_engines = 4;
+  DmaPool dma(sim, net, dp);
+  const noc::Location a{0, {0, 0}}, b{0, {1, 0}};
+  for (int i = 0; i < dp.num_engines; ++i) dma.transfer(a, b, 1000);
+  EXPECT_EQ(dma.stats().engine_wait, 0u);
+  dma.transfer(a, b, 1000);
+  EXPECT_GT(dma.stats().engine_wait, 0u);
+  EXPECT_EQ(dma.stats().transfers, 5u);
+}
+
 TEST(DmaPool, ReadyAtDefersTransfer) {
   sim::Simulator sim;
   noc::InterconnectParams np;

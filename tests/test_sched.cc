@@ -6,7 +6,7 @@
  * keyed by (time, seq) — same firing order, same query answers, same
  * counters — on fuzzer-generated schedules (reserved stamps included),
  * cancel-heavy churn, far-future events and idle-gap horizons.
- * A checkpoint taken mid-wave must replay the identical tail.
+ * A checkpoint taken between waves must replay the identical next wave.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "core/machine.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "sim/snapshot.h"
 #include "sim/time.h"
 
 namespace accelflow::sim {
@@ -346,9 +345,8 @@ TEST(SchedDifferential, FarFutureOverflowPromotion) {
   EXPECT_EQ(sim.now(), kFar * 5);
 }
 
-/** Restore-mid-wave harness: callbacks capture only (ctx pointer, ints),
- *  so they are clonable and replay against whichever simulator the ctx
- *  currently points at. */
+/** Between-waves restore harness: callbacks capture only (ctx pointer,
+ *  ints) and replay against whichever simulator the ctx points at. */
 struct WaveCtx {
   Simulator* sim = nullptr;
   Log log;
@@ -356,7 +354,7 @@ struct WaveCtx {
   void seed_wave(Simulator& s) {
     sim = &s;
     for (std::uint64_t i = 0; i < 40; ++i) {
-      const TimePs t = 50 + (i % 7) * 400 + (i / 7) * 1000;
+      const TimePs t = s.now() + 50 + (i % 7) * 400 + (i / 7) * 1000;
       s.schedule_at(t, make_cb(i));
     }
   }
@@ -374,34 +372,34 @@ struct WaveCtx {
   }
 };
 
-TEST(SchedDifferential, RestoreMidWaveCrossBackend) {
-  // Run half the wave, checkpoint with the calendar non-empty, finish the
-  // run, then replay the tail from the snapshot — restored in place (the
-  // sweep engine's pattern) and into a fresh Simulator.
+TEST(SchedDifferential, RestoreAtQuiescenceReplaysIntoAnySimulator) {
+  // Run one wave to quiescence, checkpoint, run a second wave; then replay
+  // the second wave from the checkpoint, restored in place (the sweep
+  // engine's pattern, twice) and into a fresh Simulator.
   WaveCtx ctx;
   Simulator original;
   ctx.seed_wave(original);
-  original.run_until(2000);
-  ASSERT_GT(original.pending_events(), 0u);
-  Snapshot snap;
-  original.checkpoint(snap);
-  const std::size_t mid = ctx.log.size();
   original.run();
-  const Log tail(ctx.log.begin() + static_cast<std::ptrdiff_t>(mid),
-                 ctx.log.end());
-  ASSERT_FALSE(tail.empty());
+  const Simulator::Checkpoint ck = original.checkpoint();
+  ctx.log.clear();
+  ctx.seed_wave(original);
+  original.run();
+  const Log wave = ctx.log;
+  ASSERT_FALSE(wave.empty());
   const std::uint64_t final_executed = original.executed_events();
+  const std::uint64_t final_scheduled = original.kernel_stats().scheduled;
   const TimePs final_now = original.now();
 
   Simulator fresh;
-  for (Simulator* target : {&original, &fresh}) {
-    target->restore(snap);
-    EXPECT_EQ(target->pending_events(), snap.heap.size());
+  for (Simulator* target : {&original, &original, &fresh}) {
+    target->restore(ck);
+    EXPECT_EQ(target->now(), ck.now);
     ctx.log.clear();
-    ctx.sim = target;
+    ctx.seed_wave(*target);
     target->run();
-    EXPECT_EQ(ctx.log, tail);
+    EXPECT_EQ(ctx.log, wave);
     EXPECT_EQ(target->executed_events(), final_executed);
+    EXPECT_EQ(target->kernel_stats().scheduled, final_scheduled);
     EXPECT_EQ(target->now(), final_now);
   }
 }

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,7 +17,6 @@
 #include "sim/random.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
-#include "sim/snapshot.h"
 #include "sim/time.h"
 
 namespace accelflow::sim {
@@ -354,8 +355,7 @@ TEST(Simulator, FiredBetweenEventsCoversEveryStampUpToNow) {
 TEST(Simulator, FiredAfterRestoreTreatsNowAsIdle) {
   Simulator sim;
   sim.run_until(500);
-  Snapshot snap;
-  sim.checkpoint(snap);
+  const Simulator::Checkpoint snap = sim.checkpoint();
   int checks = 0;
   std::uint64_t late = 0;
   sim.schedule_at(500, [&] {
@@ -370,6 +370,71 @@ TEST(Simulator, FiredAfterRestoreTreatsNowAsIdle) {
   sim.run();
   EXPECT_EQ(checks, 1);
   EXPECT_EQ(sim.now(), 500u);
+}
+
+TEST(Simulator, CheckpointThrowsWhenEventsArePending) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.schedule_at(200, [] {});
+  try {
+    (void)sim.checkpoint();
+    ADD_FAILURE() << "checkpoint with pending events was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2 events pending"),
+              std::string::npos)
+        << e.what();
+  }
+  sim.run();
+  EXPECT_NO_THROW((void)sim.checkpoint());
+}
+
+TEST(Simulator, RestoreDiscardsPendingEventsAndDestroysCapturesOnce) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.run();
+  const Simulator::Checkpoint at_100 = sim.checkpoint();
+  const KernelStats stats_at_100 = sim.kernel_stats();
+
+  auto capture = std::make_shared<int>(0);
+  for (TimePs t : {150, 250, 350}) {
+    sim.schedule_at(t, [capture] { ++*capture; });
+  }
+  sim.run_until(200);  // One ran; two are pending on this timeline.
+  EXPECT_EQ(*capture, 1);
+  EXPECT_EQ(capture.use_count(), 3);
+  sim.restore(at_100);
+  // The abandoned timeline's callbacks are destroyed, not run.
+  EXPECT_EQ(capture.use_count(), 1);
+  EXPECT_EQ(*capture, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  EXPECT_EQ(sim.kernel_stats().scheduled, stats_at_100.scheduled);
+  EXPECT_EQ(sim.kernel_stats().pending_high_water,
+            stats_at_100.pending_high_water);
+  // The slab outlives the timeline: its records are reused, not regrown.
+  const std::uint64_t grown = sim.kernel_stats().pool_grown;
+  EXPECT_EQ(grown, 3u);
+  sim.run();
+  EXPECT_EQ(*capture, 1);
+  EXPECT_EQ(capture.use_count(), 1);
+  for (TimePs t : {150, 250, 350}) sim.schedule_at(t, [] {});
+  EXPECT_EQ(sim.kernel_stats().pool_grown, grown);
+}
+
+TEST(Simulator, PreRestoreIdCannotCancelPostRestoreEvent) {
+  Simulator sim;
+  const Simulator::Checkpoint empty = sim.checkpoint();
+  const EventId stale = sim.schedule_at(10, [] {});
+  sim.restore(empty);
+  // The one slot is recycled for the newcomer with a bumped generation.
+  bool ran = false;
+  const EventId fresh = sim.schedule_at(10, [&ran] { ran = true; });
+  EXPECT_EQ(sim.kernel_stats().pool_grown, 1u);
+  EXPECT_NE(stale, fresh);
+  EXPECT_FALSE(sim.cancel(stale));
+  sim.run();
+  EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, ReservedStampFiresWhereItsEagerEventWould) {

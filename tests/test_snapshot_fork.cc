@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the checkpoint-and-fork machinery (DESIGN.md §13): the arena
- * allocator, the kernel snapshot round-trip, SweepSession's bit-equality
- * contract (a forked point must match a fresh straight-through session of
- * the same point, with and without a tracer, across thread counts), and
- * the invariant checker's state surviving a fork — including the negative
- * case where forking mid-DMA *without* forking the checker breaks byte
- * conservation, which the checker must catch.
+ * allocator, SweepSession's bit-equality contract (a forked point must
+ * match a fresh straight-through session of the same point, with and
+ * without a tracer, across thread counts), and the invariant checker's
+ * state surviving a fork — including the negative case where forking the
+ * machine *without* forking the checker rewinds simulated time under it,
+ * which the checker must catch.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "obs/tracer.h"
 #include "sim/arena.h"
 #include "sim/simulator.h"
-#include "sim/snapshot.h"
 #include "workload/experiment.h"
 #include "workload/suites.h"
 #include "workload/sweep.h"
@@ -88,59 +87,6 @@ TEST(Arena, ClearRestoresDeterministicAddressSequence) {
   std::vector<Probe*> second;
   for (int i = 0; i < 150; ++i) second.push_back(arena.create(i, nullptr));
   for (int i = 0; i < 150; ++i) EXPECT_EQ(second[i], first[i]) << i;
-}
-
-// ---------------------------------------------------------------------------
-// Kernel snapshot round-trip
-
-/** Self-rescheduling event: copyable, so the snapshot can clone it. */
-struct Ticker {
-  sim::Simulator* sim;
-  std::vector<std::pair<sim::TimePs, int>>* log;
-  int id;
-  int remaining;
-  void operator()() const {
-    log->emplace_back(sim->now(), id);
-    if (remaining > 0) {
-      Ticker next = *this;
-      --next.remaining;
-      sim->schedule_after(sim::nanoseconds(40 + 13 * id), next);
-    }
-  }
-};
-
-TEST(KernelSnapshot, RestoreReplaysTailBitIdentically) {
-  sim::Simulator sim;
-  std::vector<std::pair<sim::TimePs, int>> log;
-  for (int id = 0; id < 4; ++id) {
-    sim.schedule_at(sim::nanoseconds(10 * (id + 1)),
-                    Ticker{&sim, &log, id, 20});
-  }
-  sim.run_until(sim::nanoseconds(300));
-
-  sim::Snapshot snap;
-  sim.checkpoint(snap);
-  const std::size_t mark = log.size();
-  ASSERT_GT(mark, 0u);
-  ASSERT_GT(sim.pending_events(), 0u);
-
-  sim.run();
-  const std::vector<std::pair<sim::TimePs, int>> tail_a(log.begin() + mark,
-                                                        log.end());
-  const sim::TimePs end_a = sim.now();
-  ASSERT_FALSE(tail_a.empty());
-
-  // One snapshot, two restores: both replays must match the original tail.
-  for (int replay = 0; replay < 2; ++replay) {
-    sim.restore(snap);
-    EXPECT_EQ(sim.now(), sim::nanoseconds(300));
-    log.resize(mark);
-    sim.run();
-    const std::vector<std::pair<sim::TimePs, int>> tail(log.begin() + mark,
-                                                        log.end());
-    EXPECT_EQ(tail, tail_a) << "replay " << replay;
-    EXPECT_EQ(sim.now(), end_a) << "replay " << replay;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,38 +293,32 @@ class FixedEnv : public core::ChainEnv {
 };
 
 /**
- * Mid-DMA fork fixture: runs one chain to the point where DMA transfers
- * are in flight (issued, not yet delivered), checkpoints machine + engine
- * + context + checker there, and finishes the run — once straight through
- * and once per restore.
+ * Quiescent fork fixture: runs one chain to quiescence, checkpoints
+ * machine + engine + checker there, and runs a second chain — once
+ * straight through and once per restore.
  */
-class MidDmaForkTest : public ::testing::Test {
+class QuiescentForkTest : public ::testing::Test {
  protected:
-  MidDmaForkTest() {
+  QuiescentForkTest() {
     templates_ = core::register_templates(lib_);
     machine_ = std::make_unique<core::Machine>(core::MachineConfig{});
     engine_ = std::make_unique<core::AccelFlowEngine>(*machine_, lib_,
                                                       core::EngineConfig{});
     checker_.attach(*machine_, lib_);
-    ctx_.request = 1;
+  }
+
+  ~QuiescentForkTest() override { checker_.detach(); }
+
+  /** Starts request `id` on a fresh context and runs to quiescence. */
+  void run_chain(accel::RequestId id) {
+    ctx_ = core::ChainContext();
+    ctx_.request = id;
     ctx_.env = &env_;
     ctx_.rng.reseed(7);
     ctx_.initial_bytes = 64 * 1024;  // Large payload: long DMA windows.
     ctx_.on_done = [this](const core::ChainResult&) { ++done_count_; };
-  }
-
-  ~MidDmaForkTest() override { checker_.detach(); }
-
-  /** Advances in small steps until DMA bytes are in flight. */
-  bool run_until_mid_dma() {
-    sim::TimePs t = 0;
-    for (int step = 0; step < 10000; ++step) {
-      t += sim::nanoseconds(20);
-      machine_->sim().run_until(t);
-      if (done_count_ > 0) return false;  // Chain finished first.
-      if (!checker_.checkpoint().dma_inflight.empty()) return true;
-    }
-    return false;
+    engine_->start_chain(&ctx_, templates_.t2);
+    machine_->sim().run();
   }
 
   core::TraceLibrary lib_;
@@ -391,67 +331,60 @@ class MidDmaForkTest : public ::testing::Test {
   int done_count_ = 0;
 };
 
-TEST_F(MidDmaForkTest, ForkedCheckerPreservesByteConservation) {
-  engine_->start_chain(&ctx_, templates_.t2);
-  ASSERT_TRUE(run_until_mid_dma());
-
-  // Fork with DMA in flight: machine, engine, context and checker all
-  // captured at the same instant.
+TEST_F(QuiescentForkTest, ForkedCheckerPreservesByteConservation) {
+  run_chain(1);
   core::Machine::Checkpoint machine_ck;
   machine_->checkpoint(machine_ck);
   const core::AccelFlowEngine::Checkpoint engine_ck = engine_->checkpoint();
-  const core::ChainContext ctx_ck = ctx_;
   const check::InvariantChecker::Checkpoint checker_ck =
       checker_.checkpoint();
-  ASSERT_FALSE(checker_ck.dma_inflight.empty());
 
-  machine_->sim().run();
+  run_chain(2);
   checker_.final_audit();
-  EXPECT_EQ(done_count_, 1);
+  EXPECT_EQ(done_count_, 2);
   EXPECT_TRUE(checker_.ok()) << checker_.report();
   const std::uint64_t issued = checker_.checkpoint().dma_issued_bytes;
   const std::uint64_t delivered = checker_.checkpoint().dma_delivered_bytes;
+  EXPECT_GT(issued, checker_ck.dma_issued_bytes);
   EXPECT_EQ(issued, delivered);
 
   // Restore the whole bundle and replay: byte conservation must hold again
   // on the forked timeline, with identical issue/delivery totals.
-  machine_->restore(machine_ck);
-  engine_->restore(engine_ck);
-  ctx_ = ctx_ck;
-  checker_.restore(checker_ck);
-  machine_->sim().run();
-  checker_.final_audit();
-  EXPECT_EQ(done_count_, 2);
-  EXPECT_TRUE(checker_.ok()) << checker_.report();
-  EXPECT_EQ(checker_.checkpoint().dma_issued_bytes, issued);
-  EXPECT_EQ(checker_.checkpoint().dma_delivered_bytes, delivered);
+  for (int replay = 0; replay < 2; ++replay) {
+    machine_->restore(machine_ck);
+    engine_->restore(engine_ck);
+    checker_.restore(checker_ck);
+    run_chain(2);
+    checker_.final_audit();
+    EXPECT_TRUE(checker_.ok()) << checker_.report();
+    EXPECT_EQ(checker_.checkpoint().dma_issued_bytes, issued);
+    EXPECT_EQ(checker_.checkpoint().dma_delivered_bytes, delivered);
+  }
+  EXPECT_EQ(done_count_, 4);
 }
 
-TEST_F(MidDmaForkTest, ForkWithoutCheckerRestoreBreaksConservation) {
+TEST_F(QuiescentForkTest, ForkWithoutCheckerRestoreIsCaught) {
   // The negative control: replaying the machine's forked timeline while
-  // the checker keeps its straight-through state double-counts the
-  // in-flight DMA deliveries and re-finishes an already-finished flow.
-  // The checker must catch that — this is why SweepSession forks the
-  // checker alongside the machine.
-  engine_->start_chain(&ctx_, templates_.t2);
-  ASSERT_TRUE(run_until_mid_dma());
-
+  // the checker keeps its straight-through state moves simulated time
+  // backwards under the checker. The checker must catch that — this is
+  // why SweepSession forks the checker alongside the machine.
+  run_chain(1);
   core::Machine::Checkpoint machine_ck;
   machine_->checkpoint(machine_ck);
   const core::AccelFlowEngine::Checkpoint engine_ck = engine_->checkpoint();
-  const core::ChainContext ctx_ck = ctx_;
 
-  machine_->sim().run();
+  run_chain(2);
   checker_.final_audit();
   ASSERT_TRUE(checker_.ok()) << checker_.report();
 
   machine_->restore(machine_ck);
   engine_->restore(engine_ck);
-  ctx_ = ctx_ck;
   // Deliberately NOT restoring the checker.
-  machine_->sim().run();
+  run_chain(2);
   checker_.final_audit();
   EXPECT_FALSE(checker_.ok());
+  EXPECT_NE(checker_.report().find("moved backwards"), std::string::npos)
+      << checker_.report();
 }
 
 }  // namespace

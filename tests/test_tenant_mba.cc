@@ -43,29 +43,28 @@ TEST(TenantMba, BurstThenThrottle) {
 }
 
 TEST(TenantMba, NonPositiveRatesAreInert) {
-  // A configured rate of zero (or below, or NaN) cannot refill a bucket; it
-  // used to divide by zero and produce an inf/NaN start time. Such entries
-  // now behave exactly like unthrottled tenants.
+  // A configured rate of zero (or below, or NaN) cannot refill a bucket,
+  // and an infinite rate with no burst would start with inf * 0 = NaN
+  // tokens; dividing by either casts an inf/NaN start time into
+  // picoseconds. Such entries behave exactly like unthrottled tenants: an
+  // infinite rate means "no limit".
   sim::Simulator sim;
   MbaConfig cfg;
   cfg.limit_bytes_per_sec[3] = 0.0;
   cfg.limit_bytes_per_sec[4] = -1e9;
   cfg.limit_bytes_per_sec[5] = std::numeric_limits<double>::quiet_NaN();
+  cfg.limit_bytes_per_sec[6] = std::numeric_limits<double>::infinity();
+  cfg.burst_seconds = 0;
   TenantBandwidthLimiter mba(sim, cfg);
-  EXPECT_FALSE(mba.throttles(3));
-  EXPECT_FALSE(mba.throttles(4));
-  EXPECT_FALSE(mba.throttles(5));
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(mba.acquire(3, 1 << 20), sim.now());
-    EXPECT_EQ(mba.acquire(4, 1 << 20), sim.now());
-    EXPECT_EQ(mba.acquire(5, 1 << 20), sim.now());
+  for (const accel::TenantId t : {3, 4, 5, 6}) {
+    EXPECT_FALSE(mba.throttles(t)) << t;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(mba.acquire(t, 1 << 20), sim.now()) << t;
+    }
+    // Inert entries never accumulate accounting or delay.
+    EXPECT_EQ(mba.stats(t).transfers, 0u) << t;
+    EXPECT_EQ(mba.stats(t).throttle_delay, 0u) << t;
   }
-  // Inert entries never accumulate accounting or delay.
-  EXPECT_EQ(mba.stats(3).transfers, 0u);
-  EXPECT_EQ(mba.stats(3).throttle_delay, 0u);
-  EXPECT_EQ(mba.stats(4).transfers, 0u);
-  EXPECT_EQ(mba.stats(5).transfers, 0u);
-  EXPECT_EQ(mba.stats(5).throttle_delay, 0u);
 }
 
 TEST(TenantMba, RejectsInvalidBurst) {

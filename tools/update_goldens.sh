@@ -15,6 +15,8 @@ cmake --build "$build" --target bench_fig11_latency bench_fig14_throughput \
   bench_autotune bench_cluster_scaling bench_qos -j
 "$build/bench/bench_fig11_latency" --golden="$root/tests/golden/fig11.json"
 "$build/bench/bench_fig14_throughput" --golden="$root/tests/golden/fig14.json"
+"$build/bench/bench_fig14_throughput" --fork \
+  --golden="$root/tests/golden/fig14_fork.json"
 
 AF_BENCH_FAST=1 AF_BENCH_KERNEL_JSON="$root/BENCH_kernel.json" \
   "$build/bench/bench_kernel_events"
