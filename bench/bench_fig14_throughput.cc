@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
     auto cfg = base;
     cfg.kind = core::OrchKind::kAccelFlow;
     cfg.machine.policy = accel::SchedPolicy::kEdf;
-    cfg.engine.stamp_deadlines = true;
     core::TraceLibrary lib;
     core::register_templates(lib);
     const auto services = workload::build_services(cfg.specs, lib);

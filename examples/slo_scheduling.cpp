@@ -52,7 +52,6 @@ int main() {
     cfg.drain = sim::milliseconds(20);
     if (edf) {
       cfg.machine.policy = accel::SchedPolicy::kEdf;
-      cfg.engine.stamp_deadlines = true;
       // Per-step budgets: loose for Bulk, tight for Tiny.
       cfg.step_deadline_budgets = {sim::microseconds(400),
                                    sim::microseconds(6)};

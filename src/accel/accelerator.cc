@@ -56,8 +56,6 @@ void Accelerator::set_queue_capacity(std::size_t entries) {
 void Accelerator::set_tracer(obs::Tracer* tracer, std::uint32_t accel_index) {
   tracer_ = tracer;
   tid_base_ = accel_index * kTidStride;
-  // Mem-process tracks: tid 0 is the IOMMU, tids 1.. are per-accel TLBs.
-  tlb_.set_tracer(tracer, &sim_, accel_index + 1);
 }
 
 SlotId Accelerator::try_enqueue(QueueEntry e) {
@@ -163,13 +161,28 @@ bool Accelerator::holds_chain(const core::ChainContext* ctx) const {
 }
 
 sim::TimePs Accelerator::translate(TenantId tenant, mem::VirtAddr va,
-                                   std::uint64_t bytes) {
+                                   std::uint64_t bytes, obs::FlowId flow) {
   sim::TimePs extra = 0;
   const std::uint64_t pages = mem::pages_spanned(va, bytes);
   const mem::PageNum first = mem::page_of(va);
   for (std::uint64_t p = 0; p < pages; ++p) {
     if (!tlb_.lookup(tenant, first + p)) {
       const auto res = iommu_.translate(tenant, first + p);
+      if (tracer_ != nullptr) {
+        // Mem-process tracks: tid 0 is the IOMMU, tid i + 1 the TLB of
+        // accelerator i.
+        tracer_->instant(obs::Subsys::kMem, obs::SpanKind::kTlbMiss,
+                         tid_base_ / kTidStride + 1, sim_.now(), first + p,
+                         flow);
+        tracer_->complete(obs::Subsys::kMem, obs::SpanKind::kIommuWalk,
+                          /*tid=*/0, sim_.now(), res.complete_at,
+                          static_cast<std::uint64_t>(iommu_.params().levels),
+                          flow);
+        if (res.faulted) {
+          tracer_->instant(obs::Subsys::kMem, obs::SpanKind::kPageFault,
+                           /*tid=*/0, res.complete_at, 0, flow);
+        }
+      }
       if (res.faulted) {
         // Accelerator stops; CPU is interrupted; OS services the fault.
         ++s_.stats.faults;
@@ -317,7 +330,8 @@ void Accelerator::try_dispatch() {
     if (entry.payload.size_bytes > kInlineDataBytes) {
       ++s_.stats.large_payload_jobs;
       const std::uint64_t rest = entry.payload.size_bytes - kInlineDataBytes;
-      t += translate(entry.tenant, entry.payload.va, rest);
+      t += translate(entry.tenant, entry.payload.va, rest,
+                     obs::flow_id(entry.request, entry.chain));
       const auto acc = mem_.read(rest, /*llc_hit_prob=*/0.8);
       t = std::max(t, acc.complete_at);
     }
@@ -388,14 +402,15 @@ void Accelerator::deposit_output(QueueEntry entry) {
   handler_->handle_output(*this, slot);
 }
 
-sim::TimePs Accelerator::occupy_dispatcher(sim::TimePs duration) {
+sim::TimePs Accelerator::occupy_dispatcher(sim::TimePs duration,
+                                           obs::FlowId flow) {
   const sim::TimePs start = std::max(sim_.now(), s_.dispatcher_busy_until);
   s_.dispatcher_busy_until = start + duration;
   s_.dispatcher_busy_accum += duration;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kAccel, obs::SpanKind::kDispatcherFsm,
                       tid_base_ + kDispatcherTid, start,
-                      s_.dispatcher_busy_until);
+                      s_.dispatcher_busy_until, 0, flow);
   }
   return s_.dispatcher_busy_until;
 }

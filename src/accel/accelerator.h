@@ -181,10 +181,11 @@ class Accelerator {
   // --- Output side (used by OutputHandler implementations) -------------
 
   /**
-   * Serializes `duration` of work on the output-dispatcher FSM.
+   * Serializes `duration` of work on the output-dispatcher FSM for chain
+   * `flow` (the flow its dispatcher_fsm span carries).
    * @return the time the FSM finishes this work.
    */
-  sim::TimePs occupy_dispatcher(sim::TimePs duration);
+  sim::TimePs occupy_dispatcher(sim::TimePs duration, obs::FlowId flow);
 
   /** Frees an output slot now; resumes a PE blocked on output-queue
    *  space. */
@@ -232,10 +233,12 @@ class Accelerator {
 
   /**
    * Models an address translation through the accelerator TLB for a
-   * payload access; returns added latency (0 on full TLB hit).
+   * payload access of chain `flow`; returns added latency (0 on full TLB
+   * hit). Records the TLB-miss instants, IOMMU-walk spans and page-fault
+   * instants of the access.
    */
   sim::TimePs translate(TenantId tenant, mem::VirtAddr va,
-                        std::uint64_t bytes);
+                        std::uint64_t bytes, obs::FlowId flow);
 
   /** Width of the per-accelerator trace-track block: accelerator `i` owns
    *  tids [i*kTidStride, (i+1)*kTidStride). */
@@ -250,10 +253,10 @@ class Accelerator {
    * Attaches the span tracer. `accel_index` is this accelerator's index in
    * the machine; its trace tracks are tid accel_index*kTidStride + pe for
    * PE-execute spans, + kQueueTid for queue waits, + kDispatcherTid for the
-   * output-dispatcher FSM. Also attaches the private TLB (miss instants on
-   * the mem process, tid = accel_index + 1; tid 0 there is the IOMMU).
-   * Pass nullptr to detach. Recording
-   * never perturbs scheduling or timing (see obs/tracer.h).
+   * output-dispatcher FSM. translate() records on the mem process: TLB
+   * misses on tid accel_index + 1, IOMMU walks and page faults on tid 0.
+   * Pass nullptr to detach. Recording never perturbs scheduling or timing
+   * (see obs/tracer.h).
    */
   void set_tracer(obs::Tracer* tracer, std::uint32_t accel_index);
 

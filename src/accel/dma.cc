@@ -15,7 +15,8 @@ DmaPool::DmaPool(sim::Simulator& sim, noc::Interconnect& net,
          {}} {}
 
 sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
-                              std::uint64_t bytes, sim::TimePs ready_at) {
+                              std::uint64_t bytes, sim::TimePs ready_at,
+                              obs::FlowId flow) {
   ++s_.stats.transfers;
   s_.stats.bytes += bytes;
 
@@ -45,12 +46,12 @@ sim::TimePs DmaPool::transfer(noc::Location src, noc::Location dst,
   s_.stats.busy_time += occupied;
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kDma, obs::SpanKind::kDmaTransfer, engine,
-                      start, engine_done, bytes);
+                      start, engine_done, bytes, flow);
   }
 
   // The engine streams the data through the package network; the network
   // transfer starts as soon as the engine starts pushing.
-  const sim::TimePs net_done = net_.transfer(src, dst, bytes, start);
+  const sim::TimePs net_done = net_.transfer(src, dst, bytes, start, flow);
   return std::max(engine_done, net_done);
 }
 

@@ -49,13 +49,16 @@ class DmaPool {
   DmaPool(sim::Simulator& sim, noc::Interconnect& net, const DmaParams& p);
 
   /**
-   * Moves `bytes` from `src` to `dst`.
+   * Moves `bytes` from `src` to `dst` for chain `flow`.
    *
    * @param ready_at earliest time the source data is available.
+   * @param flow the chain whose spans (DMA, NoC, link) this transfer
+   *        records; 0 for a transfer that serves no chain.
    * @return completion time at the destination.
    */
   sim::TimePs transfer(noc::Location src, noc::Location dst,
-                       std::uint64_t bytes, sim::TimePs ready_at = 0);
+                       std::uint64_t bytes, sim::TimePs ready_at,
+                       obs::FlowId flow);
 
   /** Engine-pool utilization over [0, now]. */
   double utilization() const;
@@ -81,7 +84,7 @@ class DmaPool {
   /**
    * Attaches the span tracer: each transfer emits an
    * obs::SpanKind::kDmaTransfer span on the occupied engine's track
-   * (engine index = tid), attributed to the tracer's current flow. Pass
+   * (engine index = tid), attributed to the transfer's flow. Pass
    * nullptr to detach. Recording never perturbs engine selection or
    * timing (see obs/tracer.h).
    */

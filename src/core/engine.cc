@@ -138,8 +138,6 @@ void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
 
 void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
                                          AccelType target, int attempt) {
-  // Attribute the initial-payload DMA (and its NoC legs) to this chain.
-  obs::FlowScope flow_scope(trc(), obs::flow_id(entry.request, entry.chain));
   accel::Accelerator& dst = machine_.accel(target);
   if (attempt == 0) ++s_.stats.attempts_by_type[accel::index_of(target)];
   const SlotId slot = dst.try_enqueue(entry);
@@ -169,7 +167,8 @@ void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
     const std::uint64_t bytes = entry_dma_bytes(dst.input_entry(slot));
     arrive = machine_.dma().transfer(machine_.core_location(ctx->core),
                                      dst.location(), bytes,
-                                     mba_.acquire(ctx->tenant, bytes));
+                                     mba_.acquire(ctx->tenant, bytes),
+                                     obs::flow_id(ctx->request, ctx->chain));
     if (ValidationHooks* c = chk()) c->on_dma(bytes, arrive);
   }
   arm_hop(ctx, target, entry.trace_word, entry.position_mark,
@@ -189,9 +188,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     record_hop_success(acc.type());
   }
   ++ctx->accel_invocations;
-  // Everything the FSM touches synchronously below (dispatcher occupancy,
-  // forwarding DMA, manager round trips) belongs to this chain.
-  obs::FlowScope flow_scope(trc(), obs::flow_id(e.request, e.chain));
+  const obs::FlowId flow = obs::flow_id(e.request, e.chain);
   if (ValidationHooks* c = chk()) {
     // The stage that just finished on `acc`, with its pre-transform size.
     c->on_stage(*ctx, acc.type(), e.payload.size_bytes, /*on_cpu=*/false);
@@ -219,7 +216,8 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
       s_.stats.glue_eot_ops += saw_eot;
     }
     const sim::TimePs fsm_done =
-        zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
+        zero ? ready
+             : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra, flow);
     const sim::TimePs launch = std::max(ready, fsm_done);
     acc.release_output_at(launch, slot);
     return launch;
@@ -232,7 +230,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     if (config_.dispatcher_branches || zero) {
       if (!zero) instrs += config_.branch_instrs;
     } else {
-      ready = manager_round_trip(acc, ready);
+      ready = manager_round_trip(acc, ready, flow);
     }
   };
   auto atm_fetch = [&](AtmAddr addr) {
@@ -289,13 +287,13 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
         } else {
           // CntrFlow ablation: the manager performs the transformation,
           // which also round-trips the payload.
-          ready = manager_round_trip(acc, ready);
+          ready = manager_round_trip(acc, ready, flow);
           ready = machine_.net().transfer(acc.location(),
                                           machine_.manager_location(),
-                                          e.payload.size_bytes, ready);
+                                          e.payload.size_bytes, ready, flow);
           ready = machine_.net().transfer(machine_.manager_location(),
                                           acc.location(),
-                                          e.payload.size_bytes, ready);
+                                          e.payload.size_bytes, ready, flow);
         }
         e.payload.format = op.to;
         pm = op.next_pm;
@@ -340,7 +338,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
 void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
                               AccelType target, sim::TimePs ready,
                               bool armed_wait, RemoteKind wait_kind) {
-  obs::FlowScope flow_scope(trc(), obs::flow_id(e.request, e.chain));
   accel::Accelerator& dst = machine_.accel(target);
   ChainContext* ctx = e.ctx;
 
@@ -605,7 +602,8 @@ sim::TimePs AccelFlowEngine::move_entry(const QueueEntry& e,
                                         noc::Location from, noc::Location to,
                                         sim::TimePs start) {
   const std::uint64_t bytes = entry_dma_bytes(e);
-  sim::TimePs arrive = machine_.dma().transfer(from, to, bytes, start);
+  sim::TimePs arrive = machine_.dma().transfer(
+      from, to, bytes, start, obs::flow_id(e.request, e.chain));
   if (ValidationHooks* c = chk()) c->on_dma(bytes, arrive);
   if (e.payload.size_bytes > kInlineDataBytes) {
     // The remainder lives in the memory buffer: the producer writes it
@@ -619,19 +617,19 @@ sim::TimePs AccelFlowEngine::move_entry(const QueueEntry& e,
 }
 
 sim::TimePs AccelFlowEngine::manager_round_trip(
-    const accel::Accelerator& at, sim::TimePs ready) {
+    const accel::Accelerator& at, sim::TimePs ready, obs::FlowId flow) {
   ++s_.stats.manager_fallbacks;
   const sim::TimePs go = machine_.net().transfer(
-      at.location(), machine_.manager_location(), 64, ready);
+      at.location(), machine_.manager_location(), 64, ready, flow);
   const sim::TimePs handled = machine_.manager().submit_at(
       go, sim::microseconds(machine_.config().manager_event_us *
                             config_.manager_fallback_events));
   if (obs::Tracer* t = trc()) {
     t->complete(obs::Subsys::kEngine, obs::SpanKind::kManagerEvent,
-                obs::kManagerTid, go, handled);
+                obs::kManagerTid, go, handled, 0, flow);
   }
   return machine_.net().transfer(machine_.manager_location(), at.location(),
-                                 64, handled);
+                                 64, handled, flow);
 }
 
 void AccelFlowEngine::snapshot_metrics(obs::MetricsRegistry& reg) const {
@@ -876,7 +874,6 @@ void AccelFlowEngine::on_hop_timeout(ChainContext* ctx) {
 void AccelFlowEngine::retry_hop(ChainContext* ctx) {
   HopWatch& w = ctx->hop;
   w.backoff = sim::kInvalidEventId;
-  obs::FlowScope flow_scope(trc(), obs::flow_id(ctx->request, ctx->chain));
   // Rebuild the lost entry from the hand-off record (the payload still
   // lives in its memory buffer; the re-issued DMA is modeled by the
   // normal enqueue path) and hand it back to the same accelerator.

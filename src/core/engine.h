@@ -95,9 +95,6 @@ struct EngineConfig {
    *  decide, write back): multiplies manager_event_us. */
   double manager_fallback_events = 4.0;
 
-  /** Enable deadline stamping for SLO scheduling (with SchedPolicy::kEdf). */
-  bool stamp_deadlines = false;
-
   /** Per-tenant MBA-style bandwidth limits on the A-DMA path (IV-D). */
   MbaConfig mba;
 
@@ -258,12 +255,12 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
    *  wait the CPU fallback path owned. */
   void time_out_chain(ChainContext* ctx, bool on_cpu);
 
-  /** Stamps e's soft-SLO deadline (Section IV-C) when deadline stamping
-   *  is on and the chain has a budget. It is relative to now, so early
-   *  finishers pass slack on. */
+  /** Stamps e's soft-SLO deadline (Section IV-C) when the chain has a
+   *  budget. It is relative to now, so early finishers pass slack on.
+   *  SchedPolicy::kEdf dispatches by it; every policy counts misses. */
   void stamp_deadline(accel::QueueEntry& e) const {
     const sim::TimePs budget = e.ctx->step_deadline_budget;
-    if (config_.stamp_deadlines && budget != sim::kTimeNever) {
+    if (budget != sim::kTimeNever) {
       e.deadline = machine_.sim().now() + budget;
     }
   }
@@ -278,9 +275,10 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
   void finish_to_cpu(accel::Accelerator& from, accel::QueueEntry e,
                      sim::TimePs ready);
 
-  /** Round trip to the centralized manager (ablation fallback path). */
+  /** Round trip to the centralized manager (ablation fallback path) for
+   *  chain `flow`. */
   sim::TimePs manager_round_trip(const accel::Accelerator& at,
-                                 sim::TimePs ready);
+                                 sim::TimePs ready, obs::FlowId flow);
 
   /**
    * Graceful CPU fallback: the denied operation runs (unaccelerated) on

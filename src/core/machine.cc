@@ -56,6 +56,11 @@ Machine::Machine(const MachineConfig& config) : s_{config} {
   require_positive(s_.config.accel_queue_entries, "accel_queue_entries");
   require_positive(s_.config.speedup_scale, "speedup_scale");
   require_positive(s_.config.inter_chiplet_gbps, "inter_chiplet_gbps");
+  require_positive(s_.config.cpu.num_cores, "cpu.num_cores");
+  require_positive(s_.config.cpu.clock_ghz, "cpu.clock_ghz");
+  require_positive(s_.config.cpu.tax_speed, "cpu.tax_speed");
+  require_positive(s_.config.cpu.app_speed, "cpu.app_speed");
+  require_positive(s_.config.dma.num_engines, "dma.num_engines");
   mem_ = std::make_unique<mem::MemorySystem>(sim_, s_.config.mem,
                                              s_.config.seed ^ 0x11);
   iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, s_.config.walk,
@@ -156,7 +161,6 @@ void Machine::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   net_->set_tracer(tracer);
   dma_->set_tracer(tracer);
-  iommu_->set_tracer(tracer);
   for (const AccelType t : accel::kAllAccelTypes) {
     const auto i = static_cast<std::uint32_t>(accel::index_of(t));
     accel(t).set_tracer(tracer, i);
@@ -263,6 +267,7 @@ void Machine::set_accel_queue_entries(std::size_t entries) {
 }
 
 void Machine::set_dma_engines(int engines) {
+  require_positive(engines, "dma.num_engines");
   dma_->set_num_engines(engines);
   s_.config.dma.num_engines = engines;
 }

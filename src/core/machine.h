@@ -128,9 +128,11 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
 /** The composed server. */
 class Machine {
  public:
-  /** Throws std::invalid_argument naming the field unless
-   *  config.pes_per_accel and config.accel_queue_entries are > 0, or
-   *  when config.num_chiplets names no supported organization. */
+  /** Throws std::invalid_argument naming the field unless every count
+   *  (PEs per accelerator, queue entries, cores, DMA engines) is > 0 and
+   *  every rate (speedup scale, link bandwidth, CPU clock, tax and app
+   *  speeds) is finite and > 0, or when config.num_chiplets names no
+   *  supported organization. */
   explicit Machine(const MachineConfig& config);
 
   sim::Simulator& sim() { return sim_; }
@@ -280,7 +282,8 @@ class Machine {
 
   /**
    * Re-sizes the A-DMA engine pool (the auto-tuner's DMA knob). All
-   * engines come up free; call only at a quiescent fork point.
+   * engines come up free; call only at a quiescent fork point. Throws
+   * std::invalid_argument unless `engines` > 0.
    */
   void set_dma_engines(int engines);
 

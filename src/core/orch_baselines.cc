@@ -131,8 +131,8 @@ void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
 
   sim::TimePs ready = machine_.sim().now();
   machine_.cores().charge_enqueue(ctx->core);
+  const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);
   if (obs::Tracer* t = machine_.tracer()) {
-    const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);
     const auto tid = static_cast<std::uint32_t>(ctx->core);
     t->complete(obs::Subsys::kEngine, obs::SpanKind::kEnqueue, tid, ready,
                 ready, ctx->initial_bytes, flow);
@@ -141,7 +141,8 @@ void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
   if (mode_ == BaselineMode::kRelief) {
     // The core submits the whole op list to the hardware manager.
     ready = machine_.net().transfer(machine_.core_location(ctx->core),
-                                    machine_.manager_location(), 64, ready);
+                                    machine_.manager_location(), 64, ready,
+                                    flow);
   }
   step(c, ready);
 }
@@ -187,10 +188,11 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
           if (c->has_last_accel) {
             const noc::Location at =
                 machine_.accel(c->last_accel).location();
+            const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);
             t = machine_.net().transfer(at, machine_.manager_location(),
-                                        c->bytes, t);
+                                        c->bytes, t, flow);
             t = machine_.net().transfer(machine_.manager_location(), at,
-                                        c->bytes, t);
+                                        c->bytes, t, flow);
           }
           s_.stats.orchestration_time += t - ready;
           ready = t;
@@ -344,10 +346,9 @@ void BaselineOrchestrator::try_issue(std::shared_ptr<Issue> issue,
 
 void BaselineOrchestrator::launch(const Issue& issue, SlotId slot,
                                   sim::TimePs when) {
-  obs::FlowScope flow_scope(
-      machine_.tracer(), obs::flow_id(issue.entry.request, issue.entry.chain));
   const sim::TimePs arrive = machine_.dma().transfer(
-      issue.src, issue.dst->location(), issue.dma_bytes, when);
+      issue.src, issue.dst->location(), issue.dma_bytes, when,
+      obs::flow_id(issue.entry.request, issue.entry.chain));
   if (ValidationHooks* v = machine_.checker()) {
     v->on_dma(issue.dma_bytes, arrive);
   }
@@ -361,13 +362,13 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
   const auto it = chains_.find(ctx);
   assert(it != chains_.end());
   Chain* c = it->second.get();
-  obs::FlowScope flow_scope(machine_.tracer(),
-                            obs::flow_id(e.request, e.chain));
+  const obs::FlowId flow = obs::flow_id(e.request, e.chain);
 
   // Minimal output-dispatcher work: no trace logic in the baselines.
   const sim::TimePs fsm_done = acc.occupy_dispatcher(
       sim::Clock(machine_.config().cpu.clock_ghz)
-          .cycles_to_ps(costs_.plain_dispatcher_instrs));
+          .cycles_to_ps(costs_.plain_dispatcher_instrs),
+      flow);
   machine_.sim().schedule_at(fsm_done,
                              [&acc, slot] { acc.release_output(slot); });
 
@@ -403,7 +404,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
       if (obs::Tracer* t = machine_.tracer()) {
         t->complete(obs::Subsys::kCpu, obs::SpanKind::kInterrupt,
                     static_cast<std::uint32_t>(ctx->core),
-                    machine_.sim().now(), done);
+                    machine_.sim().now(), done, 0, flow);
       }
       // Includes the wait for the busy core: orchestration contention
       // grows with load (Figure 3).
@@ -422,7 +423,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
       s_.stats.orchestration_time += done - fsm_done;
       if (obs::Tracer* t = machine_.tracer()) {
         t->complete(obs::Subsys::kEngine, obs::SpanKind::kManagerEvent,
-                    obs::kManagerTid, fsm_done, done);
+                    obs::kManagerTid, fsm_done, done, 0, flow);
       }
       break;
     }

@@ -4,8 +4,7 @@ namespace accelflow::mem {
 
 Iommu::Iommu(sim::Simulator& sim, MemorySystem& mem, const WalkParams& params,
              std::size_t concurrent_walkers, std::uint64_t seed)
-    : sim_(sim),
-      mem_(mem),
+    : mem_(mem),
       params_(params),
       walkers_(sim, concurrent_walkers),
       s_{sim::Rng(seed), {}} {}
@@ -27,15 +26,6 @@ Iommu::Result Iommu::translate(std::uint32_t /*process_id*/, PageNum /*vpn*/) {
   }
   if (out.faulted) ++s_.stats.faults;
   out.complete_at = walkers_.submit(walk);
-  if (tracer_ != nullptr) {
-    tracer_->complete(obs::Subsys::kMem, obs::SpanKind::kIommuWalk,
-                      /*tid=*/0, sim_.now(), out.complete_at,
-                      static_cast<std::uint64_t>(params_.levels));
-    if (out.faulted) {
-      tracer_->instant(obs::Subsys::kMem, obs::SpanKind::kPageFault,
-                       /*tid=*/0, out.complete_at);
-    }
-  }
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include "mem/address.h"
 #include "mem/memory_system.h"
 #include "mem/tlb.h"
-#include "obs/tracer.h"
 #include "sim/fault_hooks.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
@@ -66,14 +65,6 @@ class Iommu {
   const WalkParams& params() const { return params_; }
 
   /**
-   * Attaches the span tracer: every walk emits an obs::SpanKind::kIommuWalk
-   * span (request to walk completion, queueing included) and faults emit
-   * kPageFault instants. Pass nullptr to detach. Recording never perturbs
-   * walk timing (see obs/tracer.h).
-   */
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /**
    * Attaches (nullptr: detaches) the fault-injection sink: a translation
    * it flags takes the fault-service path exactly like an organic minor
    * fault (DESIGN.md §14). The sink's draws are separate from this
@@ -102,12 +93,10 @@ class Iommu {
   }
 
  private:
-  sim::Simulator& sim_;
   MemorySystem& mem_;
   WalkParams params_;
   sim::FifoServer walkers_;
   State s_;
-  obs::Tracer* tracer_ = nullptr;
   sim::FaultHooks* fault_hooks_ = nullptr;  ///< Null: fault-free run.
 };
 

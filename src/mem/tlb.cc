@@ -32,10 +32,6 @@ bool Tlb::lookup(std::uint32_t process_id, PageNum vpn) {
     ++s_.stats.hits;
     return true;
   }
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs::Subsys::kMem, obs::SpanKind::kTlbMiss, tracer_tid_,
-                     tracer_sim_->now(), vpn);
-  }
   return false;
 }
 

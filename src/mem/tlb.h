@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "mem/address.h"
-#include "obs/tracer.h"
-#include "sim/simulator.h"
 
 /**
  * @file
@@ -69,18 +67,6 @@ class Tlb {
   /** Set associativity. */
   std::size_t ways() const { return ways_; }
 
-  /**
-   * Attaches the span tracer: misses emit obs::SpanKind::kTlbMiss instants
-   * on thread `tid` (timestamped via `sim`). Pass nullptr to detach.
-   * Tracing never alters lookup results or timing (see obs/tracer.h).
-   */
-  void set_tracer(obs::Tracer* tracer, const sim::Simulator* sim,
-                  std::uint32_t tid) {
-    tracer_ = tracer;
-    tracer_sim_ = sim;
-    tracer_tid_ = tid;
-  }
-
  private:
   struct Entry {
     bool valid = false;
@@ -109,9 +95,6 @@ class Tlb {
   std::size_t sets_;
   std::size_t ways_;
   State s_;
-  obs::Tracer* tracer_ = nullptr;
-  const sim::Simulator* tracer_sim_ = nullptr;
-  std::uint32_t tracer_tid_ = 0;
 };
 
 }  // namespace accelflow::mem

@@ -47,7 +47,7 @@ const sim::Channel& Interconnect::link(int a, int b) const {
 
 sim::TimePs Interconnect::transfer(Location src, Location dst,
                                    std::uint64_t bytes,
-                                   sim::TimePs ready_at) {
+                                   sim::TimePs ready_at, obs::FlowId flow) {
   const sim::TimePs start = std::max(ready_at, sim_.now());
   if (src.chiplet == dst.chiplet) {
     ++s_.stats.intra_transfers;
@@ -60,7 +60,7 @@ sim::TimePs Interconnect::transfer(Location src, Location dst,
     if (tracer_ != nullptr) {
       tracer_->complete(obs::Subsys::kNoc, obs::SpanKind::kNocTransfer,
                         static_cast<std::uint32_t>(src.chiplet), start, done,
-                        hops);
+                        hops, flow);
     }
     return done;
   }
@@ -83,9 +83,9 @@ sim::TimePs Interconnect::transfer(Location src, Location dst,
   if (tracer_ != nullptr) {
     tracer_->complete(obs::Subsys::kNoc, obs::SpanKind::kNocTransfer,
                       static_cast<std::uint32_t>(src.chiplet), start, done,
-                      hops);
+                      hops, flow);
     tracer_->complete(obs::Subsys::kNoc, obs::SpanKind::kNocLink,
-                      kLinkTid, at_edge, crossed, bytes);
+                      kLinkTid, at_edge, crossed, bytes, flow);
   }
   return done;
 }

@@ -65,11 +65,13 @@ class Interconnect {
   Interconnect(sim::Simulator& sim, const InterconnectParams& params);
 
   /**
-   * Transfers `bytes`; returns the completion time.
+   * Transfers `bytes` for chain `flow`; returns the completion time.
    * @param ready_at earliest time the data is available at `src`.
+   * @param flow the chain the transfer's spans are attributed to; 0 for
+   *        a transfer that serves no chain.
    */
   sim::TimePs transfer(Location src, Location dst, std::uint64_t bytes,
-                       sim::TimePs ready_at = 0);
+                       sim::TimePs ready_at, obs::FlowId flow);
 
   /** Zero-load latency (no contention) for planning/validation. */
   sim::TimePs zero_load_latency(Location src, Location dst,

@@ -50,7 +50,7 @@ void Tracer::complete(Subsys subsys, SpanKind kind, std::uint32_t tid,
   SpanEvent ev;
   ev.ts = begin;
   ev.dur = end > begin ? end - begin : 0;
-  ev.flow = flow != 0 ? flow : current_flow_;
+  ev.flow = flow;
   ev.arg = arg;
   ev.tid = tid;
   ev.subsys = subsys;
@@ -63,7 +63,7 @@ void Tracer::instant(Subsys subsys, SpanKind kind, std::uint32_t tid,
                      sim::TimePs at, std::uint64_t arg, FlowId flow) {
   SpanEvent ev;
   ev.ts = at;
-  ev.flow = flow != 0 ? flow : current_flow_;
+  ev.flow = flow;
   ev.arg = arg;
   ev.tid = tid;
   ev.subsys = subsys;

@@ -54,15 +54,17 @@ class Tracer {
 
   /**
    * Records a complete span ("X") on `tid` of `subsys` covering
-   * [begin, end]. `flow` = 0 attributes the span to current_flow().
+   * [begin, end], attributed to chain `flow`: the flow_id() of the chain
+   * the recording site works for, or 0 for a span that serves no chain
+   * (critpath::Analyzer ignores those).
    */
   void complete(Subsys subsys, SpanKind kind, std::uint32_t tid,
-                sim::TimePs begin, sim::TimePs end, std::uint64_t arg = 0,
-                FlowId flow = 0);
+                sim::TimePs begin, sim::TimePs end, std::uint64_t arg,
+                FlowId flow);
 
-  /** Records an instant event ("i") at `at`. */
+  /** Records an instant event ("i") at `at`, attributed to `flow`. */
   void instant(Subsys subsys, SpanKind kind, std::uint32_t tid,
-               sim::TimePs at, std::uint64_t arg = 0, FlowId flow = 0);
+               sim::TimePs at, std::uint64_t arg, FlowId flow);
 
   /**
    * Records a flow event. Flow events bind to the nearest enclosing or
@@ -72,20 +74,6 @@ class Tracer {
    */
   void flow(Phase phase, Subsys subsys, std::uint32_t tid, sim::TimePs at,
             FlowId id);
-
-  // --- Flow context -----------------------------------------------------
-
-  /**
-   * The chain currently being processed. Components below the engine
-   * (DMA, NoC, IOMMU) are flow-agnostic; the engine brackets calls into
-   * them with FlowScope so their spans inherit the right chain.
-   */
-  FlowId current_flow() const { return current_flow_; }
-
-  /** Sets current_flow(); returns the previous value (for FlowScope). */
-  FlowId set_current_flow(FlowId id) {
-    return std::exchange(current_flow_, id);
-  }
 
   // --- Track naming -----------------------------------------------------
 
@@ -104,8 +92,8 @@ class Tracer {
   std::uint64_t dropped() const { return dropped_; }
 
   /**
-   * Discards all buffered events and resets the recording counters and
-   * flow context; capacity and thread names are kept. Recording-side
+   * Discards all buffered events and resets the recording counters;
+   * capacity and thread names are kept. Recording-side
    * state only — clearing between measurement windows (the auto-tuner
    * does this before every forked probe) never perturbs the simulation,
    * exactly like recording itself.
@@ -115,7 +103,6 @@ class Tracer {
     size_ = 0;
     dropped_ = 0;
     recorded_ = 0;
-    current_flow_ = 0;
   }
 
   /** Total events ever recorded (including later-overwritten ones). */
@@ -149,34 +136,8 @@ class Tracer {
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t recorded_ = 0;
-  FlowId current_flow_ = 0;
   /** (subsys, tid) -> display name, emitted as metadata at export. */
   std::map<std::pair<std::uint8_t, std::uint32_t>, std::string> thread_names_;
-};
-
-/**
- * RAII flow-context guard: sets the tracer's current flow for the
- * enclosing scope so flow-agnostic subsystems attribute their spans to
- * the right chain. Null-tracer safe (a no-op), so call sites need no
- * branch of their own.
- */
-class FlowScope {
- public:
-  /** Enters flow `id` on `tracer` (nullptr tracer = no-op). */
-  FlowScope(Tracer* tracer, FlowId id) : tracer_(tracer) {
-    if (tracer_ != nullptr) prev_ = tracer_->set_current_flow(id);
-  }
-
-  ~FlowScope() {
-    if (tracer_ != nullptr) tracer_->set_current_flow(prev_);
-  }
-
-  FlowScope(const FlowScope&) = delete;
-  FlowScope& operator=(const FlowScope&) = delete;
-
- private:
-  Tracer* tracer_;
-  FlowId prev_ = 0;
 };
 
 }  // namespace accelflow::obs

@@ -550,8 +550,8 @@ TEST(DmaPool, EnginesSerializeWhenExhausted) {
   dp.bandwidth_gbps = 1;  // 1 byte/ns.
   DmaPool dma(sim, net, dp);
   const noc::Location a{0, {0, 0}}, b{0, {1, 0}};
-  const sim::TimePs t1 = dma.transfer(a, b, 1000);
-  const sim::TimePs t2 = dma.transfer(a, b, 1000);
+  const sim::TimePs t1 = dma.transfer(a, b, 1000, 0, /*flow=*/0);
+  const sim::TimePs t2 = dma.transfer(a, b, 1000, 0, /*flow=*/0);
   EXPECT_GT(t2, t1);
   EXPECT_GT(dma.stats().engine_wait, 0u);
   EXPECT_EQ(dma.stats().transfers, 2u);
@@ -571,9 +571,9 @@ TEST(DmaPool, NoEngineWaitUntilEveryEngineIsBusy) {
   dp.num_engines = 4;
   DmaPool dma(sim, net, dp);
   const noc::Location a{0, {0, 0}}, b{0, {1, 0}};
-  for (int i = 0; i < dp.num_engines; ++i) dma.transfer(a, b, 1000);
+  for (int i = 0; i < dp.num_engines; ++i) dma.transfer(a, b, 1000, 0, /*flow=*/0);
   EXPECT_EQ(dma.stats().engine_wait, 0u);
-  dma.transfer(a, b, 1000);
+  dma.transfer(a, b, 1000, 0, /*flow=*/0);
   EXPECT_GT(dma.stats().engine_wait, 0u);
   EXPECT_EQ(dma.stats().transfers, 5u);
 }
@@ -588,7 +588,8 @@ TEST(DmaPool, ReadyAtDefersTransfer) {
   noc::Interconnect net(sim, np);
   DmaPool dma(sim, net, DmaParams{});
   const sim::TimePs t =
-      dma.transfer({0, {0, 0}}, {0, {1, 0}}, 64, sim::microseconds(5));
+      dma.transfer({0, {0, 0}}, {0, {1, 0}}, 64, sim::microseconds(5),
+                   /*flow=*/0);
   EXPECT_GE(t, sim::microseconds(5));
 }
 
@@ -626,7 +627,7 @@ TEST(DmaPool, EngineSelectionMatchesFirstMinimumScan) {
   // Tie-heavy phase: identical transfers leave all engines tied at every
   // step, so selection is pure index tie-break (0, 1, 2, 3, 0, ...).
   for (int i = 0; i < 12; ++i) {
-    dma.transfer(a, b, 1024);
+    dma.transfer(a, b, 1024, 0, /*flow=*/0);
     shadow_transfer(1024, 0);
     ASSERT_EQ(dma.checkpoint().engine_free_at, shadow) << "tie step " << i;
   }
@@ -635,7 +636,7 @@ TEST(DmaPool, EngineSelectionMatchesFirstMinimumScan) {
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t bytes = 64 + rng.next_below(8192);
     const sim::TimePs ready = rng.next_below(2'000'000);
-    dma.transfer(a, b, bytes, ready);
+    dma.transfer(a, b, bytes, ready, /*flow=*/0);
     shadow_transfer(bytes, ready);
     ASSERT_EQ(dma.checkpoint().engine_free_at, shadow) << "rand step " << i;
   }
@@ -649,7 +650,7 @@ TEST(DmaPool, EngineSelectionMatchesFirstMinimumScan) {
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t bytes = 64 + rng.next_below(8192);
     const sim::TimePs ready = rng.next_below(2'000'000);
-    dma.transfer(a, b, bytes, ready);
+    dma.transfer(a, b, bytes, ready, /*flow=*/0);
     shadow_transfer(bytes, ready);
     ASSERT_EQ(dma.checkpoint().engine_free_at, shadow)
         << "restored step " << i;

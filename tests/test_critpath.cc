@@ -5,7 +5,8 @@
  * priority resolution, the conservation identity on hand-built and
  * fuzzer-generated traces, flight-recorder edge cases (lost begins,
  * reopened flows), a golden attribution JSON on a deterministic
- * experiment, Chrome-JSON re-ingestion, and an AutoTuner recovery smoke.
+ * experiment, complete flow attribution under every orchestrator,
+ * Chrome-JSON re-ingestion, and an AutoTuner recovery smoke.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/trace_gen.h"
@@ -357,6 +360,44 @@ TEST(ChromeJsonRoundTrip, ReingestedAttributionMatchesDirect) {
   EXPECT_EQ(reread.stats().unbegun, direct.stats().unbegun);
   EXPECT_EQ(reread.services().size(), direct.services().size());
   EXPECT_TRUE(reread.violations().empty());
+}
+
+/**
+ * Every span names its chain: on the tiny traced run, under every
+ * orchestrator, no recorded complete or instant span carries flow 0 (the
+ * Analyzer would drop its time), and every accelerated kind attributes
+ * its IOMMU walks to translation.
+ */
+TEST(FlowAttribution, EverySpanNamesItsChainUnderEveryOrchestrator) {
+  for (std::size_t k = 0; k < core::kNumOrchKinds; ++k) {
+    const auto kind = static_cast<core::OrchKind>(k);
+    SCOPED_TRACE(std::string(core::name_of(kind)));
+    obs::Tracer tracer(1u << 20);
+    workload::ExperimentConfig cfg = tiny_config();
+    cfg.kind = kind;
+    cfg.tracer = &tracer;
+    workload::run_experiment(cfg);
+    ASSERT_EQ(tracer.dropped(), 0u);
+
+    std::map<std::string_view, std::uint64_t> unattributed;
+    tracer.for_each([&](const obs::SpanEvent& e) {
+      const bool span = e.phase == obs::Phase::kComplete ||
+                        e.phase == obs::Phase::kInstant;
+      if (span && e.flow == 0) ++unattributed[obs::name_of(e.kind)];
+    });
+    for (const auto& [name, count] : unattributed) {
+      ADD_FAILURE() << count << " " << name << " spans carry flow 0";
+    }
+
+    Analyzer a;
+    a.analyze(tracer);
+    EXPECT_TRUE(a.violations().empty());
+    if (kind != core::OrchKind::kNonAcc) {
+      EXPECT_GT(a.total().by_category[static_cast<std::size_t>(
+                    Category::kTranslation)],
+                0);
+    }
+  }
 }
 
 // --- Conservation under fuzzer-generated programs ------------------------

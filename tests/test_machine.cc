@@ -96,9 +96,10 @@ std::string invalid_argument_of(F f) {
 }
 
 TEST(Machine, RejectsInvalidCountsAndRates) {
-  // A machine without PEs or queue slots would complete zero requests
-  // silently, and a zero or non-finite rate casts an infinite time into
-  // picoseconds; the constructor and the sweep setters name the bad field.
+  // A machine without PEs, queue slots, cores or DMA engines would
+  // complete zero requests silently (or index an empty engine pool), and a
+  // zero or non-finite rate casts an infinite time into picoseconds; the
+  // constructor and the sweep setters name the bad field.
   for (const int pes : {0, -3}) {
     MachineConfig cfg;
     cfg.pes_per_accel = pes;
@@ -127,6 +128,38 @@ TEST(Machine, RejectsInvalidCountsAndRates) {
                   .find("inter_chiplet_gbps"),
               std::string::npos)
         << rate;
+    MachineConfig clock;
+    clock.cpu.clock_ghz = rate;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(clock); })
+                  .find("cpu.clock_ghz"),
+              std::string::npos)
+        << rate;
+    MachineConfig tax;
+    tax.cpu.tax_speed = rate;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(tax); })
+                  .find("cpu.tax_speed"),
+              std::string::npos)
+        << rate;
+    MachineConfig app;
+    app.cpu.app_speed = rate;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(app); })
+                  .find("cpu.app_speed"),
+              std::string::npos)
+        << rate;
+  }
+  for (const int count : {0, -1}) {
+    MachineConfig cores;
+    cores.cpu.num_cores = count;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(cores); })
+                  .find("cpu.num_cores"),
+              std::string::npos)
+        << count;
+    MachineConfig engines;
+    engines.dma.num_engines = count;
+    EXPECT_NE(invalid_argument_of([&] { Machine m(engines); })
+                  .find("dma.num_engines"),
+              std::string::npos)
+        << count;
   }
 
   Machine m{MachineConfig{}};
@@ -139,6 +172,9 @@ TEST(Machine, RejectsInvalidCountsAndRates) {
   EXPECT_NE(invalid_argument_of([&] { m.set_accel_queue_entries(0); })
                 .find("accel_queue_entries"),
             std::string::npos);
+  EXPECT_NE(invalid_argument_of([&] { m.set_dma_engines(0); })
+                .find("dma.num_engines"),
+            std::string::npos);
   for (const double rate : bad_rates) {
     EXPECT_NE(invalid_argument_of([&] { m.set_speedup_scale(rate); })
                   .find("speedup_scale"),
@@ -150,6 +186,8 @@ TEST(Machine, RejectsInvalidCountsAndRates) {
   EXPECT_EQ(m.config().accel_queue_entries,
             MachineConfig{}.accel_queue_entries);
   EXPECT_EQ(m.config().speedup_scale, MachineConfig{}.speedup_scale);
+  EXPECT_EQ(m.config().dma.num_engines, MachineConfig{}.dma.num_engines);
+  EXPECT_EQ(m.dma().num_engines(), MachineConfig{}.dma.num_engines);
 }
 
 TEST(Machine, GenerationScalingIsMonotone) {

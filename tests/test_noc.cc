@@ -83,7 +83,7 @@ InterconnectParams two_chiplets() {
 TEST(Interconnect, IntraChipletUsesMeshOnly) {
   sim::Simulator sim;
   Interconnect net(sim, two_chiplets());
-  const auto t = net.transfer({0, {0, 0}}, {0, {2, 0}}, 32);
+  const auto t = net.transfer({0, {0, 0}}, {0, {2, 0}}, 32, 0, /*flow=*/0);
   EXPECT_EQ(t, net.mesh(0).zero_load_latency({0, 0}, {2, 0}, 32));
   EXPECT_EQ(net.stats().intra_transfers, 1u);
   EXPECT_EQ(net.stats().inter_transfers, 0u);
@@ -103,7 +103,7 @@ TEST(Interconnect, TransferMatchesZeroLoadWhenUncontended) {
   sim::Simulator sim;
   Interconnect net(sim, two_chiplets());
   const auto expect = net.zero_load_latency({0, {1, 1}}, {1, {2, 2}}, 256);
-  const auto got = net.transfer({0, {1, 1}}, {1, {2, 2}}, 256);
+  const auto got = net.transfer({0, {1, 1}}, {1, {2, 2}}, 256, 0, /*flow=*/0);
   EXPECT_EQ(got, expect);
 }
 
@@ -112,8 +112,10 @@ TEST(Interconnect, LinkContentionSerializes) {
   auto p = two_chiplets();
   p.inter_chiplet_gbps = 1;  // Slow link: contention obvious.
   Interconnect net(sim, p);
-  const auto t1 = net.transfer({0, {0, 0}}, {1, {0, 0}}, 1 << 16);
-  const auto t2 = net.transfer({0, {0, 0}}, {1, {0, 0}}, 1 << 16);
+  const auto t1 = net.transfer({0, {0, 0}}, {1, {0, 0}}, 1 << 16, 0,
+                               /*flow=*/0);
+  const auto t2 = net.transfer({0, {0, 0}}, {1, {0, 0}}, 1 << 16, 0,
+                               /*flow=*/0);
   EXPECT_GT(t2, t1);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability layer (src/obs): span vocabulary, tracer ring
- * buffer + flow context, metrics registry, Chrome-trace export stability
+ * buffer, metrics registry, Chrome-trace export stability
  * (golden file), and the determinism contract — a traced run must be
  * event-for-event identical to an untraced one.
  */
@@ -48,7 +48,7 @@ TEST(Span, FlowIdPacksRequestAndChain) {
   EXPECT_EQ(flow_id(0, 0x1FF), 0xFFu);
 }
 
-// --- Tracer recording + flow context -----------------------------------
+// --- Tracer recording ------------------------------------------------
 
 TEST(Tracer, RecordsInOrder) {
   Tracer t(16);
@@ -70,38 +70,12 @@ TEST(Tracer, RecordsInOrder) {
   EXPECT_EQ(t.dropped(), 0u);
 }
 
-TEST(Tracer, FlowScopeAttributesAndNests) {
-  Tracer t(16);
-  {
-    FlowScope outer(&t, 7);
-    t.instant(Subsys::kNoc, SpanKind::kNocTransfer, 0, 10);
-    {
-      FlowScope inner(&t, 9);
-      t.instant(Subsys::kNoc, SpanKind::kNocTransfer, 0, 20);
-    }
-    // Inner scope restored the outer flow on destruction.
-    t.instant(Subsys::kNoc, SpanKind::kNocTransfer, 0, 30);
-    // An explicit flow always wins over the ambient one.
-    t.instant(Subsys::kNoc, SpanKind::kNocTransfer, 0, 40, 0, 11);
-  }
-  t.instant(Subsys::kNoc, SpanKind::kNocTransfer, 0, 50);
-
-  std::vector<FlowId> flows;
-  t.for_each([&](const SpanEvent& e) { flows.push_back(e.flow); });
-  EXPECT_EQ(flows, (std::vector<FlowId>{7, 9, 7, 11, 0}));
-}
-
-TEST(Tracer, FlowScopeIsNullTracerSafe) {
-  FlowScope scope(nullptr, 42);  // Must not dereference.
-  SUCCEED();
-}
-
 TEST(Tracer, RingWrapsOverwritingOldest) {
   Tracer t(8);
   EXPECT_EQ(t.capacity(), 8u);
   for (std::uint64_t i = 0; i < 20; ++i) {
     t.instant(Subsys::kEngine, SpanKind::kChainDone, 0,
-              static_cast<sim::TimePs>(i), /*arg=*/i);
+              static_cast<sim::TimePs>(i), /*arg=*/i, /*flow=*/0);
   }
   EXPECT_EQ(t.size(), 8u);
   EXPECT_EQ(t.recorded(), 20u);

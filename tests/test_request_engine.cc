@@ -162,8 +162,8 @@ TEST_F(RequestEngineTest, InFlightTracksActiveRequests) {
 TEST_F(RequestEngineTest, DeadlineBudgetsReachEntries) {
   auto s = make(core::OrchKind::kAccelFlow, social_network_specs());
   s.engine->set_step_deadline_budget(sim::microseconds(50));
-  // Budgets flow into chain contexts; with FIFO policy and no stamping
-  // config they are carried but harmless.
+  // Budgets flow into chain contexts and stamp entry deadlines; under the
+  // FIFO policy a deadline only counts misses, so the request completes.
   s.engine->inject(6);
   s.machine->sim().run();
   EXPECT_EQ(s.engine->stats(6).completed, 1u);

@@ -12,11 +12,15 @@ build="${1:-$root/build}"
 
 cmake --build "$build" --target bench_fig11_latency bench_fig14_throughput \
   bench_kernel_events bench_snapshot_fork bench_fault_degradation \
-  bench_autotune bench_cluster_scaling bench_qos -j
+  bench_autotune bench_cluster_scaling bench_qos test_critpath test_obs -j
 "$build/bench/bench_fig11_latency" --golden="$root/tests/golden/fig11.json"
 "$build/bench/bench_fig14_throughput" --golden="$root/tests/golden/fig14.json"
 "$build/bench/bench_fig14_throughput" --fork \
   --golden="$root/tests/golden/fig14_fork.json"
+# The traced goldens (critpath.json, tiny_trace.json): their tests rewrite
+# them in place under AF_REGOLD.
+AF_REGOLD=1 "$build/tests/test_critpath" --gtest_filter='*Golden*'
+AF_REGOLD=1 "$build/tests/test_obs" --gtest_filter='*Golden*'
 
 AF_BENCH_FAST=1 AF_BENCH_KERNEL_JSON="$root/BENCH_kernel.json" \
   "$build/bench/bench_kernel_events"
