@@ -198,7 +198,6 @@ ChainBenchResult run_chain_bench(bool zero, std::uint64_t target) {
       c.flags = accel::PayloadFlags{};
       c.flags.compressed = (i & 1) != 0;
       c.initial_bytes = 256;
-      c.initial_format = accel::DataFormat::kProtoWire;
       c.env = &env;
       c.rng.reseed(0xBE7C41 + static_cast<std::uint64_t>(i));
       c.done = false;

@@ -72,16 +72,13 @@ SlotId Accelerator::try_enqueue(QueueEntry e) {
 
 void Accelerator::deliver_data(SlotId slot) {
   QueueEntry& e = input_.at(slot);
-  assert(e.pending_inputs > 0);
-  if (--e.pending_inputs == 0) {
-    e.ready = true;
-    if (s_.params.policy == SchedPolicy::kFifo) {
-      ready_fifo_.emplace_back(e.seq, slot);
-      std::push_heap(ready_fifo_.begin(), ready_fifo_.end(),
-                     std::greater<>{});
-    }
-    try_dispatch();
+  assert(!e.ready && "data delivered twice");
+  e.ready = true;
+  if (s_.params.policy == SchedPolicy::kFifo) {
+    ready_fifo_.emplace_back(e.seq, slot);
+    std::push_heap(ready_fifo_.begin(), ready_fifo_.end(), std::greater<>{});
   }
+  try_dispatch();
 }
 
 void Accelerator::release_input(SlotId slot) {
@@ -93,7 +90,7 @@ bool Accelerator::overflow_enqueue(QueueEntry e) {
   if (tracer_ != nullptr) {
     tracer_->instant(obs::Subsys::kAccel, obs::SpanKind::kOverflow,
                      tid_base_ + kQueueTid, sim_.now(), s_.overflow.size(),
-                     obs::flow_id(e.request, e.chain));
+                     e.flow);
   }
   if (s_.overflow.size() >= s_.params.overflow_capacity) {
     ++s_.stats.overflow_rejections;
@@ -126,8 +123,6 @@ void Accelerator::drain_overflow() {
     // read completes.
     const sim::TimePs done =
         mem_.read(kInlineDataBytes, /*llc_hit_prob=*/0.4).complete_at;
-    e.ready = false;
-    e.pending_inputs = 1;
     // Overflowed entries already passed the admission edge once: refills
     // bypass the reserved headroom, or a priority-0 head would deadlock
     // the drain loop against a non-full queue.
@@ -302,11 +297,7 @@ void Accelerator::try_dispatch() {
     // captures only the PE index.
     p.killed = false;
     if (fault_hooks_ != nullptr) {
-      const sim::TimePs stall = fault_hooks_->pe_stall(fault_unit_);
-      if (stall > 0) {
-        t += stall;
-        s_.stats.injected_stall_time += stall;
-      }
+      t += fault_hooks_->pe_stall(fault_unit_);
       p.killed = fault_hooks_->pe_kill(fault_unit_);
     }
 
@@ -330,8 +321,7 @@ void Accelerator::try_dispatch() {
     if (entry.payload.size_bytes > kInlineDataBytes) {
       ++s_.stats.large_payload_jobs;
       const std::uint64_t rest = entry.payload.size_bytes - kInlineDataBytes;
-      t += translate(entry.tenant, entry.payload.va, rest,
-                     obs::flow_id(entry.request, entry.chain));
+      t += translate(entry.tenant, entry.payload.va, rest, entry.flow);
       const auto acc = mem_.read(rest, /*llc_hit_prob=*/0.8);
       t = std::max(t, acc.complete_at);
     }
@@ -344,7 +334,7 @@ void Accelerator::try_dispatch() {
     ++s_.stats.jobs;
     s_.stats.pe_busy_time += t - sim_.now();
     if (tracer_ != nullptr) {
-      const obs::FlowId flow = obs::flow_id(entry.request, entry.chain);
+      const obs::FlowId flow = entry.flow;
       tracer_->complete(obs::Subsys::kAccel, obs::SpanKind::kQueueWait,
                         tid_base_ + kQueueTid, entry.enqueued_at, sim_.now(),
                         entry.payload.size_bytes, flow);
@@ -394,7 +384,6 @@ void Accelerator::on_pe_done(int pe) {
 
 void Accelerator::deposit_output(QueueEntry entry) {
   s_.stats.output_bytes.add(entry.payload.size_bytes);
-  entry.ready = true;
   entry.enqueued_at = sim_.now();
   const SlotId slot = output_.allocate(std::move(entry));
   assert(slot != kInvalidSlot);

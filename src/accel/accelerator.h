@@ -54,7 +54,6 @@ struct AccelParams {
   double clock_ghz = 2.4;
   double queue_to_spad_latency_ns = 10.0;  ///< Table III.
   double queue_to_spad_gbps = 100.0;
-  std::uint64_t scratchpad_bytes = 64 * 1024;
   double tenant_wipe_ns = 200.0;  ///< PE+scratchpad clear between tenants.
   std::size_t overflow_capacity = 64;  ///< Entries in the overflow area.
   SchedPolicy policy = SchedPolicy::kFifo;
@@ -90,8 +89,6 @@ struct AccelStats {
   /** Enqueue attempts refused by an injected queue-full storm (the SRAM
    *  queue itself was not touched, so its alloc counters stay clean). */
   std::uint64_t injected_rejections = 0;
-  /** Total injected PE stall latency (subset of pe_busy_time). */
-  sim::TimePs injected_stall_time = 0;
   stats::LatencyRecorder input_queue_delay;
   /** Payload sizes consumed / produced (Figure 5). */
   stats::Histogram input_bytes;
@@ -146,8 +143,9 @@ class Accelerator {
   SlotId try_enqueue(QueueEntry e);
 
   /**
-   * Records arrival of one producer's data for the slot; when all producers
-   * have delivered, the entry becomes ready and may dispatch.
+   * Records arrival of the slot's data: the entry becomes ready and may
+   * dispatch. Each enqueued entry is delivered exactly once (asserted),
+   * whatever its ready bit said before the enqueue.
    */
   void deliver_data(SlotId slot);
 

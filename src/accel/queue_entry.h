@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "accel/types.h"
+#include "obs/span.h"
 #include "sim/time.h"
 
 namespace accelflow::core {
@@ -27,18 +28,22 @@ namespace accelflow::accel {
  * metadata (priority / deadline for Section IV-C policies).
  *
  * Entries are 2.1KB in the modeled hardware; here they are a value type
- * copied between queues, which mirrors how the A-DMA engines move them.
+ * copied on every hop, as the A-DMA engines move them. A field is here
+ * only if the accelerator or the dispatcher FSM reads it from the entry;
+ * chain state such as the branch flags is read through `ctx`.
  */
 struct QueueEntry {
   /** Encoded 8-byte trace (see core/trace_encoding.h). */
   std::uint64_t trace_word = 0;
   /** Position Mark: index of the next nibble to interpret. */
   std::uint8_t position_mark = 0;
-
+  std::uint8_t priority = 0;  ///< Scheduling metadata (Section IV-C).
+  /** Data arrived (input queues only): SramQueue::allocate clears it,
+   *  Accelerator::deliver_data sets it. */
+  bool ready = false;
   TenantId tenant = 0;
-  RequestId request = 0;
-  /** Distinguishes parallel chains of the same request. */
-  std::uint32_t chain = 0;
+  /** The chain's span flow, obs::flow_id(request, chain). */
+  obs::FlowId flow = 0;
 
   Payload payload;
 
@@ -46,20 +51,10 @@ struct QueueEntry {
    *  pre-sampled by the workload; the PE runs for cpu_cost / speedup. */
   sim::TimePs cpu_cost = 0;
 
-  /** Scheduling metadata (Section IV-C). */
-  std::uint8_t priority = 0;
-  sim::TimePs deadline = sim::kTimeNever;
-
-  /** Core to notify at end of trace. */
-  int initiating_core = 0;
+  sim::TimePs deadline = sim::kTimeNever;  ///< Soft-SLO (Section IV-C).
 
   /** Orchestration context (opaque to the hardware model). */
   core::ChainContext* ctx = nullptr;
-
-  /** Set when all source data has arrived (input queues only). */
-  bool ready = false;
-  /** Number of producers still to deliver data before ready. */
-  std::uint8_t pending_inputs = 1;
 
   /** FIFO arrival order stamp, assigned by the queue. */
   std::uint64_t seq = 0;

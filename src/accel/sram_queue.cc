@@ -46,6 +46,7 @@ SlotId SramQueue::allocate(QueueEntry e, bool bypass_reserve) {
   const SlotId slot = s_.free_list.back();
   s_.free_list.pop_back();
   e.seq = s_.next_seq++;
+  e.ready = false;  // Until deliver_data: the queue owns readiness.
   s_.slots[slot] = std::move(e);
   set_occupied(slot);
   ++s_.occupancy;

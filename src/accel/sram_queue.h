@@ -47,9 +47,10 @@ class SramQueue {
   explicit SramQueue(std::size_t capacity);
 
   /**
-   * Allocates a slot and moves `e` into it; kInvalidSlot if full — or if
-   * `e` is best-effort (priority 0) and only the reserved headroom is
-   * left (see set_reserved). `bypass_reserve` admits regardless of
+   * Allocates a slot and moves `e` into it, stamping its arrival seq and
+   * clearing its ready bit; kInvalidSlot if full — or if `e` is
+   * best-effort (priority 0) and only the reserved headroom is left (see
+   * set_reserved). `bypass_reserve` admits regardless of
    * priority: re-admission paths (the overflow drain) use it, since
    * their entries already passed the admission edge once.
    */

@@ -93,8 +93,10 @@ using RequestId = std::uint64_t;
 
 /**
  * Payload condition bits that branch conditions test (Section IV-B).
- * These are fields in the message; the output dispatcher reads them with
- * simple loads and compares.
+ * In hardware they are fields in the message, which the output dispatcher
+ * reads with simple loads and compares. The model samples them once per
+ * chain (core::ChainContext::flags), and every orchestrator reads them
+ * there.
  */
 struct PayloadFlags {
   bool compressed = false;    ///< Payload needs decompression (T1, T5...).
@@ -107,8 +109,6 @@ struct PayloadFlags {
 /** Descriptor of the data an accelerator operates on. */
 struct Payload {
   std::uint64_t size_bytes = 0;
-  DataFormat format = DataFormat::kString;
-  PayloadFlags flags;
   mem::VirtAddr va = 0;  ///< Backing buffer (used when > inline capacity).
 };
 

@@ -68,15 +68,13 @@ class PoissonDriver {
   void arrive() {
     last_arrival_ = sim_.now();
     accel::QueueEntry e;
-    e.request = static_cast<accel::RequestId>(config_.jobs - remaining_);
+    e.flow = obs::flow_id(config_.jobs - remaining_, 0);
     e.tenant = 1;
     e.payload.size_bytes = 0;  // Skip transfer and memory paths entirely.
     e.cpu_cost = config_.deterministic
                      ? sim::microseconds(config_.mean_service_us)
                      : sim::microseconds(
                            rng_.exponential(config_.mean_service_us));
-    e.ready = false;
-    e.pending_inputs = 1;
     const accel::SlotId slot = acc_.try_enqueue(std::move(e));
     if (slot == accel::kInvalidSlot) {
       ++drops_;  // Statistically impossible with a sane queue; reported.

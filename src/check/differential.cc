@@ -89,7 +89,6 @@ struct ChainSpec {
   core::AtmAddr start = 0;
   accel::PayloadFlags flags;
   std::uint64_t initial_bytes = 1024;
-  accel::DataFormat format = accel::DataFormat::kProtoWire;
   accel::TenantId tenant = 0;
   int core = 0;
   std::uint64_t rng_seed = 0;
@@ -143,7 +142,6 @@ ArchOutcome run_arch(core::OrchKind kind, const core::MachineConfig& mc,
     ctx->core = spec.core;
     ctx->flags = spec.flags;
     ctx->initial_bytes = spec.initial_bytes;
-    ctx->initial_format = spec.format;
     ctx->buffer_va = static_cast<mem::VirtAddr>((i + 1)) << 20;
     ctx->env = &env;
     ctx->rng.reseed(spec.rng_seed);
@@ -262,8 +260,6 @@ DiffCaseResult run_differential_case(std::uint64_t seed,
     s.flags.exception = rng.bernoulli(0.2);
     s.flags.c_compressed = rng.bernoulli(0.5);
     s.initial_bytes = 64 + rng.next_below(32 * 1024);
-    s.format = static_cast<accel::DataFormat>(
-        rng.next_below(accel::kNumDataFormats));
     s.tenant = static_cast<accel::TenantId>(rng.next_below(3));
     s.core = static_cast<int>(rng.next_below(8));
     s.rng_seed = rng.next_u64();

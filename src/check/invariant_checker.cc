@@ -78,7 +78,6 @@ void InvariantChecker::on_chain_start(const core::ChainContext& ctx,
   }
   fs.last_bytes = ctx.initial_bytes;
   fs.env = ctx.env;
-  fs.started_at = machine_->sim().now();
   s_.active.emplace(flow, std::move(fs));
 }
 

@@ -183,7 +183,6 @@ class InvariantChecker final : public core::ValidationHooks,
     std::uint64_t last_bytes = 0;
     accel::AccelType last_type{};
     core::ChainEnv* env = nullptr;
-    sim::TimePs started_at = 0;
   };
 
  public:

@@ -78,7 +78,6 @@ class Balancer : public workload::ArrivalRouter {
 
   BalancePolicy policy() const { return policy_; }
   std::size_t shards() const { return shards_; }
-  const std::vector<std::size_t>& live_shards() const { return live_; }
 
   /**
    * Restricts routing to `live` (ascending shard indices). Rebuilds the

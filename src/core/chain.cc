@@ -33,14 +33,11 @@ accel::QueueEntry make_queue_entry(ChainContext& ctx, accel::AccelType op,
   e.trace_word = word;
   e.position_mark = pm;
   e.tenant = ctx.tenant;
-  e.request = ctx.request;
-  e.chain = ctx.chain;
+  e.flow = obs::flow_id(ctx.request, ctx.chain);
   e.payload.size_bytes = bytes;
-  e.payload.flags = ctx.flags;
   e.payload.va = ctx.buffer_va;
   e.cpu_cost = ctx.env->op_cpu_cost(ctx, op, bytes);
   e.priority = ctx.priority;
-  e.initiating_core = ctx.core;
   e.ctx = &ctx;
   return e;
 }

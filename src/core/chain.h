@@ -98,7 +98,6 @@ struct HopWatch {
   bool armed = false;              ///< A hop is owed (arm .. disarm).
   accel::AccelType target = accel::AccelType::kTcp;  ///< Owes the output.
   std::uint8_t pm = 0;             ///< Position mark at hand-off.
-  accel::DataFormat fmt = accel::DataFormat::kProtoWire;  ///< Payload format.
   int retries = 0;                 ///< Re-issues of this hop so far.
   std::uint64_t word = 0;          ///< Trace word at hand-off.
   std::uint64_t bytes = 0;         ///< Payload size at hand-off.
@@ -127,9 +126,8 @@ struct ChainContext {
 
   /** Branch outcomes, sampled once per chain. */
   accel::PayloadFlags flags;
-  /** Size/format of the payload handed to the first accelerator. */
+  /** Size of the payload handed to the first accelerator. */
   std::uint64_t initial_bytes = 1024;
-  accel::DataFormat initial_format = accel::DataFormat::kProtoWire;
   mem::VirtAddr buffer_va = 0;  ///< Backing buffer for large payloads.
 
   /** Soft-SLO deadline budget per accelerator step (kTimeNever = no SLO). */
@@ -204,10 +202,10 @@ ResponseWait await_response(sim::Simulator& sim, ChainContext& ctx,
 
 /**
  * The queue entry that hands ctx's payload of `bytes` to accelerator op
- * `op`, continuing at trace `word` / position mark `pm`: tenant, request,
- * flags, buffer, priority and initiating core come from ctx, and the op's
- * CPU-equivalent cost is sampled now. Format and deadline keep their
- * defaults; callers that carry them set them.
+ * `op`, continuing at trace `word` / position mark `pm`: tenant, flow,
+ * buffer and priority come from ctx, and the op's CPU-equivalent cost is
+ * sampled now. The deadline keeps its default; callers that carry one
+ * set it.
  */
 accel::QueueEntry make_queue_entry(ChainContext& ctx, accel::AccelType op,
                                    std::uint64_t word, std::uint8_t pm,

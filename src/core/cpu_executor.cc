@@ -76,8 +76,6 @@ void CpuChainExecutor::step(std::shared_ptr<Run> r) {
     ++r->i;
   }
 
-  stats_.cpu_time += segment;
-
   auto after_segment = [this, r]() mutable {
     if (r->i >= r->ops.size()) {
       const auto done = std::move(r->done);

@@ -12,9 +12,9 @@
 /**
  * @file
  * Executes a chain's logical operations entirely on the initiating CPU
- * core, at full (unaccelerated) cost. This is both the Non-acc baseline's
- * execution model and AccelFlow's CPU fallback path (Section IV-A:
- * "trace execution falls back to the core").
+ * core, at full (unaccelerated) cost: the Non-acc baseline, and the
+ * baselines' fallback when enqueue retries run out. AccelFlow's CPU
+ * fallback is the engine's continue_chain_on_cpu (core/engine.h).
  */
 
 namespace accelflow::core {
@@ -23,7 +23,6 @@ namespace accelflow::core {
 struct CpuExecStats {
   std::uint64_t chains = 0;    ///< Chains started on a core.
   std::uint64_t ops = 0;       ///< Logical operations executed.
-  sim::TimePs cpu_time = 0;    ///< Core busy time consumed.
   std::uint64_t timeouts = 0;  ///< Chains aborted on a network timeout.
 };
 

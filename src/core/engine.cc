@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/require.h"
 
 namespace accelflow::core {
 
@@ -27,7 +28,6 @@ std::uint64_t entry_dma_bytes(const QueueEntry& e) {
 void land_response(QueueEntry& e, AccelType at, std::uint64_t bytes) {
   ChainContext& ctx = *e.ctx;
   e.payload.size_bytes = bytes;
-  e.payload.flags = ctx.flags;
   e.cpu_cost = ctx.env->op_cpu_cost(ctx, at, bytes);
 }
 
@@ -47,6 +47,16 @@ AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
       lib_(lib),
       config_(config),
       mba_(machine.sim(), config.mba) {
+  // Every one of these is cast into picoseconds; the DTE rate divides.
+  require_positive(config_.dte_gbps, "dte_gbps");
+  require_non_negative(config_.response_timeout_ms, "response_timeout_ms");
+  require_non_negative(config_.enqueue_retry_delay_ns,
+                       "enqueue_retry_delay_ns");
+  const ResilienceConfig& r = config_.resilience;
+  require_non_negative(r.hop_timeout_us, "resilience.hop_timeout_us");
+  require_non_negative(r.backoff_base_us, "resilience.backoff_base_us");
+  require_positive(r.backoff_factor, "resilience.backoff_factor");
+  require_non_negative(r.quarantine_us, "resilience.quarantine_us");
   machine_.load_traces(lib_);
   machine_.install_output_handler(this);
 }
@@ -119,7 +129,6 @@ void AccelFlowEngine::start_chain(ChainContext* ctx, AtmAddr first) {
 
   QueueEntry e = make_queue_entry(*ctx, op0.accel, tr.word, op0.next_pm,
                                   ctx->initial_bytes);
-  e.payload.format = ctx->initial_format;
   stamp_deadline(e);
 
   // The user-mode Enqueue instruction plus A-DMA programming.
@@ -168,11 +177,10 @@ void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
     arrive = machine_.dma().transfer(machine_.core_location(ctx->core),
                                      dst.location(), bytes,
                                      mba_.acquire(ctx->tenant, bytes),
-                                     obs::flow_id(ctx->request, ctx->chain));
+                                     entry.flow);
     if (ValidationHooks* c = chk()) c->on_dma(bytes, arrive);
   }
-  arm_hop(ctx, target, entry.trace_word, entry.position_mark,
-          entry.payload.size_bytes, entry.payload.format, arrive);
+  arm_hop(entry, target, arrive);
   dst.schedule_deliver(arrive, slot);
 }
 
@@ -188,7 +196,7 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     record_hop_success(acc.type());
   }
   ++ctx->accel_invocations;
-  const obs::FlowId flow = obs::flow_id(e.request, e.chain);
+  const obs::FlowId flow = e.flow;
   if (ValidationHooks* c = chk()) {
     // The stage that just finished on `acc`, with its pre-transform size.
     c->on_stage(*ctx, acc.type(), e.payload.size_bytes, /*on_cpu=*/false);
@@ -259,11 +267,11 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
       case TraceOp::Kind::kBranchSkip:
         branch_step();
         pm = op.next_pm;
-        if (!eval_condition(op.cond, e.payload.flags)) pm += op.skip;
+        if (!eval_condition(op.cond, ctx->flags)) pm += op.skip;
         break;
       case TraceOp::Kind::kBranchAtm:
         branch_step();
-        if (eval_condition(op.cond, e.payload.flags)) {
+        if (eval_condition(op.cond, ctx->flags)) {
           pm = op.next_pm;
         } else {
           atm_fetch(op.atm);
@@ -295,7 +303,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
                                           acc.location(),
                                           e.payload.size_bytes, ready, flow);
         }
-        e.payload.format = op.to;
         pm = op.next_pm;
         break;
       }
@@ -365,10 +372,7 @@ void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,
         std::max(ready, mba_.acquire(e.tenant, entry_dma_bytes(e))));
   }
 
-  e.ready = false;
-  e.pending_inputs = 1;
-  arm_hop(ctx, target, e.trace_word, e.position_mark, e.payload.size_bytes,
-          e.payload.format, arrive);
+  arm_hop(e, target, arrive);
   const auto parked = parked_.park(std::move(e));
   machine_.sim().schedule_at(
       arrive, [this, &dst, parked, armed_wait, wait_kind] {
@@ -396,8 +400,7 @@ void AccelFlowEngine::arm_wait(accel::Accelerator& dst, SlotId slot,
       land_response(qe, dst.type(), bytes);
       // Refresh the hand-off record: a re-issue of this hop must carry the
       // response payload, not the pre-response placeholder.
-      arm_hop(qe.ctx, dst.type(), qe.trace_word, qe.position_mark, bytes,
-              qe.payload.format, /*in_flight_until=*/0);
+      arm_hop(qe, dst.type(), /*in_flight_until=*/0);
       dst.deliver_data(slot);
     };
   } else {
@@ -448,8 +451,7 @@ void AccelFlowEngine::forward_into_queue(accel::Accelerator& dst,
                           e.payload.size_bytes, dst.type());
     return;
   }
-  arm_hop(e.ctx, dst.type(), e.trace_word, e.position_mark,
-          e.payload.size_bytes, e.payload.format, /*in_flight_until=*/0);
+  arm_hop(e, dst.type(), /*in_flight_until=*/0);
   admit(dst, e);
 }
 
@@ -589,7 +591,7 @@ void AccelFlowEngine::finish_to_cpu(accel::Accelerator& from, QueueEntry e,
   if (obs::Tracer* t = trc()) {
     t->complete(obs::Subsys::kEngine, obs::SpanKind::kNotify,
                 static_cast<std::uint32_t>(ctx->core), ready, arrive,
-                e.payload.size_bytes, obs::flow_id(e.request, e.chain));
+                e.payload.size_bytes, e.flow);
   }
   machine_.sim().schedule_at(arrive, [this, ctx] {
     machine_.cores().notify(ctx->core, [this, ctx] {
@@ -602,8 +604,7 @@ sim::TimePs AccelFlowEngine::move_entry(const QueueEntry& e,
                                         noc::Location from, noc::Location to,
                                         sim::TimePs start) {
   const std::uint64_t bytes = entry_dma_bytes(e);
-  sim::TimePs arrive = machine_.dma().transfer(
-      from, to, bytes, start, obs::flow_id(e.request, e.chain));
+  sim::TimePs arrive = machine_.dma().transfer(from, to, bytes, start, e.flow);
   if (ValidationHooks* c = chk()) c->on_dma(bytes, arrive);
   if (e.payload.size_bytes > kInlineDataBytes) {
     // The remainder lives in the memory buffer: the producer writes it
@@ -742,32 +743,29 @@ void AccelFlowEngine::complete_chain(ChainContext* ctx, ChainResult res) {
 
 // --- Fault resilience (DESIGN.md §14) -----------------------------------
 
-void AccelFlowEngine::arm_hop(ChainContext* ctx, AccelType target,
-                              std::uint64_t word, std::uint8_t pm,
-                              std::uint64_t bytes, accel::DataFormat fmt,
+void AccelFlowEngine::arm_hop(const QueueEntry& e, AccelType target,
                               sim::TimePs in_flight_until) {
   if (!resilience_active()) return;
-  HopWatch& w = ctx->hop;
+  HopWatch& w = e.ctx->hop;
   if (w.backoff != sim::kInvalidEventId) {
     machine_.sim().cancel(w.backoff);
     w.backoff = sim::kInvalidEventId;
   }
   // A re-issue of the same hop keeps its retry budget; any other arm is
   // forward progress and starts fresh.
-  const bool same_hop =
-      w.armed && w.target == target && w.word == word && w.pm == pm;
+  const bool same_hop = w.armed && w.target == target &&
+                        w.word == e.trace_word && w.pm == e.position_mark;
   if (!same_hop) {
     w.retries = 0;
     w.timeout = sim::microseconds(config_.resilience.hop_timeout_us);
   }
   w.armed = true;
   w.target = target;
-  w.word = word;
-  w.pm = pm;
-  w.bytes = bytes;
-  w.fmt = fmt;
+  w.word = e.trace_word;
+  w.pm = e.position_mark;
+  w.bytes = e.payload.size_bytes;
   w.in_flight_until = in_flight_until;
-  set_watchdog(ctx, w.timeout);
+  set_watchdog(e.ctx, w.timeout);
 }
 
 void AccelFlowEngine::disarm_hop(ChainContext* ctx) {
@@ -878,7 +876,6 @@ void AccelFlowEngine::retry_hop(ChainContext* ctx) {
   // lives in its memory buffer; the re-issued DMA is modeled by the
   // normal enqueue path) and hand it back to the same accelerator.
   QueueEntry e = make_queue_entry(*ctx, w.target, w.word, w.pm, w.bytes);
-  e.payload.format = w.fmt;
   stamp_deadline(e);
   forward_into_queue(machine_.accel(w.target), std::move(e));
 }

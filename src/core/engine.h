@@ -161,7 +161,9 @@ struct EngineStats {
 class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
  public:
   /** @param name the architecture name the Orchestrator reports; it must
-   *  outlive the engine (make_orchestrator passes name_of(kind)). */
+   *  outlive the engine (make_orchestrator passes name_of(kind)). Throws
+   *  std::invalid_argument naming a time that is not finite and >= 0 or
+   *  a rate that is not finite and > 0. */
   AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
                   const EngineConfig& config,
                   std::string_view name = "AccelFlow");
@@ -192,9 +194,6 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
 
   /** Active traces for `tenant` (Section IV-D counter). */
   std::uint32_t tenant_active(accel::TenantId tenant) const;
-
-  /** The MBA-style per-tenant bandwidth limiter. */
-  TenantBandwidthLimiter& bandwidth_limiter() { return mba_; }
 
   /**
    * Exports the orchestration-level counters under "engine.*" dotted names
@@ -308,12 +307,12 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
   bool resilience_active() const {
     return config_.resilience.enabled && machine_.fault_hooks() != nullptr;
   }
-  /** (Re-)arms ctx's watchdog (ChainContext::hop) for a hand-off to
-   *  `target`. A re-arm for the same hop (equal target/word/pm) keeps its
-   *  retry count. */
-  void arm_hop(ChainContext* ctx, accel::AccelType target,
-               std::uint64_t word, std::uint8_t pm, std::uint64_t bytes,
-               accel::DataFormat fmt, sim::TimePs in_flight_until);
+  /** (Re-)arms the watchdog of e's chain (ChainContext::hop) for the
+   *  hand-off of `e` to `target`, recording its trace word, position mark
+   *  and payload size. A re-arm for the same hop (equal target/word/pm)
+   *  keeps its retry count. */
+  void arm_hop(const accel::QueueEntry& e, accel::AccelType target,
+               sim::TimePs in_flight_until);
   /** Stands ctx's watchdog down (hop progressed or chain done) and
    *  cancels a pending re-issue. A pending timer stays and drops itself
    *  when it fires disarmed. */
@@ -398,7 +397,7 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
   TenantBandwidthLimiter mba_;
   /** Entries in flight between kernel callbacks (DMA arrivals, enqueue
    *  retries, deferred wait-arms): callbacks capture the 4-byte ticket,
-   *  not the ~100-byte entry (see sim/callback.h's capture budget). */
+   *  not the 80-byte entry (see sim/callback.h's capture budget). */
   sim::TicketPool<accel::QueueEntry> parked_;
 };
 

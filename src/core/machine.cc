@@ -4,31 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
+
+#include "core/require.h"
 
 namespace accelflow::core {
 
 using accel::AccelType;
-
-namespace {
-
-/** Rejects a count or rate that is not > 0, or a rate that is not
- *  finite: such a machine would complete no request at all, or cast an
- *  infinite time into picoseconds, instead of failing. */
-template <typename Value>
-void require_positive(Value value, const char* field) {
-  bool ok = value > 0;
-  if constexpr (std::is_floating_point_v<Value>) {
-    ok = ok && std::isfinite(value);
-  }
-  if (!ok) {
-    throw std::invalid_argument(std::string(field) +
-                                " must be finite and > 0, got " +
-                                std::to_string(value));
-  }
-}
-
-}  // namespace
 
 std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
     int num_chiplets) {

@@ -348,7 +348,7 @@ void BaselineOrchestrator::launch(const Issue& issue, SlotId slot,
                                   sim::TimePs when) {
   const sim::TimePs arrive = machine_.dma().transfer(
       issue.src, issue.dst->location(), issue.dma_bytes, when,
-      obs::flow_id(issue.entry.request, issue.entry.chain));
+      issue.entry.flow);
   if (ValidationHooks* v = machine_.checker()) {
     v->on_dma(issue.dma_bytes, arrive);
   }
@@ -362,7 +362,7 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
   const auto it = chains_.find(ctx);
   assert(it != chains_.end());
   Chain* c = it->second.get();
-  const obs::FlowId flow = obs::flow_id(e.request, e.chain);
+  const obs::FlowId flow = e.flow;
 
   // Minimal output-dispatcher work: no trace logic in the baselines.
   const sim::TimePs fsm_done = acc.occupy_dispatcher(

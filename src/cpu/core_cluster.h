@@ -85,10 +85,6 @@ class CoreCluster {
   /** Index of the core that frees earliest (LdB's choice). */
   int least_loaded() const;
 
-  sim::TimePs core_free_at(int core) const {
-    return s_.free_at[static_cast<std::size_t>(core)];
-  }
-
   /** Converts a cycle count at the core clock into time. */
   sim::TimePs cycles(double c) const { return clock_.cycles_to_ps(c); }
 

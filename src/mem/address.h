@@ -51,8 +51,6 @@ class AddressSpace {
     return va;
   }
 
-  std::uint64_t bytes_allocated() const { return next_ & ((1ull << 40) - 1); }
-
  private:
   VirtAddr next_;
 };

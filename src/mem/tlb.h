@@ -25,10 +25,6 @@ struct TlbStats {
   std::uint64_t evictions = 0;
 
   std::uint64_t misses() const { return lookups - hits; }
-  double hit_rate() const {
-    return lookups ? static_cast<double>(hits) / static_cast<double>(lookups)
-                   : 0.0;
-  }
 };
 
 /**

@@ -55,7 +55,6 @@ sim::TimePs Mesh::transfer(Coord src, Coord dst, std::uint64_t bytes,
   s_.stats.bytes += bytes;
   const sim::TimePs ready = std::max(sim_.now(), ready_at);
   const int h = hops(src, dst);
-  s_.stats.total_hops += static_cast<std::uint64_t>(h);
   if (h == 0) return ready;  // Same node: local queue move, free.
 
   route_scratch_.clear();

@@ -39,7 +39,6 @@ struct MeshParams {
 struct MeshStats {
   std::uint64_t transfers = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t total_hops = 0;
   sim::TimePs contention_time = 0;  ///< Waiting for busy links.
 };
 

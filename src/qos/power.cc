@@ -96,7 +96,6 @@ void PowerGovernor::on_epoch() {
 
   const double power_w = estimate_power_w(act, config_.ladder[s_.level]);
   ++s_.stats.epochs;
-  s_.stats.last_power_w = power_w;
   s_.stats.sum_power_w += power_w;
   s_.stats.max_power_w = std::max(s_.stats.max_power_w, power_w);
 

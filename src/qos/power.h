@@ -70,7 +70,6 @@ struct PowerStats {
   double min_scale = 1.0;           ///< Slowest ladder scale reached.
   double max_power_w = 0.0;         ///< Hottest epoch estimate.
   double sum_power_w = 0.0;         ///< Sum over epochs (for the mean).
-  double last_power_w = 0.0;        ///< Most recent epoch estimate.
 
   double avg_power_w() const {
     return epochs > 0 ? sum_power_w / static_cast<double>(epochs) : 0.0;

@@ -19,9 +19,9 @@
  *
  * The price is a hard capture budget: a callable larger than kInlineBytes
  * fails to compile (static_assert). Call sites that need to carry a large
- * payload (e.g. a ~100-byte QueueEntry) park the payload in a side pool and
- * capture the 4-byte ticket instead — see core::AccelFlowEngine's parked-
- * entry pool.
+ * payload (e.g. an 80-byte QueueEntry, above the 64-byte buffer) park the
+ * payload in a side pool and capture the 4-byte ticket instead — see
+ * core::AccelFlowEngine's parked-entry pool.
  */
 
 namespace accelflow::sim {

@@ -11,8 +11,8 @@
  * A slab-backed parking pool for values carried across kernel callbacks.
  *
  * InlineCallback (sim/callback.h) imposes a hard capture budget, so event
- * callbacks cannot capture large payloads (e.g. a ~100-byte QueueEntry) by
- * value. Instead the payload is parked here and the 4-byte ticket is
+ * callbacks cannot capture large payloads (e.g. an 80-byte QueueEntry,
+ * above the 64-byte buffer) by value. Instead the payload is parked here and the 4-byte ticket is
  * captured; the callback redeems the ticket when it fires. Slots recycle
  * through a free list, so steady state allocates nothing.
  */

@@ -16,7 +16,6 @@ TimePs FifoServer::submit_at(TimePs ready, TimePs service_time,
   *it = end;
   s_.busy_time += service_time;
   s_.wait_time += start - ready;
-  ++s_.jobs;
   if (done) sim_.schedule_at(end, std::move(done));
   return end;
 }

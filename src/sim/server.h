@@ -55,9 +55,6 @@ class FifoServer {
   /** Earliest time any server becomes free (may be in the past). */
   TimePs earliest_free() const;
 
-  /** True if a job submitted now would start immediately. */
-  bool idle_server_available() const { return earliest_free() <= sim_.now(); }
-
   /** The number of servers in the bank. */
   std::size_t num_servers() const { return s_.free_at.size(); }
 
@@ -66,9 +63,6 @@ class FifoServer {
 
   /** Total time jobs spent waiting for a server. */
   TimePs total_wait_time() const { return s_.wait_time; }
-
-  /** Jobs whose service has been scheduled to completion. */
-  std::uint64_t jobs_completed() const { return s_.jobs; }
 
   /**
    * Mean utilization over [0, now]: busy time / (servers * elapsed).
@@ -82,7 +76,6 @@ class FifoServer {
     std::vector<TimePs> free_at;  ///< Per-server next-free times.
     TimePs busy_time = 0;         ///< Accumulated busy time.
     TimePs wait_time = 0;         ///< Accumulated queueing time.
-    std::uint64_t jobs = 0;       ///< Jobs completed.
   };
   using Checkpoint = State;
 

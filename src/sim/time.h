@@ -86,9 +86,6 @@ class Clock {
   /** Creates a clock running at `ghz` gigahertz. */
   constexpr explicit Clock(double ghz = 1.0) : ghz_(ghz) {}
 
-  /** The clock frequency in gigahertz. */
-  constexpr double frequency_ghz() const { return ghz_; }
-
   /** Duration of one clock period. */
   constexpr TimePs period() const { return cycles_to_ps(1.0); }
 

@@ -37,8 +37,6 @@ class Table {
   /** Renders as comma-separated values (for plotting scripts). */
   void print_csv(std::ostream& os) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -28,7 +28,7 @@ TEST(SramQueue, AllocateReleaseCycle) {
   std::vector<SlotId> slots;
   for (int i = 0; i < 4; ++i) {
     QueueEntry e;
-    e.request = static_cast<RequestId>(i);
+    e.flow = static_cast<obs::FlowId>(i);
     const SlotId s = q.allocate(std::move(e));
     ASSERT_NE(s, kInvalidSlot);
     slots.push_back(s);
@@ -92,8 +92,6 @@ class AcceleratorTest : public ::testing::Test {
     e.cpu_cost = cpu_cost;
     e.payload.size_bytes = bytes;
     e.tenant = tenant;
-    e.ready = false;
-    e.pending_inputs = 1;
     return e;
   }
 
@@ -158,16 +156,21 @@ TEST_F(AcceleratorTest, EntryNotDispatchedUntilDataDelivered) {
   EXPECT_EQ(handler.outputs, 1);
 }
 
-TEST_F(AcceleratorTest, MultipleProducersGateReadiness) {
-  auto acc = make(small_params());
+TEST_F(AcceleratorTest, EnqueuedEntryWaitsForItsDataEvenIfMarkedReady) {
+  // The queue owns readiness: an entry copied from an output slot may
+  // arrive with its ready bit set, yet it must not dispatch before its
+  // data is delivered. The priority policy scans every occupied slot, so
+  // a stale bit would let the undelivered entry run.
+  AccelParams p = small_params(/*pes=*/2);
+  p.policy = SchedPolicy::kPriority;
+  auto acc = make(p);
   CountingHandler handler;
   acc->set_output_handler(&handler);
-  QueueEntry e = entry(sim::microseconds(1));
-  e.pending_inputs = 2;
-  const SlotId s = acc->try_enqueue(std::move(e));
-  acc->deliver_data(s);
-  sim_.run();
-  EXPECT_EQ(handler.outputs, 0);  // One producer still missing.
+  QueueEntry stale = entry(sim::microseconds(1));
+  stale.ready = true;
+  ASSERT_NE(acc->try_enqueue(std::move(stale)), kInvalidSlot);
+  const SlotId s = acc->try_enqueue(entry(sim::microseconds(1)));
+  ASSERT_NE(s, kInvalidSlot);
   acc->deliver_data(s);
   sim_.run();
   EXPECT_EQ(handler.outputs, 1);
@@ -280,7 +283,6 @@ ReleaseRun run_delayed_releases(bool lazy) {
       e.cpu_cost = cost;
       e.payload.size_bytes = 0;
       e.tenant = 1;
-      e.pending_inputs = 1;
       const SlotId s = acc.try_enqueue(std::move(e));
       if (s != kInvalidSlot) acc.deliver_data(s);
     });
@@ -412,55 +414,55 @@ TEST_F(AcceleratorTest, FifoPolicyDispatchesInArrivalOrder) {
   auto acc = make(small_params(/*pes=*/1));
   CountingHandler handler;
   acc->set_output_handler(&handler);
-  std::vector<RequestId> order;
+  std::vector<obs::FlowId> order;
   // Track completion order through the handler.
   class OrderHandler : public OutputHandler {
    public:
-    explicit OrderHandler(std::vector<RequestId>* order) : order_(order) {}
+    explicit OrderHandler(std::vector<obs::FlowId>* order) : order_(order) {}
     void handle_output(Accelerator& acc, SlotId slot) override {
-      order_->push_back(acc.output_entry(slot).request);
+      order_->push_back(acc.output_entry(slot).flow);
       acc.release_output(slot);
     }
-    std::vector<RequestId>* order_;
+    std::vector<obs::FlowId>* order_;
   } ordered(&order);
   acc->set_output_handler(&ordered);
-  for (RequestId id = 1; id <= 3; ++id) {
+  for (obs::FlowId id = 1; id <= 3; ++id) {
     QueueEntry e = entry(sim::microseconds(1));
-    e.request = id;
+    e.flow = id;
     const SlotId s = acc->try_enqueue(std::move(e));
     acc->deliver_data(s);
   }
   sim_.run();
-  EXPECT_EQ(order, (std::vector<RequestId>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<obs::FlowId>{1, 2, 3}));
 }
 
 TEST_F(AcceleratorTest, EdfPolicyPrefersUrgentEntries) {
   AccelParams p = small_params(/*pes=*/1);
   p.policy = SchedPolicy::kEdf;
   auto acc = make(p);
-  std::vector<RequestId> order;
+  std::vector<obs::FlowId> order;
   class OrderHandler : public OutputHandler {
    public:
-    explicit OrderHandler(std::vector<RequestId>* order) : order_(order) {}
+    explicit OrderHandler(std::vector<obs::FlowId>* order) : order_(order) {}
     void handle_output(Accelerator& acc, SlotId slot) override {
-      order_->push_back(acc.output_entry(slot).request);
+      order_->push_back(acc.output_entry(slot).flow);
       acc.release_output(slot);
     }
-    std::vector<RequestId>* order_;
+    std::vector<obs::FlowId>* order_;
   } ordered(&order);
   acc->set_output_handler(&ordered);
 
   // Occupy the PE so later entries queue up.
   QueueEntry blocker = entry(sim::microseconds(5));
-  blocker.request = 99;
+  blocker.flow = 99;
   const SlotId sb = acc->try_enqueue(std::move(blocker));
   acc->deliver_data(sb);
 
   QueueEntry relaxed = entry(sim::microseconds(1));
-  relaxed.request = 1;
+  relaxed.flow = 1;
   relaxed.deadline = sim::milliseconds(10);
   QueueEntry urgent = entry(sim::microseconds(1));
-  urgent.request = 2;
+  urgent.flow = 2;
   urgent.deadline = sim::microseconds(20);
   const SlotId s1 = acc->try_enqueue(std::move(relaxed));
   const SlotId s2 = acc->try_enqueue(std::move(urgent));
@@ -478,27 +480,27 @@ TEST_F(AcceleratorTest, PriorityPolicyPrefersHighPriority) {
   AccelParams p = small_params(/*pes=*/1);
   p.policy = SchedPolicy::kPriority;
   auto acc = make(p);
-  std::vector<RequestId> order;
+  std::vector<obs::FlowId> order;
   class OrderHandler : public OutputHandler {
    public:
-    explicit OrderHandler(std::vector<RequestId>* order) : order_(order) {}
+    explicit OrderHandler(std::vector<obs::FlowId>* order) : order_(order) {}
     void handle_output(Accelerator& acc, SlotId slot) override {
-      order_->push_back(acc.output_entry(slot).request);
+      order_->push_back(acc.output_entry(slot).flow);
       acc.release_output(slot);
     }
-    std::vector<RequestId>* order_;
+    std::vector<obs::FlowId>* order_;
   } ordered(&order);
   acc->set_output_handler(&ordered);
 
   QueueEntry blocker = entry(sim::microseconds(5));
-  blocker.request = 99;
+  blocker.flow = 99;
   const SlotId sb = acc->try_enqueue(std::move(blocker));
   acc->deliver_data(sb);
   QueueEntry lo = entry(sim::microseconds(1));
-  lo.request = 1;
+  lo.flow = 1;
   lo.priority = 0;
   QueueEntry hi = entry(sim::microseconds(1));
-  hi.request = 2;
+  hi.flow = 2;
   hi.priority = 7;
   const SlotId s1 = acc->try_enqueue(std::move(lo));
   const SlotId s2 = acc->try_enqueue(std::move(hi));

@@ -116,9 +116,7 @@ class ChainProtocolTest : public ::testing::Test {
 std::vector<accel::SlotId> fill_input(accel::Accelerator& acc) {
   std::vector<accel::SlotId> slots;
   for (;;) {
-    accel::QueueEntry e;
-    e.pending_inputs = 1;
-    const accel::SlotId s = acc.try_enqueue(e);
+    const accel::SlotId s = acc.try_enqueue(accel::QueueEntry{});
     if (s == accel::kInvalidSlot) return slots;
     slots.push_back(s);
   }

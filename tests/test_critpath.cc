@@ -462,7 +462,6 @@ TEST(ConservationFuzz, OneThousandGeneratedPrograms) {
       ctx->flags.compressed = (i & 1) != 0;
       ctx->flags.hit = (i & 2) != 0;
       ctx->initial_bytes = 256 + 128 * i;
-      ctx->initial_format = accel::DataFormat::kProtoWire;
       ctx->env = &env;
       ctx->rng.reseed(0x5EED0000 + i);
       ctx->on_done = [](const core::ChainResult&) {};

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/engine.h"
 #include "core/machine.h"
@@ -243,7 +247,6 @@ TEST_F(EngineTest, EnqueueFallbackWhenQueueSaturated) {
   // Saturate the Ser input queue with never-ready entries.
   auto& ser = m.accel(AccelType::kSer);
   accel::QueueEntry dummy;
-  dummy.pending_inputs = 2;  // Never completes.
   auto ctx_hold = make_ctx();
   dummy.ctx = ctx_hold.get();
   while (!ser.input_full()) {
@@ -260,6 +263,37 @@ TEST_F(EngineTest, EnqueueFallbackWhenQueueSaturated) {
   EXPECT_GT(m.cores().stats().busy_time, sim::microseconds(2));
   EXPECT_LT(m.cores().stats().busy_time, sim::microseconds(5));
   EXPECT_EQ(ctx->accel_invocations, 4u);
+}
+
+TEST_F(EngineTest, RejectsInvalidTimesAndRates) {
+  // Each of these would cast a NaN or infinite duration into picoseconds
+  // (a zero DTE rate divides by zero): the constructor names the field.
+  const auto rejects = [&](auto mutate, const char* field) {
+    EngineConfig cfg;
+    mutate(cfg);
+    try {
+      AccelFlowEngine engine(machine_, lib_, cfg);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects([](EngineConfig& c) { c.dte_gbps = 0.0; }, "dte_gbps");
+  rejects([](EngineConfig& c) { c.response_timeout_ms = std::nan(""); },
+          "response_timeout_ms");
+  rejects([](EngineConfig& c) { c.enqueue_retry_delay_ns = -1.0; },
+          "enqueue_retry_delay_ns");
+  rejects(
+      [](EngineConfig& c) {
+        c.resilience.hop_timeout_us = std::numeric_limits<double>::infinity();
+      },
+      "resilience.hop_timeout_us");
+  // The defaults and zero delays are valid.
+  EngineConfig zero;
+  zero.enqueue_retry_delay_ns = 0.0;
+  zero.resilience.backoff_base_us = 0.0;
+  EXPECT_NO_THROW(AccelFlowEngine(machine_, lib_, zero));
 }
 
 TEST_F(EngineTest, DeadlineStampingPropagates) {

@@ -205,13 +205,10 @@ class GoldenTraceTest : public ::testing::Test {
   static accel::QueueEntry entry(std::uint64_t request, std::uint32_t chain,
                                  sim::TimePs cpu_cost, std::uint64_t bytes) {
     accel::QueueEntry e;
-    e.request = static_cast<accel::RequestId>(request);
-    e.chain = chain;
+    e.flow = flow_id(request, chain);
     e.tenant = 1;
     e.cpu_cost = cpu_cost;
     e.payload.size_bytes = bytes;
-    e.ready = false;
-    e.pending_inputs = 1;
     return e;
   }
 

@@ -327,7 +327,6 @@ TemplateRun run_once(const TraceLibrary& lib, AtmAddr start) {
     ctx->core = static_cast<int>(f % 8);
     ctx->flags = flags_of(f);
     ctx->initial_bytes = 64ull << (f % 6);
-    ctx->initial_format = accel::DataFormat::kProtoWire;
     ctx->buffer_va = static_cast<mem::VirtAddr>(f + 1) << 20;
     ctx->env = &env;
     ctx->rng.reseed(0x5EED0000 + f);
