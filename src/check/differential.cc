@@ -25,8 +25,9 @@ using core::RemoteKind;
 /**
  * Deterministic chain environment: costs, sizes and remote behaviour are
  * pure functions of their inputs (plus a per-case remote table), so the
- * AccelFlow and CPU-Centric executions of the same chain see *identical*
- * values no matter how often or in which order they query the env.
+ * AccelFlow, CPU-Centric and Non-acc executions of the same chain see
+ * *identical* values no matter how often or in which order they query the
+ * env.
  */
 class FuzzEnv final : public core::ChainEnv {
  public:
@@ -181,10 +182,6 @@ ArchOutcome run_arch(core::OrchKind kind, const core::MachineConfig& mc,
   return out;
 }
 
-const char* arch_name(core::OrchKind k) {
-  return k == core::OrchKind::kAccelFlow ? "AccelFlow" : "CPU-Centric";
-}
-
 void describe_flow(std::ostringstream& os, const FlowOutcome& f) {
   os << "done=" << f.done << " ok=" << f.result.ok
      << " timeout=" << f.result.timeout
@@ -268,12 +265,19 @@ DiffCaseResult run_differential_case(std::uint64_t seed,
   }
   result.chains = chains;
 
-  // --- Dual execution ----------------------------------------------------
-  const ArchOutcome af =
-      run_arch(core::OrchKind::kAccelFlow, mc, lib, specs, env);
-  const ArchOutcome cpu =
-      run_arch(core::OrchKind::kCpuCentric, mc, lib, specs, env);
-  result.stages_checked = af.checker_stats.stages_checked;
+  // --- Execution, once per arm; the others are compared with arm 0 ------
+  struct Arm {
+    core::OrchKind kind;
+    ArchOutcome out;
+  };
+  std::vector<Arm> arms;
+  for (const core::OrchKind kind :
+       {core::OrchKind::kAccelFlow, core::OrchKind::kCpuCentric,
+        core::OrchKind::kNonAcc}) {
+    arms.push_back({kind, run_arch(kind, mc, lib, specs, env)});
+  }
+  const Arm& af = arms.front();
+  result.stages_checked = af.out.checker_stats.stages_checked;
 
   // --- Comparison --------------------------------------------------------
   std::ostringstream os;
@@ -283,59 +287,59 @@ DiffCaseResult run_differential_case(std::uint64_t seed,
     os << "seed " << seed << ": " << what << "\n";
   };
 
-  for (const auto* arch : {&af, &cpu}) {
-    if (!arch->checker_ok) {
-      fail(std::string(arch_name(arch == &af
-                                     ? core::OrchKind::kAccelFlow
-                                     : core::OrchKind::kCpuCentric)) +
-           " invariant violations:\n" + arch->checker_report);
+  for (const Arm& arm : arms) {
+    if (!arm.out.checker_ok) {
+      fail(std::string(core::name_of(arm.kind)) + " invariant violations:\n" +
+           arm.out.checker_report);
     }
   }
 
   for (int i = 0; i < chains; ++i) {
-    const FlowOutcome& a = af.flows[static_cast<std::size_t>(i)];
-    const FlowOutcome& c = cpu.flows[static_cast<std::size_t>(i)];
+    const FlowOutcome& a = af.out.flows[static_cast<std::size_t>(i)];
     const std::string tag = "chain " + std::to_string(i);
-    if (!a.done || !c.done) {
-      fail(tag + " did not complete (AccelFlow=" +
-           std::to_string(a.done) + " CPU-Centric=" +
-           std::to_string(c.done) + ")");
-      continue;
-    }
-    const bool outcomes_match = a.result.ok == c.result.ok &&
-                                a.result.timeout == c.result.timeout;
-    // A timed-out chain is truncated at a point that may legitimately
-    // differ in *physical* time between architectures, so only the
-    // outcome flags are compared for those.
-    const bool compare_logic =
-        outcomes_match && a.result.ok && !a.result.timeout;
-    bool diverged = !outcomes_match;
-    if (compare_logic) {
-      diverged = a.accel_invocations != c.accel_invocations ||
-                 a.branches != c.branches ||
-                 a.transforms != c.transforms ||
-                 a.mid_notifies != c.mid_notifies ||
-                 a.remote_calls != c.remote_calls ||
-                 a.sequence.size() != c.sequence.size();
-      if (!diverged) {
-        for (std::size_t j = 0; j < a.sequence.size(); ++j) {
-          // on_cpu is *expected* to differ (fallback vs. always-CPU);
-          // the logical stage and its payload size must not.
-          if (a.sequence[j].type != c.sequence[j].type ||
-              a.sequence[j].bytes != c.sequence[j].bytes) {
-            diverged = true;
-            break;
+    for (std::size_t k = 1; k < arms.size(); ++k) {
+      const FlowOutcome& c = arms[k].out.flows[static_cast<std::size_t>(i)];
+      const std::string name(core::name_of(arms[k].kind));
+      if (!a.done || !c.done) {
+        fail(tag + " did not complete (AccelFlow=" + std::to_string(a.done) +
+             " " + name + "=" + std::to_string(c.done) + ")");
+        continue;
+      }
+      const bool outcomes_match = a.result.ok == c.result.ok &&
+                                  a.result.timeout == c.result.timeout;
+      // A timed-out chain is truncated at a point that may legitimately
+      // differ in *physical* time between architectures, so only the
+      // outcome flags are compared for those.
+      const bool compare_logic =
+          outcomes_match && a.result.ok && !a.result.timeout;
+      bool diverged = !outcomes_match;
+      if (compare_logic) {
+        diverged = a.accel_invocations != c.accel_invocations ||
+                   a.branches != c.branches ||
+                   a.transforms != c.transforms ||
+                   a.mid_notifies != c.mid_notifies ||
+                   a.remote_calls != c.remote_calls ||
+                   a.sequence.size() != c.sequence.size();
+        if (!diverged) {
+          for (std::size_t j = 0; j < a.sequence.size(); ++j) {
+            // on_cpu is *expected* to differ (fallback vs. always-CPU);
+            // the logical stage and its payload size must not.
+            if (a.sequence[j].type != c.sequence[j].type ||
+                a.sequence[j].bytes != c.sequence[j].bytes) {
+              diverged = true;
+              break;
+            }
           }
         }
       }
-    }
-    if (diverged) {
-      os << "seed " << seed << ": " << tag << " diverged\n  AccelFlow:   ";
-      describe_flow(os, a);
-      os << "\n  CPU-Centric: ";
-      describe_flow(os, c);
-      os << "\n";
-      failed = true;
+      if (diverged) {
+        os << "seed " << seed << ": " << tag << " diverged\n  AccelFlow: ";
+        describe_flow(os, a);
+        os << "\n  " << name << ": ";
+        describe_flow(os, c);
+        os << "\n";
+        failed = true;
+      }
     }
   }
 

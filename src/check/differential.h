@@ -12,18 +12,20 @@
  * deliberately tiny queues to force overflow and CPU-fallback paths), and
  * a handful of concurrent chains with random flags and payload sizes.
  *
- * The case runs twice on fresh machines: once under the full AccelFlow
- * engine and once under the CPU-Centric baseline. Both executions model
- * wildly different coordination mechanics but must agree on the *logical*
- * outcome, because both follow the same trace programs under the same
- * sampled branch flags with the same deterministic cost environment:
+ * The case runs three times on fresh machines: under the full AccelFlow
+ * engine, the CPU-Centric baseline and the Non-acc baseline (every op on
+ * a core, core::price_cpu_segment). The executions model wildly different
+ * coordination mechanics but each baseline must agree with AccelFlow on
+ * the *logical* outcome, because all follow the same trace programs under
+ * the same sampled branch flags with the same deterministic cost
+ * environment:
  *
  *  - the same per-chain completion status (ok / timed out);
  *  - the same invocation sequence per chain — accelerator types in Trace
  *    order with the same payload size entering every stage;
  *  - the same logical-op counters (invocations, branches, transforms,
  *    mid-chain notifies, remote calls);
- *  - zero invariant-checker violations on either architecture, including
+ *  - zero invariant-checker violations on every architecture, including
  *    each run's final quiescence audit.
  *
  * Everything derives from the case seed, so a reported failure replays

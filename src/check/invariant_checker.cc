@@ -64,7 +64,7 @@ void InvariantChecker::on_chain_start(const core::ChainContext& ctx,
   s_.finished.erase(flow);
 
   FlowState fs;
-  const core::ChainWalk walk = core::walk_chain(*lib_, first, ctx.flags);
+  const core::ChainWalk& walk = lib_->walk(first, ctx.flags);
   fs.expected = walk.invocations;
   fs.remote_before.reserve(fs.expected.size());
   bool pending_remote = false;

@@ -26,7 +26,7 @@
  *    (completed, rejected or timed out) — no lost or double-finished flows;
  *  - no stage executes out of Trace order: the observed invocation sequence
  *    of each flow must match the static walk_chain() expansion of its
- *    program under the chain's sampled branch flags;
+ *    program under the chain's sampled branch flags (TraceLibrary::walk);
  *  - payload sizes evolve exactly as ChainEnv::transformed_size dictates
  *    between consecutive stages (remote responses excepted: their size is
  *    a fresh draw);

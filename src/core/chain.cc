@@ -1,6 +1,10 @@
 #include "core/chain.h"
 
+#include <cassert>
 #include <utility>
+
+#include "core/validation_hooks.h"
+#include "cpu/core_cluster.h"
 
 namespace accelflow::core {
 
@@ -40,6 +44,90 @@ accel::QueueEntry make_queue_entry(ChainContext& ctx, accel::AccelType op,
   e.priority = ctx.priority;
   e.ctx = &ctx;
   return e;
+}
+
+sim::TimePs cpu_transform_time(std::uint64_t bytes) {
+  return static_cast<sim::TimePs>(static_cast<double>(bytes) / 2e9 * 1e12);
+}
+
+CpuSegment price_cpu_segment(const TraceLibrary& lib,
+                             const cpu::CoreCluster& cores,
+                             ValidationHooks* chk, ChainContext& ctx,
+                             std::uint64_t word, std::uint8_t pm,
+                             std::uint64_t bytes, accel::AccelType pending,
+                             bool stop_at_invoke) {
+  const double tax_speed = cores.params().tax_speed;
+  CpuSegment seg;
+  const auto stop = [&](CpuSegment::Stop at, accel::AccelType next,
+                        std::uint8_t next_pm) {
+    seg.stop = at;
+    seg.accel = next;
+    seg.word = word;
+    seg.pm = next_pm;
+    seg.bytes = bytes;
+    return seg;
+  };
+  for (;;) {
+    // The pending invoke runs unaccelerated on the core.
+    if (chk != nullptr) chk->on_stage(ctx, pending, bytes, /*on_cpu=*/true);
+    seg.time += static_cast<sim::TimePs>(
+        static_cast<double>(ctx.env->op_cpu_cost(ctx, pending, bytes)) /
+        tax_speed);
+    bytes = ctx.env->transformed_size(pending, bytes);
+    ++ctx.accel_invocations;
+
+    // Control ops up to the next invoke, a network wait or the end.
+    TraceOp op = decode_op(word, pm);
+    for (; op.kind != TraceOp::Kind::kInvoke; op = decode_op(word, pm)) {
+      switch (op.kind) {
+        case TraceOp::Kind::kBranchSkip:
+          ++ctx.branches;
+          seg.time += cores.cycles(20);
+          pm = op.next_pm;
+          if (!eval_condition(op.cond, ctx.flags)) pm += op.skip;
+          break;
+        case TraceOp::Kind::kBranchAtm:
+          ++ctx.branches;
+          seg.time += cores.cycles(20);
+          if (eval_condition(op.cond, ctx.flags)) {
+            pm = op.next_pm;
+          } else {
+            word = lib.get(op.atm).word;
+            pm = 0;
+          }
+          break;
+        case TraceOp::Kind::kTransform:
+          ++ctx.transforms;
+          seg.time += static_cast<sim::TimePs>(
+              static_cast<double>(cpu_transform_time(bytes)) / tax_speed);
+          pm = op.next_pm;
+          break;
+        case TraceOp::Kind::kNotifyCont:
+          ++ctx.mid_notifies;
+          pm = op.next_pm;
+          break;
+        case TraceOp::Kind::kTail: {
+          word = lib.get(op.atm).word;
+          pm = 0;
+          seg.remote = lib.remote_of(op.atm);
+          if (seg.remote == RemoteKind::kNone) break;
+          // The response feeds the receive trace's first invoke.
+          const TraceOp first = decode_op(word, 0);
+          assert(first.kind == TraceOp::Kind::kInvoke);
+          return stop(CpuSegment::Stop::kRemote, first.accel, first.next_pm);
+        }
+        case TraceOp::Kind::kEndNotify:
+          return stop(CpuSegment::Stop::kEnd, pending, pm);
+        case TraceOp::Kind::kInvoke:  // Ends the loop.
+          break;
+      }
+    }
+    if (stop_at_invoke) {
+      return stop(CpuSegment::Stop::kInvoke, op.accel, op.next_pm);
+    }
+    pending = op.accel;
+    pm = op.next_pm;
+  }
 }
 
 }  // namespace accelflow::core

@@ -13,6 +13,10 @@
 #include "sim/simulator.h"
 #include "sim/time.h"
 
+namespace accelflow::cpu {
+class CoreCluster;
+}  // namespace accelflow::cpu
+
 /**
  * @file
  * The orchestration-level context of one accelerator chain: everything the
@@ -25,13 +29,15 @@
  * environment through ChainEnv.
  *
  * Also the chain protocol every orchestrator shares (chain.cc): the
- * Orchestrator interface, the one network-wait model (await_response)
- * and the one queue-entry builder (make_queue_entry).
+ * Orchestrator interface, the one network-wait model (await_response),
+ * the one CPU execution model (price_cpu_segment) and the one queue-entry
+ * builder (make_queue_entry).
  */
 
 namespace accelflow::core {
 
 struct ChainContext;
+class ValidationHooks;
 
 /**
  * Workload-provided environment for chain execution: operation costs, data
@@ -210,6 +216,46 @@ ResponseWait await_response(sim::Simulator& sim, ChainContext& ctx,
 accel::QueueEntry make_queue_entry(ChainContext& ctx, accel::AccelType op,
                                    std::uint64_t word, std::uint8_t pm,
                                    std::uint64_t bytes);
+
+/** Core time of one software format conversion: ~2 GB/s on a core. */
+sim::TimePs cpu_transform_time(std::uint64_t bytes);
+
+/** Where a price_cpu_segment() walk stopped, and what the core spent. */
+struct CpuSegment {
+  enum class Stop : std::uint8_t {
+    kInvoke,  ///< At an accelerator invoke (stop_at_invoke only).
+    kRemote,  ///< At a network wait for `remote`.
+    kEnd,     ///< At the chain's END_NOTIFY.
+  };
+  Stop stop = Stop::kEnd;
+  /** kInvoke: the invoke's accelerator. kRemote: that of the receive
+   *  trace's first invoke, which runs on the response. */
+  accel::AccelType accel = accel::AccelType::kTcp;
+  RemoteKind remote = RemoteKind::kNone;  ///< kRemote: what is awaited.
+  std::uint8_t pm = 0;      ///< Position mark after `accel`'s invoke.
+  std::uint64_t word = 0;   ///< Trace word holding `accel`'s invoke.
+  std::uint64_t bytes = 0;  ///< Payload size at the stop.
+  sim::TimePs time = 0;     ///< Core time of the segment.
+};
+
+/**
+ * The CPU execution model of every orchestrator (DESIGN.md §8): prices a
+ * chain segment run on ctx's core. First the invoke of `pending` runs
+ * unaccelerated on the `bytes` payload (checker stage, op_cpu_cost /
+ * tax_speed, transformed_size); then the ops from trace `word` / position
+ * mark `pm` are interpreted: 20 cycles per branch, cpu_transform_time /
+ * tax_speed per transform, notifies counted. With `stop_at_invoke` the
+ * walk stops at the next invoke; without it, invokes run inline as
+ * `pending` did. It always stops at a network wait and at the end.
+ * Nothing is scheduled: the caller occupies the core for `time` and acts
+ * on the stop.
+ */
+CpuSegment price_cpu_segment(const TraceLibrary& lib,
+                             const cpu::CoreCluster& cores,
+                             ValidationHooks* chk, ChainContext& ctx,
+                             std::uint64_t word, std::uint8_t pm,
+                             std::uint64_t bytes, accel::AccelType pending,
+                             bool stop_at_invoke);
 
 class AccelFlowEngine;
 

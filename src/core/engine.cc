@@ -52,6 +52,14 @@ AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
   require_non_negative(config_.response_timeout_ms, "response_timeout_ms");
   require_non_negative(config_.enqueue_retry_delay_ns,
                        "enqueue_retry_delay_ns");
+  // Instruction counts become dispatcher and manager times.
+  require_non_negative(config_.base_instrs, "base_instrs");
+  require_non_negative(config_.branch_instrs, "branch_instrs");
+  require_non_negative(config_.eot_atm_instrs, "eot_atm_instrs");
+  require_non_negative(config_.eot_notify_instrs, "eot_notify_instrs");
+  require_non_negative(config_.transform_instrs, "transform_instrs");
+  require_non_negative(config_.manager_fallback_events,
+                       "manager_fallback_events");
   const ResilienceConfig& r = config_.resilience;
   require_non_negative(r.hop_timeout_us, "resilience.hop_timeout_us");
   require_non_negative(r.backoff_base_us, "resilience.backoff_base_us");
@@ -488,93 +496,43 @@ void AccelFlowEngine::continue_chain_on_cpu(ChainContext* ctx,
                static_cast<std::uint32_t>(ctx->core), machine_.sim().now(),
                payload_bytes, obs::flow_id(ctx->request, ctx->chain));
   }
-  // The denied operation executes unaccelerated on the initiating core.
-  if (ValidationHooks* c = chk()) {
-    c->on_stage(*ctx, pending, payload_bytes, /*on_cpu=*/true);
-  }
+  // The denied operation, and the control ops after it, run on the core.
+  const CpuSegment seg =
+      price_cpu_segment(lib_, machine_.cores(), chk(), *ctx, word, pm,
+                        payload_bytes, pending, /*stop_at_invoke=*/true);
   auto& cores = machine_.cores();
-  const double tax_speed = cores.params().tax_speed;
-  sim::TimePs segment = static_cast<sim::TimePs>(
-      static_cast<double>(
-          ctx->env->op_cpu_cost(*ctx, pending, payload_bytes)) /
-      tax_speed);
-  ++ctx->accel_invocations;
-  std::uint64_t bytes = ctx->env->transformed_size(pending, payload_bytes);
-
-  // Interpret control ops on the core until the next accelerator invoke,
-  // a network wait, or the end of the chain.
-  for (;;) {
-    const TraceOp op = decode_op(word, pm);
-    switch (op.kind) {
-      case TraceOp::Kind::kInvoke: {
-        // Re-enter the ensemble.
-        accel::Accelerator& dst = machine_.accel(op.accel);
-        const auto parked = parked_.park(
-            make_queue_entry(*ctx, op.accel, word, op.next_pm, bytes));
-        cores.run_on(ctx->core, segment, [this, &dst, parked] {
-          forward_into_queue(dst, parked_.take(parked));
-        });
-        return;
-      }
-      case TraceOp::Kind::kBranchSkip:
-        ++ctx->branches;
-        segment += cores.cycles(20);
-        pm = op.next_pm;
-        if (!eval_condition(op.cond, ctx->flags)) pm += op.skip;
-        break;
-      case TraceOp::Kind::kBranchAtm:
-        ++ctx->branches;
-        segment += cores.cycles(20);
-        if (eval_condition(op.cond, ctx->flags)) {
-          pm = op.next_pm;
-        } else {
-          word = lib_.get(op.atm).word;
-          pm = 0;
-        }
-        break;
-      case TraceOp::Kind::kTransform:
-        ++ctx->transforms;
-        segment += static_cast<sim::TimePs>(
-            static_cast<double>(bytes) / 2e9 * 1e12 / tax_speed);
-        pm = op.next_pm;
-        break;
-      case TraceOp::Kind::kNotifyCont:
-        ++ctx->mid_notifies;
-        pm = op.next_pm;
-        break;
-      case TraceOp::Kind::kTail: {
-        const RemoteKind kind = lib_.remote_of(op.atm);
-        word = lib_.get(op.atm).word;
-        pm = 0;
-        if (kind == RemoteKind::kNone) break;
-        // The core sends the message and waits for the response; the
-        // receive trace then re-enters the ensemble.
-        const TraceOp first = decode_op(word, 0);
-        assert(first.kind == TraceOp::Kind::kInvoke);
-        const std::uint8_t next_pm = first.next_pm;
-        const AccelType recv = first.accel;
-        cores.run_on(ctx->core, segment, [this, ctx, kind, word, next_pm,
-                                          recv] {
-          const ResponseWait w = await_response(
-              machine_.sim(), *ctx, kind, machine_.sim().now(),
-              sim::milliseconds(config_.response_timeout_ms),
-              [this, ctx] { time_out_chain(ctx, /*on_cpu=*/true); },
-              [this, ctx, word, next_pm, recv](std::uint64_t resp) {
-                forward_into_queue(
-                    machine_.accel(recv),
-                    make_queue_entry(*ctx, recv, word, next_pm, resp));
-              });
-          if (w.kind == ResponseWait::Kind::kTimeout) ++s_.stats.timeouts;
-        });
-        return;
-      }
-      case TraceOp::Kind::kEndNotify: {
-        cores.run_on(ctx->core, segment, [this, ctx] {
-          complete_chain(ctx, {.cpu_fallback = true});
-        });
-        return;
-      }
+  switch (seg.stop) {
+    case CpuSegment::Stop::kInvoke: {
+      // Re-enter the ensemble.
+      accel::Accelerator& dst = machine_.accel(seg.accel);
+      const auto parked = parked_.park(
+          make_queue_entry(*ctx, seg.accel, seg.word, seg.pm, seg.bytes));
+      cores.run_on(ctx->core, seg.time, [this, &dst, parked] {
+        forward_into_queue(dst, parked_.take(parked));
+      });
+      return;
     }
+    case CpuSegment::Stop::kRemote:
+      // The core sends the message and waits for the response; the
+      // receive trace then re-enters the ensemble.
+      cores.run_on(ctx->core, seg.time, [this, ctx, seg] {
+        const ResponseWait w = await_response(
+            machine_.sim(), *ctx, seg.remote, machine_.sim().now(),
+            sim::milliseconds(config_.response_timeout_ms),
+            [this, ctx] { time_out_chain(ctx, /*on_cpu=*/true); },
+            [this, ctx, seg](std::uint64_t resp) {
+              forward_into_queue(
+                  machine_.accel(seg.accel),
+                  make_queue_entry(*ctx, seg.accel, seg.word, seg.pm, resp));
+            });
+        if (w.kind == ResponseWait::Kind::kTimeout) ++s_.stats.timeouts;
+      });
+      return;
+    case CpuSegment::Stop::kEnd:
+      cores.run_on(ctx->core, seg.time, [this, ctx] {
+        complete_chain(ctx, {.cpu_fallback = true});
+      });
+      return;
   }
 }
 

@@ -162,8 +162,8 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
  public:
   /** @param name the architecture name the Orchestrator reports; it must
    *  outlive the engine (make_orchestrator passes name_of(kind)). Throws
-   *  std::invalid_argument naming a time that is not finite and >= 0 or
-   *  a rate that is not finite and > 0. */
+   *  std::invalid_argument naming a time or instruction count that is
+   *  not finite and >= 0, or a rate that is not finite and > 0. */
   AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
                   const EngineConfig& config,
                   std::string_view name = "AccelFlow");
@@ -280,10 +280,12 @@ class AccelFlowEngine : public accel::OutputHandler, public Orchestrator {
                                  sim::TimePs ready, obs::FlowId flow);
 
   /**
-   * Graceful CPU fallback: the denied operation runs (unaccelerated) on
-   * the initiating core, control ops up to the next accelerator invoke are
-   * interpreted by the core, and the chain then re-enters the ensemble.
-   * The trace only stays on the CPU while accelerators keep rejecting it.
+   * Graceful CPU fallback: the watchdog stands down, and the denied
+   * operation plus the control ops up to the next invoke run on the
+   * initiating core (core::price_cpu_segment, stopping at invokes). The
+   * chain then re-enters the ensemble at that invoke, awaits a network
+   * response on the core before re-entering, or completes. The trace only
+   * stays on the CPU while accelerators keep rejecting it.
    */
   void continue_chain_on_cpu(ChainContext* ctx, std::uint64_t word,
                              std::uint8_t pm, std::uint64_t payload_bytes,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/require.h"
 #include "core/validation_hooks.h"
 
 namespace accelflow::core {
@@ -22,10 +23,25 @@ BaselineOrchestrator::BaselineOrchestrator(BaselineMode mode,
       central_queue_(relief_central_queue && mode == BaselineMode::kRelief),
       costs_(costs),
       cohort_links_(default_cohort_links()) {
+  // Each becomes a time, a probability or a factor.
+  require_non_negative(costs_.interrupt_handler_cycles,
+                       "interrupt_handler_cycles");
+  require_non_negative(costs_.interrupt_tail_prob, "interrupt_tail_prob");
+  require_non_negative(costs_.interrupt_tail_factor, "interrupt_tail_factor");
+  require_non_negative(costs_.cohort_poll_cycles, "cohort_poll_cycles");
+  require_non_negative(costs_.cohort_poll_interval_us,
+                       "cohort_poll_interval_us");
+  require_non_negative(costs_.cohort_stall_prob, "cohort_stall_prob");
+  require_non_negative(costs_.cohort_stall_min_us, "cohort_stall_min_us");
+  require_non_negative(costs_.cohort_stall_max_us, "cohort_stall_max_us");
+  require_non_negative(costs_.cohort_link_ns, "cohort_link_ns");
+  require_non_negative(costs_.plain_dispatcher_instrs,
+                       "plain_dispatcher_instrs");
+  require_non_negative(costs_.enqueue_retry_delay_ns,
+                       "enqueue_retry_delay_ns");
+  require_non_negative(costs_.response_timeout_ms, "response_timeout_ms");
   s_.central_tokens =
       static_cast<std::size_t>(machine.config().relief_inflight_cap);
-  cpu_exec_ = std::make_unique<CpuChainExecutor>(
-      machine_, sim::milliseconds(costs_.response_timeout_ms));
   if (mode_ != BaselineMode::kNonAcc) {
     machine_.install_output_handler(this);
   }
@@ -60,35 +76,8 @@ BaselineOrchestrator::default_cohort_links() {
   return kLinks;
 }
 
-const std::vector<LogicalOp>& BaselineOrchestrator::walk_ops(
-    AtmAddr first, const accel::PayloadFlags& flags) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(first) << 8) |
-      (static_cast<std::uint64_t>(flags.compressed) << 0) |
-      (static_cast<std::uint64_t>(flags.hit) << 1) |
-      (static_cast<std::uint64_t>(flags.found) << 2) |
-      (static_cast<std::uint64_t>(flags.exception) << 3) |
-      (static_cast<std::uint64_t>(flags.c_compressed) << 4);
-  auto it = walk_cache_.find(key);
-  if (it == walk_cache_.end()) {
-    it = walk_cache_
-             .emplace(key, std::make_unique<const std::vector<LogicalOp>>(
-                               walk_chain(lib_, first, flags).ops))
-             .first;
-  }
-  return *it->second;
-}
-
-BaselineOrchestrator::Checkpoint BaselineOrchestrator::checkpoint() const {
-  Checkpoint c;
-  static_cast<State&>(c) = s_;
-  c.cpu_exec = cpu_exec_->stats();
-  return c;
-}
-
 void BaselineOrchestrator::restore(const Checkpoint& c) {
   s_ = c;
-  cpu_exec_->restore_stats(c.cpu_exec);
   chains_.clear();
   central_fifo_.clear();
 }
@@ -108,24 +97,16 @@ void BaselineOrchestrator::run_chain(ChainContext* ctx, AtmAddr first) {
   ++s_.stats.chains;
   if (ValidationHooks* v = machine_.checker()) v->on_chain_start(*ctx, first);
   if (mode_ == BaselineMode::kNonAcc) {
-    cpu_exec_->run(ctx, walk_ops(first, ctx->flags), ctx->initial_bytes,
-                   [this, ctx](bool timed_out) {
-                     ++s_.stats.completed;
-                     const ChainResult r{.ok = !timed_out,
-                                         .timeout = timed_out,
-                                         .completed_at = machine_.sim().now()};
-                     if (ValidationHooks* v = machine_.checker()) {
-                       v->on_chain_finish(*ctx, r);
-                     }
-                     ctx->finish(r);
-                   });
+    const std::uint64_t word = lib_.get(first).word;
+    const TraceOp op0 = decode_op(word, 0);
+    run_on_cpu(ctx, word, op0.next_pm, ctx->initial_bytes, op0.accel);
     return;
   }
 
   auto chain = std::make_unique<Chain>();
   Chain* c = chain.get();
   c->ctx = ctx;
-  c->ops = &walk_ops(first, ctx->flags);
+  c->ops = &lib_.walk(first, ctx->flags).ops;
   c->bytes = ctx->initial_bytes;
   chains_[ctx] = std::move(chain);
 
@@ -197,7 +178,7 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
           s_.stats.orchestration_time += t - ready;
           ready = t;
         } else {
-          const sim::TimePs t = cpu_exec_->cpu_transform_time(c->bytes);
+          const sim::TimePs t = cpu_transform_time(c->bytes);
           cores.run_on(ctx->core, t);
           ready += t;
         }
@@ -209,27 +190,31 @@ void BaselineOrchestrator::step(Chain* c, sim::TimePs ready) {
         cores.notify(ctx->core);
         ++c->i;
         break;
-      case LogicalOp::Kind::kRemoteWait:
-        await_response(
+      case LogicalOp::Kind::kRemoteWait: {
+        const ResponseWait w = await_response(
             machine_.sim(), *ctx, op.remote, ready,
             sim::milliseconds(costs_.response_timeout_ms),
-            [this, c] { finish(c, /*timed_out=*/true, /*fell_back=*/false); },
+            [this, ctx] {
+              finish(ctx, /*timed_out=*/true, /*fell_back=*/false);
+            },
             [this, c](std::uint64_t bytes) {
               ++c->i;
               c->bytes = bytes;
               step(c, machine_.sim().now());
             });
+        if (w.kind == ResponseWait::Kind::kTimeout) ++s_.stats.timeouts;
         return;
+      }
     }
   }
   // Chain complete: control returns to the core.
   if (mode_ == BaselineMode::kRelief) {
     ++s_.stats.interrupts;
-    machine_.cores().interrupt(ctx->core, 0, [this, c] {
-      finish(c, false, false);
+    machine_.cores().interrupt(ctx->core, 0, [this, ctx] {
+      finish(ctx, false, false);
     });
   } else {
-    finish(c, false, false);
+    finish(ctx, false, false);
   }
 }
 
@@ -325,14 +310,10 @@ void BaselineOrchestrator::try_issue(std::shared_ptr<Issue> issue,
   const SlotId slot = issue->dst->try_enqueue(issue->entry);
   if (slot == accel::kInvalidSlot) {
     if (++issue->attempts >= costs_.enqueue_retries) {
+      // The failed invoke and the rest of the chain run on the core.
       ++s_.stats.fallbacks;
-      std::vector<LogicalOp> rest(
-          c->ops->begin() + static_cast<std::ptrdiff_t>(c->i),
-          c->ops->end());
-      cpu_exec_->run(c->ctx, std::move(rest), c->bytes,
-                     [this, c](bool timed_out) {
-                       finish(c, timed_out, /*fell_back=*/true);
-                     });
+      const LogicalOp& op = (*c->ops)[c->i];
+      run_on_cpu(c->ctx, op.word, op.pm, c->bytes, op.accel);
       return;
     }
     machine_.sim().schedule_after(
@@ -466,9 +447,41 @@ void BaselineOrchestrator::handle_output(accel::Accelerator& acc,
   }
 }
 
-void BaselineOrchestrator::finish(Chain* c, bool timed_out, bool fell_back) {
+void BaselineOrchestrator::run_on_cpu(ChainContext* ctx, std::uint64_t word,
+                                      std::uint8_t pm, std::uint64_t bytes,
+                                      AccelType pending) {
+  // Outside Non-acc, the core only runs what the ensemble refused.
+  const bool fell_back = mode_ != BaselineMode::kNonAcc;
+  const CpuSegment seg =
+      price_cpu_segment(lib_, machine_.cores(), machine_.checker(), *ctx,
+                        word, pm, bytes, pending, /*stop_at_invoke=*/false);
+  auto after = [this, ctx, seg, fell_back] {
+    if (seg.stop == CpuSegment::Stop::kEnd) {
+      finish(ctx, /*timed_out=*/false, fell_back);
+      return;
+    }
+    // Network wait: the core is released; resume on the response.
+    const ResponseWait w = await_response(
+        machine_.sim(), *ctx, seg.remote, machine_.sim().now(),
+        sim::milliseconds(costs_.response_timeout_ms),
+        [this, ctx, fell_back] {
+          finish(ctx, /*timed_out=*/true, fell_back);
+        },
+        [this, ctx, seg](std::uint64_t resp) {
+          run_on_cpu(ctx, seg.word, seg.pm, resp, seg.accel);
+        });
+    if (w.kind == ResponseWait::Kind::kTimeout) ++s_.stats.timeouts;
+  };
+  if (seg.time == 0) {
+    after();
+  } else {
+    machine_.cores().run_on(ctx->core, seg.time, after);
+  }
+}
+
+void BaselineOrchestrator::finish(ChainContext* ctx, bool timed_out,
+                                  bool fell_back) {
   ++s_.stats.completed;
-  ChainContext* ctx = c->ctx;
   if (obs::Tracer* t = machine_.tracer()) {
     const obs::FlowId flow = obs::flow_id(ctx->request, ctx->chain);
     const sim::TimePs now = machine_.sim().now();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "accel/accelerator.h"
-#include "core/cpu_executor.h"
 #include "core/orchestrator.h"
 #include "core/trace_analysis.h"
 #include "sim/random.h"
@@ -18,10 +17,12 @@
  * @file
  * The baseline orchestrators of Section VI.
  *
- * All baselines execute the same logical op sequence (from walk_chain) on
- * the same accelerator hardware; they differ in who coordinates each step:
+ * All baselines execute the same logical op sequence (the library's
+ * memoized walk_chain) on the same accelerator hardware; they differ in
+ * who coordinates each step:
  *
- *  - Non-acc     : everything on the initiating core (CpuChainExecutor).
+ *  - Non-acc     : everything on the initiating core, priced by
+ *                  core::price_cpu_segment like every CPU fallback.
  *  - CPU-Centric : the core invokes one accelerator at a time and takes an
  *                  interrupt on each completion (Section III).
  *  - RELIEF      : a centralized hardware manager is interrupted on every
@@ -32,6 +33,9 @@
  *  - Cohort      : statically linked accelerator pairs forward directly;
  *                  every other transition returns to the core, which polls
  *                  shared-memory queues (cheaper than an interrupt).
+ *
+ * When enqueue retries run out, the rest of the chain runs on the core
+ * from the failed invoke on, as Non-acc runs a whole chain (run_on_cpu).
  */
 
 namespace accelflow::core {
@@ -82,6 +86,7 @@ struct BaselineStats {
   std::uint64_t linked_hops = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t central_queue_waits = 0;
+  std::uint64_t timeouts = 0;  ///< Network waits that timed out.
   sim::TimePs orchestration_time = 0;  ///< Pure coordination time.
 };
 
@@ -92,6 +97,8 @@ struct BaselineStats {
 class BaselineOrchestrator : public Orchestrator,
                              public accel::OutputHandler {
  public:
+  /** Throws std::invalid_argument naming a `costs` field that is not
+   *  finite and >= 0. */
   BaselineOrchestrator(BaselineMode mode, Machine& machine,
                        const TraceLibrary& lib, bool relief_central_queue,
                        const BaselineCosts& costs = {});
@@ -116,19 +123,15 @@ class BaselineOrchestrator : public Orchestrator,
    * restore rather than captured (workload::SweepSession checkpoints with
    * none in flight).
    */
-  struct State {
+  struct State : OrchCheckpoint {
     sim::Rng rng{0xC0408};               ///< Tail/stall draw stream.
     BaselineStats stats;                 ///< Counters.
     std::size_t central_tokens = 64;     ///< RELIEF in-flight budget.
     bool central_pump_scheduled = false; ///< Pump event pending.
   };
+  using Checkpoint = State;
 
-  /** State plus the CPU executor's counters. */
-  struct Checkpoint : OrchCheckpoint, State {
-    CpuExecStats cpu_exec;  ///< CPU-executor counters.
-  };
-
-  Checkpoint checkpoint() const;
+  Checkpoint checkpoint() const { return s_; }
 
   /** Restores state captured by checkpoint(); drops in-flight chains. */
   void restore(const Checkpoint& c);
@@ -136,24 +139,13 @@ class BaselineOrchestrator : public Orchestrator,
  private:
   struct Chain {
     ChainContext* ctx = nullptr;
-    /** The memoized logical-op program (owned by walk_cache_). */
+    /** The logical-op program (owned by the library's walk memo). */
     const std::vector<LogicalOp>* ops = nullptr;
     std::size_t i = 0;  ///< Next op to execute.
     std::uint64_t bytes = 0;
     accel::AccelType last_accel{};
     bool has_last_accel = false;
   };
-
-  /**
-   * Memoized walk_chain: one walk per distinct (start, flags) pair per
-   * run instead of one per chain. walk_chain is deterministic given the
-   * immutable trace library, so sharing the op vectors is behavior-
-   * neutral; the returned pointer is stable for the orchestrator's
-   * lifetime (the "trace-program node" arena of the hot-path memory
-   * pass).
-   */
-  const std::vector<LogicalOp>& walk_ops(AtmAddr first,
-                                         const accel::PayloadFlags& flags);
 
   /** Advances the chain from ops[i] at `ready`. */
   void step(Chain* c, sim::TimePs ready);
@@ -182,7 +174,17 @@ class BaselineOrchestrator : public Orchestrator,
    */
   void pump_central_queue();
 
-  void finish(Chain* c, bool timed_out, bool fell_back);
+  /**
+   * Runs ctx's chain on its core from the invoke of `pending` on `bytes`,
+   * continuing at trace `word` / position mark `pm`: Non-acc from the
+   * first invoke, the other modes from an invoke whose enqueue retries
+   * ran out. Network waits release the core; a zero-time segment goes on
+   * at once.
+   */
+  void run_on_cpu(ChainContext* ctx, std::uint64_t word, std::uint8_t pm,
+                  std::uint64_t bytes, accel::AccelType pending);
+
+  void finish(ChainContext* ctx, bool timed_out, bool fell_back);
 
   Machine& machine_;
   const TraceLibrary& lib_;
@@ -190,13 +192,7 @@ class BaselineOrchestrator : public Orchestrator,
   bool central_queue_;
   BaselineCosts costs_;
   State s_;
-  std::unique_ptr<CpuChainExecutor> cpu_exec_;
   std::unordered_map<ChainContext*, std::unique_ptr<Chain>> chains_;
-  /** walk_chain memo: key packs (start address, payload-flag bits). Not
-   *  checkpointed — a pure function of the immutable trace library. */
-  std::unordered_map<std::uint64_t,
-                     std::unique_ptr<const std::vector<LogicalOp>>>
-      walk_cache_;
   std::set<std::pair<accel::AccelType, accel::AccelType>> cohort_links_;
   // RELIEF central queue (base design): FIFO of pending issues sharing
   // one budget (s_.central_tokens) across all accelerator types.

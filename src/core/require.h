@@ -9,8 +9,8 @@
 /**
  * @file
  * Named rejection of configuration values that would complete no request
- * or cast a NaN or infinite time into picoseconds (Machine and
- * AccelFlowEngine constructors).
+ * or cast a NaN or infinite time into picoseconds (the Machine,
+ * AccelFlowEngine and BaselineOrchestrator constructors).
  */
 
 namespace accelflow::core {
@@ -30,7 +30,8 @@ void require_positive(Value value, const char* field) {
   }
 }
 
-/** The same for a time where 0 means none: finite and >= 0. */
+/** The same where 0 is valid (a time meaning none, a count): finite
+ *  and >= 0. */
 inline void require_non_negative(double value, const char* field) {
   if (!(value >= 0.0 && std::isfinite(value))) {
     throw std::invalid_argument(std::string(field) +

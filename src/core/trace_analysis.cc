@@ -6,90 +6,62 @@ namespace accelflow::core {
 
 ChainWalk walk_chain(const TraceLibrary& lib, AtmAddr start,
                      const accel::PayloadFlags& flags, int max_traces) {
-  return walk_from(lib, lib.get(start).word, 0, flags, max_traces);
-}
-
-ChainWalk walk_from(const TraceLibrary& lib, std::uint64_t word,
-                    std::uint8_t pm, const accel::PayloadFlags& flags,
-                    int max_traces) {
+  using Kind = LogicalOp::Kind;
   ChainWalk walk;
-  bool have_prev = false;
-  accel::AccelType prev{};
-  int traces = 1;
-
+  std::uint64_t word = lib.get(start).word;
+  std::uint8_t pm = 0;
   auto load_trace = [&](AtmAddr addr) {
     word = lib.get(addr).word;
     pm = 0;
-    ++traces;
     ++walk.traces_visited;
   };
 
   for (;;) {
-    assert(traces <= max_traces && "ATM chain too long (cycle?)");
+    assert(walk.traces_visited <= max_traces && "ATM chain too long (cycle?)");
     (void)max_traces;
     const TraceOp op = decode_op(word, pm);
     switch (op.kind) {
-      case TraceOp::Kind::kInvoke: {
+      case TraceOp::Kind::kInvoke:
+        if (!walk.invocations.empty()) {
+          walk.edges.emplace_back(walk.invocations.back(), op.accel);
+        }
         walk.invocations.push_back(op.accel);
-        LogicalOp lop;
-        lop.kind = LogicalOp::Kind::kInvoke;
-        lop.accel = op.accel;
-        walk.ops.push_back(lop);
-        if (have_prev) walk.edges.emplace_back(prev, op.accel);
-        prev = op.accel;
-        have_prev = true;
+        walk.ops.push_back({.kind = Kind::kInvoke,
+                            .accel = op.accel,
+                            .pm = op.next_pm,
+                            .word = word});
         pm = op.next_pm;
         break;
-      }
-      case TraceOp::Kind::kBranchSkip: {
+      case TraceOp::Kind::kBranchSkip:
         ++walk.branches;
-        LogicalOp lop;
-        lop.kind = LogicalOp::Kind::kBranchResolve;
-        lop.cond = op.cond;
-        walk.ops.push_back(lop);
+        walk.ops.push_back({.kind = Kind::kBranchResolve});
         pm = op.next_pm;
         if (!eval_condition(op.cond, flags)) pm += op.skip;
         break;
-      }
-      case TraceOp::Kind::kBranchAtm: {
+      case TraceOp::Kind::kBranchAtm:
         ++walk.branches;
-        LogicalOp lop;
-        lop.kind = LogicalOp::Kind::kBranchResolve;
-        lop.cond = op.cond;
-        walk.ops.push_back(lop);
+        walk.ops.push_back({.kind = Kind::kBranchResolve});
         if (eval_condition(op.cond, flags)) {
           pm = op.next_pm;
         } else {
           load_trace(op.atm);
         }
         break;
-      }
-      case TraceOp::Kind::kTransform: {
+      case TraceOp::Kind::kTransform:
         ++walk.transforms;
-        LogicalOp lop;
-        lop.kind = LogicalOp::Kind::kTransform;
-        lop.from = op.from;
-        lop.to = op.to;
-        walk.ops.push_back(lop);
+        walk.ops.push_back({.kind = Kind::kTransform});
         pm = op.next_pm;
         break;
-      }
-      case TraceOp::Kind::kNotifyCont: {
+      case TraceOp::Kind::kNotifyCont:
         ++walk.notifies;
-        LogicalOp lop;
-        lop.kind = LogicalOp::Kind::kNotifyCont;
-        walk.ops.push_back(lop);
+        walk.ops.push_back({.kind = Kind::kNotifyCont});
         pm = op.next_pm;
         break;
-      }
       case TraceOp::Kind::kTail: {
         const RemoteKind remote = lib.remote_of(op.atm);
         if (remote != RemoteKind::kNone) {
           ++walk.remote_waits;
-          LogicalOp lop;
-          lop.kind = LogicalOp::Kind::kRemoteWait;
-          lop.remote = remote;
-          walk.ops.push_back(lop);
+          walk.ops.push_back({.kind = Kind::kRemoteWait, .remote = remote});
         }
         load_trace(op.atm);
         break;

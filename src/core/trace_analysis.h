@@ -34,9 +34,11 @@ struct LogicalOp {
   };
   Kind kind = Kind::kInvoke;
   accel::AccelType accel = accel::AccelType::kTcp;  ///< kInvoke.
-  BranchCond cond = BranchCond::kCompressed;        ///< kBranchResolve.
-  accel::DataFormat from{}, to{};                   ///< kTransform.
   RemoteKind remote = RemoteKind::kNone;            ///< kRemoteWait.
+  /** kInvoke: the position mark after the invoke, in trace `word` (where
+   *  a CPU fallback resumes). */
+  std::uint8_t pm = 0;
+  std::uint64_t word = 0;  ///< kInvoke: the trace word holding the invoke.
 };
 
 /** Result of walking a chain with concrete payload flags. */
@@ -53,20 +55,13 @@ struct ChainWalk {
 };
 
 /**
- * Walks the chain starting at `start` under `flags`.
+ * Walks the chain starting at `start` under `flags`. TraceLibrary::walk()
+ * memoizes it.
  *
  * @param max_traces guard against accidental ATM cycles.
  */
 ChainWalk walk_chain(const TraceLibrary& lib, AtmAddr start,
                      const accel::PayloadFlags& flags, int max_traces = 64);
-
-/**
- * Walks from an arbitrary resumption point (trace word + Position Mark),
- * e.g. to enumerate the ops remaining after a CPU fallback decision.
- */
-ChainWalk walk_from(const TraceLibrary& lib, std::uint64_t word,
-                    std::uint8_t pm, const accel::PayloadFlags& flags,
-                    int max_traces = 64);
 
 /** True if any trace reachable from `start` contains a branch op. */
 bool chain_has_conditional(const TraceLibrary& lib, AtmAddr start,

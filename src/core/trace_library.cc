@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/trace_analysis.h"
+
 namespace accelflow::core {
 
 AtmAddr TraceLibrary::reserve(const std::string& name) {
@@ -26,6 +28,7 @@ AtmAddr TraceLibrary::add(const std::string& name, const Trace& t) {
   Slot& slot = traces_[addr];
   slot.trace = t;
   slot.stored = true;
+  walks_.clear();
   return addr;
 }
 
@@ -33,6 +36,7 @@ void TraceLibrary::set_remote(AtmAddr target, RemoteKind kind) {
   auto it = traces_.find(target);
   assert(it != traces_.end());
   it->second.remote = kind;
+  walks_.clear();
 }
 
 bool TraceLibrary::contains(const std::string& name) const {
@@ -70,6 +74,22 @@ const std::string& TraceLibrary::name_of_addr(AtmAddr addr) const {
 RemoteKind TraceLibrary::remote_of(AtmAddr target) const {
   const auto it = traces_.find(target);
   return it == traces_.end() ? RemoteKind::kNone : it->second.remote;
+}
+
+const ChainWalk& TraceLibrary::walk(AtmAddr start,
+                                    const accel::PayloadFlags& flags) const {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(start) << 8) |
+      (static_cast<std::uint64_t>(flags.compressed) << 0) |
+      (static_cast<std::uint64_t>(flags.hit) << 1) |
+      (static_cast<std::uint64_t>(flags.found) << 2) |
+      (static_cast<std::uint64_t>(flags.exception) << 3) |
+      (static_cast<std::uint64_t>(flags.c_compressed) << 4);
+  std::shared_ptr<const ChainWalk>& w = walks_[key];
+  if (w == nullptr) {
+    w = std::make_shared<const ChainWalk>(walk_chain(*this, start, flags));
+  }
+  return *w;
 }
 
 }  // namespace accelflow::core

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/trace_encoding.h"
@@ -36,6 +38,8 @@ enum class RemoteKind : std::uint8_t {
 };
 
 inline constexpr std::size_t kNumRemoteKinds = 6;
+
+struct ChainWalk;
 
 constexpr std::string_view name_of(RemoteKind k) {
   constexpr std::string_view kNames[kNumRemoteKinds] = {
@@ -73,6 +77,17 @@ class TraceLibrary {
   /** All registered addresses in registration order. */
   const std::vector<AtmAddr>& addresses() const { return order_; }
 
+  /**
+   * walk_chain(*this, start, flags) (core/trace_analysis.h), memoized per
+   * (start, flags): the one static walk that the baselines, the invariant
+   * checker and Service read. add() and set_remote() drop the memo, and
+   * with it every reference returned before. The memo is mutable inside a
+   * const library, so a library is read from one thread only: each
+   * workload::Deployment (and so each cluster shard) owns its library,
+   * and no library is shared across ParallelRunner threads.
+   */
+  const ChainWalk& walk(AtmAddr start, const accel::PayloadFlags& flags) const;
+
  private:
   struct Slot {
     std::string name;
@@ -84,6 +99,9 @@ class TraceLibrary {
   std::map<AtmAddr, Slot> traces_;
   std::vector<AtmAddr> order_;
   AtmAddr next_addr_ = 1;  // Address 0 is reserved as "no trace".
+  /** walk() memo: the key packs the start address and the flag bits. */
+  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const ChainWalk>>
+      walks_;
 };
 
 }  // namespace accelflow::core

@@ -50,8 +50,7 @@ Service::Service(const ServiceSpec& spec, const core::TraceLibrary& lib)
     for (const ChainGroup& g : st.groups) {
       const core::AtmAddr addr = lib.addr_of(g.trace);
       stage_addrs_[s].push_back(addr);
-      const core::ChainWalk walk =
-          core::walk_chain(lib, addr, g.flags.most_common());
+      const core::ChainWalk& walk = lib.walk(addr, g.flags.most_common());
       for (const accel::AccelType t : walk.invocations) {
         category_ops_[static_cast<std::size_t>(category_of(t))] +=
             static_cast<double>(g.count);

@@ -63,7 +63,7 @@ struct Pin {
   bool timeout;
   bool cpu_fallback;
   std::uint32_t remote_calls;
-  std::uint64_t timeouts;  ///< Engine or CPU executor.
+  std::uint64_t timeouts;  ///< Engine or baseline stats().timeouts.
   std::uint64_t scheduled;  ///< kernel_stats().scheduled.
 };
 
@@ -130,16 +130,16 @@ TEST_F(ChainProtocolTest, EveryOrchestratorWaitUnderAndOverTimeout) {
        {10005055000, false, true, false, 1, 1, 2}},
       // CPU-Centric
       {{80113459, true, false, false, 1, 0, 36},
-       {10016389156, false, true, false, 1, 0, 16}},
+       {10016389156, false, true, false, 1, 1, 16}},
       // RELIEF
       {{65739107, true, false, false, 1, 0, 37},
-       {10007059800, false, true, false, 1, 0, 16}},
+       {10007059800, false, true, false, 1, 1, 16}},
       // PerAccTypeQ
       {{65739107, true, false, false, 1, 0, 37},
-       {10007059800, false, true, false, 1, 0, 16}},
+       {10007059800, false, true, false, 1, 1, 16}},
       // Cohort
       {{66749673, true, false, false, 1, 0, 39},
-       {10010910488, false, true, false, 1, 0, 17}},
+       {10010910488, false, true, false, 1, 1, 17}},
       // Direct
       {{58043878, true, false, false, 1, 0, 17},
        {10001666815, false, true, false, 1, 1, 8}},
@@ -167,9 +167,8 @@ TEST_F(ChainProtocolTest, EveryOrchestratorWaitUnderAndOverTimeout) {
       if (const AccelFlowEngine* e = orch->engine()) {
         timeouts = e->stats().timeouts;
       } else {
-        timeouts = static_cast<const BaselineOrchestrator&>(*orch)
-                       .checkpoint()
-                       .cpu_exec.timeouts;
+        timeouts =
+            static_cast<const BaselineOrchestrator&>(*orch).stats().timeouts;
       }
       const std::string what =
           std::string(name_of(kind)) + (over ? " over" : " under");

@@ -289,6 +289,8 @@ TEST_F(EngineTest, RejectsInvalidTimesAndRates) {
         c.resilience.hop_timeout_us = std::numeric_limits<double>::infinity();
       },
       "resilience.hop_timeout_us");
+  rejects([](EngineConfig& c) { c.base_instrs = std::nan(""); },
+          "base_instrs");
   // The defaults and zero delays are valid.
   EngineConfig zero;
   zero.enqueue_retry_delay_ns = 0.0;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the machine composition: chiplet organizations, placement,
- * ATM behavior, trace loading, and the CPU-chain executor shared by
- * Non-acc and the fallback paths.
+ * ATM behavior, trace loading, and the Non-acc baseline's run of a chain
+ * on a core (core::price_cpu_segment, shared with every CPU fallback).
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/cpu_executor.h"
 #include "core/machine.h"
+#include "core/orch_baselines.h"
 #include "core/trace_templates.h"
 
 namespace accelflow::core {
@@ -244,70 +244,77 @@ class FixedEnv : public ChainEnv {
   }
 };
 
-TEST(CpuChainExecutor, RunsOpsOnTheCore) {
+/** Runs `first` under the Non-acc baseline: every op on ctx's core. */
+ChainResult run_non_acc(Machine& m, const TraceLibrary& lib, AtmAddr first,
+                        ChainContext& ctx, BaselineCosts costs = {},
+                        BaselineStats* stats = nullptr) {
+  BaselineOrchestrator orch(BaselineMode::kNonAcc, m, lib,
+                            /*relief_central_queue=*/false, costs);
+  ChainResult result;
+  bool done = false;
+  ctx.on_done = [&](const ChainResult& r) {
+    done = true;
+    result = r;
+  };
+  orch.run_chain(&ctx, first);
+  m.sim().run();
+  EXPECT_TRUE(done);
+  if (stats != nullptr) *stats = orch.stats();
+  return result;
+}
+
+TEST(NonAccBaseline, RunsOpsOnTheCore) {
   Machine m{MachineConfig{}};
   TraceLibrary lib;
   const auto tt = register_templates(lib);
-  CpuChainExecutor exec(m, sim::milliseconds(10));
   FixedEnv env;
   ChainContext ctx;
   ctx.core = 3;
   ctx.env = &env;
   ctx.rng.reseed(1);
-  bool done = false;
-  const auto walk = walk_chain(lib, tt.t2, ctx.flags);
-  exec.run(&ctx, walk.ops, 1024, [&](bool timed_out) {
-    done = true;
-    EXPECT_FALSE(timed_out);
-  });
-  m.sim().run();
-  EXPECT_TRUE(done);
+  BaselineStats stats;
+  const ChainResult r = run_non_acc(m, lib, tt.t2, ctx, {}, &stats);
+  EXPECT_FALSE(r.timeout);
   // 4 ops x 3us on the core.
   EXPECT_GE(m.cores().stats().busy_time, sim::microseconds(12));
-  EXPECT_EQ(exec.stats().ops, 4u);
+  EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(ctx.accel_invocations, 4u);
 }
 
-TEST(CpuChainExecutor, WaitsReleaseTheCore) {
+TEST(NonAccBaseline, WaitsReleaseTheCore) {
   Machine m{MachineConfig{}};
   TraceLibrary lib;
   const auto tt = register_templates(lib);
-  CpuChainExecutor exec(m, sim::milliseconds(10));
   FixedEnv env;
   ChainContext ctx;
   ctx.core = 0;
   ctx.flags.hit = true;
   ctx.env = &env;
   ctx.rng.reseed(1);
-  bool done = false;
-  const auto walk = walk_chain(lib, tt.t4, ctx.flags);
-  exec.run(&ctx, walk.ops, 1024, [&](bool) { done = true; });
-  m.sim().run();
-  EXPECT_TRUE(done);
+  run_non_acc(m, lib, tt.t4, ctx);
   // Elapsed includes the 20us remote wait; core busy time does not.
   EXPECT_GE(m.sim().now(), sim::microseconds(20 + 7 * 3));
   EXPECT_LT(m.cores().stats().busy_time, sim::microseconds(20 + 7 * 3));
 }
 
-TEST(CpuChainExecutor, TimesOutOnSlowRemotes) {
+TEST(NonAccBaseline, TimesOutOnSlowRemotes) {
   Machine m{MachineConfig{}};
   TraceLibrary lib;
   const auto tt = register_templates(lib);
-  CpuChainExecutor exec(m, sim::microseconds(5));  // Tighter than remote.
   FixedEnv env;
   ChainContext ctx;
   ctx.core = 0;
   ctx.env = &env;
   ctx.rng.reseed(1);
-  bool timed_out = false;
-  const auto walk = walk_chain(lib, tt.t4, ctx.flags);
-  exec.run(&ctx, walk.ops, 1024, [&](bool t) { timed_out = t; });
-  m.sim().run();
-  EXPECT_TRUE(timed_out);
-  EXPECT_EQ(exec.stats().timeouts, 1u);
+  BaselineCosts costs;
+  costs.response_timeout_ms = 0.005;  // 5us: tighter than the remote.
+  BaselineStats stats;
+  const ChainResult r = run_non_acc(m, lib, tt.t4, ctx, costs, &stats);
+  EXPECT_TRUE(r.timeout);
+  EXPECT_EQ(stats.timeouts, 1u);
 }
 
-TEST(CpuChainExecutor, TaxSpeedScalesCpuTime) {
+TEST(NonAccBaseline, TaxSpeedScalesCpuTime) {
   MachineConfig slow_cfg;
   slow_cfg.cpu.tax_speed = 0.5;
   Machine slow(slow_cfg);
@@ -316,14 +323,11 @@ TEST(CpuChainExecutor, TaxSpeedScalesCpuTime) {
   const auto tt = register_templates(lib);
   FixedEnv env;
   for (Machine* m : {&slow, &fast}) {
-    CpuChainExecutor exec(*m, sim::milliseconds(10));
     ChainContext ctx;
     ctx.core = 0;
     ctx.env = &env;
     ctx.rng.reseed(1);
-    const auto walk = walk_chain(lib, tt.t2, ctx.flags);
-    exec.run(&ctx, walk.ops, 1024, nullptr);
-    m->sim().run();
+    run_non_acc(*m, lib, tt.t2, ctx);
   }
   EXPECT_NEAR(static_cast<double>(slow.cores().stats().busy_time),
               2.0 * static_cast<double>(fast.cores().stats().busy_time),

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "check/invariant_checker.h"
 #include "core/machine.h"
 #include "core/orch_baselines.h"
 #include "core/orchestrator.h"
@@ -204,6 +209,76 @@ TEST_F(OrchestratorTest, BaselinesHandleRemoteWaits) {
     EXPECT_GE(t, sim::microseconds(10)) << name_of(kind);
     EXPECT_EQ(ctx_->remote_calls, 1u) << name_of(kind);
   }
+}
+
+TEST_F(OrchestratorTest, BaselineFallsBackToTheCoreMidChain) {
+  // T2 = Ser -> RPC -> Encr -> TCP. RPC's input queue is full and one
+  // enqueue attempt is allowed, so Ser runs on its accelerator and the
+  // rest of the chain runs on the core.
+  machine_ = std::make_unique<Machine>(MachineConfig{});
+  check::CheckerConfig cc;
+  cc.record_sequences = true;
+  check::InvariantChecker checker(cc);
+  checker.attach(*machine_, lib_);
+  BaselineCosts costs;
+  costs.enqueue_retries = 1;
+  BaselineOrchestrator orch(BaselineMode::kCpuCentric, *machine_, lib_,
+                            false, costs);
+  accel::Accelerator& rpc = machine_->accel(AccelType::kRpc);
+  std::vector<accel::SlotId> filler;
+  for (accel::SlotId s; (s = rpc.try_enqueue(accel::QueueEntry{})) !=
+                        accel::kInvalidSlot;) {
+    filler.push_back(s);
+  }
+  ctx_ = std::make_unique<ChainContext>();
+  ctx_->request = 1;
+  ctx_->env = &env_;
+  ctx_->rng.reseed(7);
+  done_ = false;
+  ctx_->on_done = [this](const ChainResult& r) {
+    done_ = true;
+    result_ = r;
+  };
+  orch.run_chain(ctx_.get(), templates_.t2);
+  machine_->sim().run();
+  for (const accel::SlotId s : filler) rpc.release_input(s);
+  checker.final_audit();
+
+  ASSERT_TRUE(done_);
+  EXPECT_TRUE(result_.ok);
+  EXPECT_TRUE(result_.cpu_fallback);
+  EXPECT_EQ(orch.stats().fallbacks, 1u);
+  const auto* seq = checker.sequence(obs::flow_id(ctx_->request, 0));
+  ASSERT_NE(seq, nullptr);
+  const auto want = walk_chain(lib_, templates_.t2, ctx_->flags).invocations;
+  ASSERT_EQ(seq->size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ((*seq)[i].type, want[i]) << i;
+    EXPECT_EQ((*seq)[i].on_cpu, i > 0) << i;
+  }
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  checker.detach();
+}
+
+TEST_F(OrchestratorTest, RejectsInvalidBaselineCosts) {
+  // Each would cast a NaN or negative duration into picoseconds: the
+  // constructor names the field.
+  Machine m(MachineConfig{});
+  const auto rejects = [&](auto mutate, const char* field) {
+    BaselineCosts costs;
+    mutate(costs);
+    try {
+      BaselineOrchestrator orch(BaselineMode::kCohort, m, lib_, false, costs);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects([](BaselineCosts& c) { c.response_timeout_ms = std::nan(""); },
+          "response_timeout_ms");
+  rejects([](BaselineCosts& c) { c.cohort_poll_interval_us = -1.0; },
+          "cohort_poll_interval_us");
 }
 
 TEST_F(OrchestratorTest, OrchestratorNames) {

@@ -3,9 +3,9 @@
  * Differential trace-program fuzzer driver (TESTING.md).
  *
  * Each seed is one fully deterministic case: random trace programs run
- * under both the AccelFlow engine and the CPU-Centric baseline with the
- * runtime invariant checker attached to both, and the logical outcomes
- * are compared (see src/check/differential.h). Any failure is
+ * under the AccelFlow engine, the CPU-Centric baseline and the Non-acc
+ * baseline with the runtime invariant checker attached to each, and the
+ * logical outcomes are compared (see src/check/differential.h). Any failure is
  * reproducible with `fuzz_traces --seed <n>`.
  *
  * Usage:
